@@ -2,11 +2,11 @@
 
 The package computes, for any budget r >= 0, the generating function of
 permutations with exactly r occurrences of the pattern 132 -- as a
-truncated power series with exact rational coefficients and as a closed
-form over Q(x)[sqrt(1-4x)] -- together with the variant restricted to
-permutations avoiding the increasing pattern 12...k, a brute-force
-oracle over small symmetric groups, and exhaustive checks of the
-structural facts the computation rests on.
+truncated power series with exact integer coefficients and as a closed
+form over Q(x)[sqrt(1-4x)], both by one recursion -- together with the
+variant restricted to permutations avoiding the increasing pattern
+12...k, a brute-force oracle over small symmetric groups, and
+exhaustive checks of the structural facts the computation rests on.
 """
 
 from .algebraic import AlgebraicFunction, PQForm, af_to_series, extract_pq, reassemble_pq

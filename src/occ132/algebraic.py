@@ -230,6 +230,10 @@ class AlgebraicFunction:
             out = out * self
         return out
 
+    def shifted(self, k: int) -> AlgebraicFunction:
+        """Multiply by x^k."""
+        return AlgebraicFunction((0,) * k + self.p, (0,) * k + self.q, self.d)
+
     def __repr__(self) -> str:
         return f"AlgebraicFunction(p={self.p}, q={self.q}, d={self.d})"
 

@@ -32,7 +32,7 @@ from .invariants import (
     roundtrip_backward,
     structure_sweep,
 )
-from .oracle import count_exact, count_exact_restricted
+from .oracle import DEFAULT_GUARD, OracleError, count_exact, count_exact_restricted
 from .shapes import (
     CatalogError,
     ShapeCatalog,
@@ -178,8 +178,12 @@ def _cmd_restricted(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 0:
+        raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
+    if args.max_n > DEFAULT_GUARD:
+        raise OracleError(f"--max-n {args.max_n} exceeds the oracle's sweep guard {DEFAULT_GUARD}")
     catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
-    solver = Solver(catalog, max(args.max_n, 0))
+    solver = Solver(catalog, args.max_n)
     if args.k is None:
         series = solver.occurrence_series(args.occ)
         tag = f"occ={args.occ}"
@@ -191,11 +195,9 @@ def _cmd_verify(args) -> int:
     for n in range(args.max_n + 1):
         got = int(series[n])
         if args.k is None:
-            want = count_exact(n, args.occ, guard=max(args.max_n, 10), threads=args.threads)
+            want = count_exact(n, args.occ, threads=args.threads)
         else:
-            want = count_exact_restricted(
-                n, args.occ, args.k, guard=max(args.max_n, 10), threads=args.threads
-            )
+            want = count_exact_restricted(n, args.occ, args.k, threads=args.threads)
         mark = "" if got == want else "  MISMATCH"
         print(f"{n:>3} {got:>14} {want:>14}{mark}")
         ok = ok and got == want
@@ -203,6 +205,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_invariants(args) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     ok = True
 
     def report(name: str, violations: list[str]) -> None:
@@ -270,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         if order:
             p.add_argument("--order", type=int, default=32, help="series truncation (default 32)")
         if catalog:
-            p.add_argument("--catalog", help="catalog file to reuse (rebuilt+cached when too small)")
+            p.add_argument("--catalog", help="catalog file to reuse (rebuilt+cached when too small or malformed)")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("shapes", help="enumerate kernel shapes into a catalog")
@@ -322,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogError, ValueError) as exc:
+    except (CatalogError, OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

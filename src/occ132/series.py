@@ -1,6 +1,8 @@
 """Truncated formal power series with exact rational coefficients.
 
-A series stores the coefficients of x^0..x^order as ``Fraction``s.
+A series stores the coefficients of x^0..x^order as plain ``int``s
+wherever they are integral and as ``Fraction``s only where a
+denominator appears, so integer series never leave integer arithmetic.
 Arithmetic truncates to the smaller operand order, and equality
 compares coefficients up to the shared order.  All operations are pure;
 nothing here ever touches floating point.
@@ -18,11 +20,12 @@ class PoleAtOriginError(ArithmeticError):
     """A Laurent expansion kept negative powers of x."""
 
 
-def _as_fraction(value) -> Fraction:
+def _coeff(value) -> int | Fraction:
+    """The coefficient as an ``int`` when integral, else as a ``Fraction``."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -30,23 +33,25 @@ def _as_fraction(value) -> Fraction:
 class PowerSeries:
     """Coefficients of x^0..x^order, exact rationals."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a series carries at least the constant coefficient")
+        if not all(type(c) is int for c in self.coeffs):
+            object.__setattr__(self, "coeffs", tuple(_coeff(c) for c in self.coeffs))
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int | Fraction], order: int | None = None) -> PowerSeries:
         """Build a series, zero-padding or truncating to `order` if given."""
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if order is not None:
-            cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
+            cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         return cls(tuple(cs))
 
     @classmethod
     def zero(cls, order: int) -> PowerSeries:
-        return cls(tuple([Fraction(0)] * (order + 1)))
+        return cls((0,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> PowerSeries:
@@ -60,7 +65,7 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
@@ -83,11 +88,11 @@ class PowerSeries:
 
     def __mul__(self, other) -> PowerSeries:
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _coeff(other)
             return PowerSeries(tuple(a * c for a in self.coeffs))
         shared = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (shared + 1)
+        out = [0] * (shared + 1)
         for i in range(min(len(a), shared + 1)):
             ai = a[i]
             if not ai:
@@ -101,17 +106,18 @@ class PowerSeries:
 
     def __truediv__(self, other: PowerSeries) -> PowerSeries:
         """Series division; the divisor needs a nonzero constant term."""
-        if other.coeffs[0] == 0:
+        b0 = other.coeffs[0]
+        if b0 == 0:
             raise ZeroDivisionError("division by a series with zero constant term")
         shared = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        q = [Fraction(0)] * (shared + 1)
+        q = [0] * (shared + 1)
         for n in range(shared + 1):
             acc = a[n]
             for i in range(n):
                 if q[i] and n - i < len(b):
                     acc -= q[i] * b[n - i]
-            q[n] = acc / b[0]
+            q[n] = acc if b0 == 1 else _coeff(Fraction(acc) / b0)  # int / int would be a float
         return PowerSeries(tuple(q))
 
     def __pow__(self, exponent: int) -> PowerSeries:
@@ -126,15 +132,15 @@ class PowerSeries:
         """Multiply by x^k, keeping the order (high coefficients drop off)."""
         if k == 0:
             return self
-        return PowerSeries((Fraction(0),) * k + self.coeffs[: self.order + 1 - k])
+        return PowerSeries((0,) * k + self.coeffs[: self.order + 1 - k])
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def integer_coeffs(self) -> list[int]:
         if not self.is_integral():
             raise ValueError(f"series has non-integer coefficients: {self}")
-        return [int(c) for c in self.coeffs]
+        return list(self.coeffs)
 
     def __repr__(self) -> str:
         return f"PowerSeries({[str(c) for c in self.coeffs]})"
@@ -145,17 +151,15 @@ def sqrt_one_minus_4x(order: int) -> PowerSeries:
 
     The n-th coefficient is -2*C(2n-2, n-1)/n for n >= 1, an integer.
     """
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for n in range(1, order + 1):
-        coeffs.append(Fraction(-2 * comb(2 * n - 2, n - 1), n))
+        coeffs.append(-2 * comb(2 * n - 2, n - 1) // n)
     return PowerSeries(tuple(coeffs))
 
 
 def catalan_series(order: int) -> PowerSeries:
     """1 + x + 2x^2 + 5x^3 + 14x^4 + ...: the fixed point of S = 1 + x*S^2."""
-    return PowerSeries.from_coeffs(
-        [Fraction(comb(2 * n, n), n + 1) for n in range(order + 1)]
-    )
+    return PowerSeries(tuple(comb(2 * n, n) // (n + 1) for n in range(order + 1)))
 
 
 def poly_series(poly: Sequence[int | Fraction], order: int) -> PowerSeries:

@@ -32,6 +32,11 @@ from .perms import Permutation
 
 CATALOG_FORMAT_VERSION = 1
 
+# Number of kernel shapes of each capacity 0..6, maximal shapes included.
+KNOWN_CAPACITY_CENSUS = (1, 1, 5, 21, 105, 504, 2577)
+
+_RECORD_KEYS = ("shape", "size", "capacity", "cells", "lis_ne")
+
 # Depth at which the search tree is split into parallel jobs.
 _SPLIT_DEPTH = 5
 
@@ -289,26 +294,79 @@ def save_catalog(catalog: ShapeCatalog, path: str | Path) -> None:
     Path(path).write_text(catalog_to_text(catalog))
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _parse_record(line: str) -> KernelShapeRecord:
+    """One record line; raises CatalogError on bad JSON, a missing key or a wrong type."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"bad JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise CatalogError("record is not a JSON object")
+    missing = [key for key in _RECORD_KEYS if key not in obj]
+    if missing:
+        raise CatalogError(f"record lacks {', '.join(missing)}")
+    shape, size, capacity, cells, lis_ne = (obj[key] for key in _RECORD_KEYS)
+    if not (
+        _int_list(shape)
+        and type(size) is int
+        and type(capacity) is int
+        and isinstance(cells, list)
+        and all(_int_list(cell) and len(cell) == 2 for cell in cells)
+        and _int_list(lis_ne)
+    ):
+        raise CatalogError("record field of the wrong type")
+    if size != len(shape) or len(lis_ne) != len(cells):
+        raise CatalogError("record sizes disagree")
+    try:
+        perm = Permutation(tuple(shape))
+    except ValueError as exc:
+        raise CatalogError(str(exc)) from None
+    return KernelShapeRecord(perm, size, capacity, tuple(map(tuple, cells)), tuple(lis_ne))
+
+
 def load_catalog(path: str | Path) -> ShapeCatalog:
-    """Read a catalog written by :func:`save_catalog`."""
-    text = Path(path).read_text().splitlines()
+    """Read a catalog written by :func:`save_catalog`.
+
+    Raises CatalogError on any malformed line, on records that are
+    duplicated or out of order, on a budget without its maximal shape
+    and on per-capacity counts that differ from the known census.
+    """
+    try:
+        text = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: not a text file ({exc})") from None
     if not text:
         raise CatalogError(f"{path}: empty catalog file")
-    header = json.loads(text[0])
-    if header.get("format_version") != CATALOG_FORMAT_VERSION:
-        raise CatalogError(f"{path}: unsupported format version {header.get('format_version')!r}")
+    try:
+        header = json.loads(text[0])
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"{path}:1: bad JSON ({exc})") from None
+    if not isinstance(header, dict) or header.get("format_version") != CATALOG_FORMAT_VERSION:
+        raise CatalogError(f"{path}: unsupported header {text[0]!r}")
+    max_occ = header.get("max_occ")
+    if type(max_occ) is not int or max_occ < 0:
+        raise CatalogError(f"{path}: bad max_occ {max_occ!r}")
     records = []
-    for line in text[1:]:
+    for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        records.append(
-            KernelShapeRecord(
-                shape=Permutation(tuple(obj["shape"])),
-                size=obj["size"],
-                capacity=obj["capacity"],
-                cells=tuple((m, l) for m, l in obj["cells"]),
-                lis_ne=tuple(obj["lis_ne"]),
-            )
-        )
-    return ShapeCatalog(header["max_occ"], tuple(records))
+        try:
+            records.append(_parse_record(line))
+        except CatalogError as exc:
+            raise CatalogError(f"{path}:{lineno}: {exc}") from None
+    keys = [(rec.size, rec.shape.values) for rec in records]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise CatalogError(f"{path}: records are duplicated or not sorted by (size, shape)")
+    present = {(rec.size, rec.capacity) for rec in records}
+    for r in range(1, max_occ + 1):
+        if (2 * r + 1, r) not in present:
+            raise CatalogError(f"{path}: no maximal shape for budget {r}")
+    by_capacity = Counter(rec.capacity for rec in records)
+    got = tuple(by_capacity[c] for c in range(min(max_occ + 1, len(KNOWN_CAPACITY_CENSUS))))
+    if got != KNOWN_CAPACITY_CENSUS[: len(got)]:
+        raise CatalogError(f"{path}: shapes per capacity {got} differ from the census")
+    return ShapeCatalog(max_occ, tuple(records))

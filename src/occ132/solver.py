@@ -1,4 +1,4 @@
-"""Generating functions by the kernel-shape recursion, in two exact backends.
+"""Generating functions by the kernel-shape recursion, over any exact ring.
 
 Counting permutations with exactly r occurrences of 132 reduces to a
 sum over catalogued kernel shapes: a shape of size s, capacity c and f
@@ -13,12 +13,12 @@ sqrt(1-4x)).
 Budget splits are never enumerated: per shape, the family of
 lower-level solutions is treated as a polynomial in a formal budget
 marker, the f-fold product is taken with truncation, and the wanted
-coefficient is read off.  Shapes with equal (size, capacity, cell
-count) contribute identically, so the catalog is folded into classes
-first.
+coefficient is read off.  Shapes that contribute identically are folded
+into classes first, and products are shared between classes through
+their common factors.
 
-The same recursion runs over series (exact rational coefficients) and
-over closed forms in Q(x)[sqrt(1-4x)]; the two backends check each
+The level step is written once and runs over truncated integer series
+and over closed forms in Q(x)[sqrt(1-4x)]; the two rings check each
 other.
 
 The restricted variant counts permutations that additionally avoid the
@@ -30,7 +30,8 @@ shape's own longest increasing run is shorter than k and each cell
 content avoids 12...(k - l_j); that gives the same budget-split
 recursion with the series family indexed by the surviving monotone
 budget, an all-zero family at budgets <= 0, and a per-shape cutoff at
-k <= lis(shape).
+k <= lis(shape).  The unrestricted recursion is the case with no
+monotone budget at all.
 """
 
 from __future__ import annotations
@@ -47,30 +48,23 @@ class SolverError(RuntimeError):
     """An internal consistency check failed while solving."""
 
 
-def _marker_mul(a: list, b: list, cap: int, zero):
-    """Product of budget-marker polynomials, truncated at degree `cap`."""
-    out = [zero] * min(len(a) + len(b) - 1, cap + 1)
-    for i, ai in enumerate(a):
-        if i > cap:
-            break
-        for j, bj in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 class Solver:
-    """Memoized solutions at a fixed truncation order over one catalog."""
+    """Memoized solutions at a fixed truncation order over one catalog.
+
+    Levels are keyed by (r, k), where k is the monotone budget of the
+    restricted variant and None means unrestricted.  Each ring keeps its
+    own table, seeded with the Catalan level 0.
+    """
 
     def __init__(self, catalog: ShapeCatalog, order: int = 32):
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         self.catalog = catalog
         self.order = order
-        self._series_levels: list[PowerSeries] = []
-        self._af_levels: list[AlgebraicFunction] = []
-        self._phi: dict[tuple[int, int], PowerSeries] = {}
+        self._series: dict = {(0, None): catalan_series(order)}
+        # (1 - y) / 2x: the quadratic x*S^2 - S + 1 = 0 solved for y.
+        self._closed: dict = {(0, None): AlgebraicFunction((1,), (-1,), (0, 2))}
+        self._class_tables: dict[tuple[int, bool], Counter] = {}
 
     # -- catalog views ------------------------------------------------------
 
@@ -82,33 +76,32 @@ class Solver:
                 f"catalog holds shapes for budgets <= {self.catalog.max_occ}, requested {r}"
             )
 
-    def _classes(self, r: int) -> Counter:
-        """(size, capacity, cell count) multiplicities, capacity <= r,
-        excluding the size-1 shape (handled algebraically)."""
-        counts: Counter = Counter()
-        for rec in self.catalog.records:
-            if 1 < rec.size and rec.capacity <= r:
-                counts[(rec.size, rec.capacity, rec.f)] += 1
-        return counts
-
-    def _restricted_classes(self, r: int) -> Counter:
-        """(size, capacity, shape lis, sorted northeast-run lengths) multiplicities.
+    def _classes(self, r: int, restricted: bool = False) -> Counter:
+        """(size, capacity, shape lis, sorted northeast-run lengths)
+        multiplicities over capacity <= r, excluding the size-1 shape
+        (handled algebraically).
 
         The shape's own longest increasing run rides along because a
         shape contributes nothing to budgets k <= lis: its kernel alone
-        already contains the forbidden monotone pattern.
+        already contains the forbidden monotone pattern.  Unrestricted,
+        every cell sees the same family, so lis and runs are zeroed and
+        the classes are just (size, capacity, cell count).
         """
-        counts: Counter = Counter()
-        for rec in self.catalog.records:
-            if 1 < rec.size and rec.capacity <= r:
-                key = (
-                    rec.size,
-                    rec.capacity,
-                    lis_length(rec.shape.values),
-                    tuple(sorted(rec.lis_ne)),
-                )
-                counts[key] += 1
-        return counts
+        key = (r, restricted)
+        if key not in self._class_tables:
+            counts: Counter = Counter()
+            for rec in self.catalog.records:
+                if 1 < rec.size and rec.capacity <= r:
+                    if restricted:
+                        lis, runs = lis_length(rec.shape.values), tuple(sorted(rec.lis_ne))
+                    else:
+                        lis, runs = 0, (0,) * rec.f
+                    counts[(rec.size, rec.capacity, lis, runs)] += 1
+            self._class_tables[key] = counts
+        return self._class_tables[key]
+
+    def _restricted_classes(self, r: int) -> Counter:
+        return self._classes(r, restricted=True)
 
     def _maximal_record(self, r: int):
         for rec in self.catalog.records:
@@ -116,140 +109,86 @@ class Solver:
                 return rec
         raise CatalogError(f"catalog lacks the maximal shape for budget {r}")
 
-    # -- unrestricted, series backend ---------------------------------------
+    # -- public levels ----------------------------------------------------------
 
     def occurrence_series(self, r: int) -> PowerSeries:
         """Series counting permutations of each size with exactly r
         occurrences of 132, to the solver's truncation order."""
         self._require(r)
-        while len(self._series_levels) <= r:
-            self._series_levels.append(self._solve_series_level(len(self._series_levels)))
-        return self._series_levels[r]
-
-    def _solve_series_level(self, r: int) -> PowerSeries:
-        N = self.order
-        if r == 0:
-            return catalan_series(N)
-        prev = self._series_levels
-        zero = PowerSeries.zero(N)
-        total = zero
-        # All shapes other than the size-1 one, folded by class.
-        classes = self._classes(r)
-        powers = self._marker_powers([prev[i] for i in range(r)], classes, r - 1, zero)
-        for (s, c, f), mult in sorted(classes.items()):
-            total = total + (mult * powers[f][r - c]).shifted(s)
-        # Size-1 shape: the budget splits with both parts below r.
-        for r1 in range(1, r):
-            total = total + (prev[r1] * prev[r - r1]).shifted(1)
-        divisor = PowerSeries.one(N) - 2 * prev[0].shifted(1)
-        result = total / divisor
-        if not result.is_integral() or any(c < 0 for c in result.coeffs):
-            raise SolverError(f"level {r} series is not a counting series: {result!r}")
-        self._check_maximal_series(r, powers)
-        return result
-
-    def _marker_powers(self, family: list, classes: Counter, cap: int, zero) -> dict[int, list]:
-        fmax = max((f for (_, _, f) in classes), default=0)
-        powers = {1: family}
-        for f in range(2, fmax + 1):
-            powers[f] = _marker_mul(powers[f - 1], family, cap, zero)
-        return powers
-
-    def _check_maximal_series(self, r: int, powers: dict[int, list]) -> None:
-        """The maximal shape's term must equal x^(2r+1) * S_0^(r+2)."""
-        rec = self._maximal_record(r)
-        from_record = powers[rec.f][r - rec.capacity].shifted(rec.size)
-        direct = (self._series_levels[0] ** (rec.f)).shifted(2 * r + 1)
-        if from_record != direct:
-            raise SolverError(f"maximal-shape contribution mismatch at level {r}")
-
-    # -- unrestricted, closed-form backend ------------------------------------
+        return self._level(self._series, PowerSeries.one(self.order), r, None)
 
     def occurrence_closed_form(self, r: int) -> AlgebraicFunction:
         """Closed form of the level-r series in Q(x)[sqrt(1-4x)]."""
         self._require(r)
-        while len(self._af_levels) <= r:
-            self._af_levels.append(self._solve_af_level(len(self._af_levels)))
-        return self._af_levels[r]
-
-    def _solve_af_level(self, r: int) -> AlgebraicFunction:
-        if r == 0:
-            # (1 - y) / 2x: the quadratic x*S^2 - S + 1 = 0 solved for y.
-            return AlgebraicFunction((1,), (-1,), (0, 2))
-        prev = self._af_levels
-        x1 = AlgebraicFunction.x_power(1)
-        divisor = AlgebraicFunction.from_poly((1,)) - 2 * x1 * prev[0]
-        if divisor != AlgebraicFunction.y():
-            raise SolverError("1 - 2x*S_0 did not reduce to sqrt(1-4x)")
-        zero = AlgebraicFunction((), (), (1,))
-        total = zero
-        classes = self._classes(r)
-        powers = self._marker_powers([prev[i] for i in range(r)], classes, r - 1, zero)
-        for (s, c, f), mult in sorted(classes.items()):
-            total = total + AlgebraicFunction.x_power(s) * (mult * powers[f][r - c])
-        for r1 in range(1, r):
-            total = total + x1 * prev[r1] * prev[r - r1]
-        result = total / divisor
-        rec = self._maximal_record(r)
-        from_record = AlgebraicFunction.x_power(rec.size) * powers[rec.f][r - rec.capacity]
-        direct = AlgebraicFunction.x_power(2 * r + 1) * prev[0] ** (r + 2)
-        if from_record != direct:
-            raise SolverError(f"maximal-shape closed form mismatch at level {r}")
-        return result
-
-    # -- restricted variant ----------------------------------------------------
+        return self._level(self._closed, AlgebraicFunction.from_poly((1,)), r, None)
 
     def restricted_series(self, r: int, k: int) -> PowerSeries:
         """Series counting permutations with exactly r occurrences of 132
         that also avoid the increasing pattern of length k."""
         self._require(r)
-        if k <= 0:
-            return PowerSeries.zero(self.order)
+        return self._level(self._series, PowerSeries.one(self.order), r, k)
+
+    # -- the level step ---------------------------------------------------------
+
+    def _level(self, levels: dict, one, r: int, k: int | None):
+        """Level (r, k) in the ring of `one`, solving every level it rests
+        on first, in an order where each step finds its inputs in `levels`."""
         for rp in range(r + 1):
-            for kp in range(1, k + 1):
-                if (rp, kp) not in self._phi:
-                    self._phi[(rp, kp)] = self._solve_restricted(rp, kp)
-        return self._phi[(r, k)]
+            for kp in [None] if k is None else range(1, k + 1):
+                if (rp, kp) not in levels:
+                    levels[(rp, kp)] = self._step(levels, one, rp, kp)
+        return levels[(r, k)] if k is None or k > 0 else one * 0
 
-    def _phi_at(self, r: int, k: int) -> PowerSeries:
-        if k <= 0:
-            return PowerSeries.zero(self.order)
-        return self._phi[(r, k)]
+    def _step(self, levels: dict, one, r: int, k: int | None):
+        """Solve level (r, k) from the lower levels already in `levels`."""
+        zero = one * 0
 
-    def _solve_restricted(self, rp: int, kp: int) -> PowerSeries:
-        N = self.order
-        zero = PowerSeries.zero(N)
-        total = PowerSeries.one(N) if rp == 0 else zero
-        product_cache: dict = {}
-        for (s, c, shape_lis, runs), mult in sorted(self._restricted_classes(rp).items()):
-            budget = rp - c
-            if budget < 0 or shape_lis >= kp:
-                # The kernel itself carries an increasing run of length
-                # shape_lis, so no member of this shape's class avoids
-                # the monotone pattern once k <= shape_lis.  Increasing
-                # runs cannot cross cells, and kernel entries extend a
-                # cell's content only to its northeast, so the per-cell
-                # budgets k - l_j account for everything else.
-                continue
-            key = (runs, budget)
-            if key not in product_cache:
-                poly = [PowerSeries.one(N)]
-                for l in runs:
-                    family = [self._phi_at(i, kp - l) for i in range(budget + 1)]
-                    poly = _marker_mul(poly, family, budget, zero)
-                product_cache[key] = poly[budget] if budget < len(poly) else zero
-            total = total + (mult * product_cache[key]).shifted(s)
-        # Size-1 shape: its two cells see budgets k-1 and k; the splits
-        # that stay below level rp on the k-side are known terms.
-        if rp >= 1 and kp >= 2:
-            acc = zero
-            for r1 in range(1, rp + 1):
-                acc = acc + self._phi_at(r1, kp - 1) * self._phi_at(rp - r1, kp)
-            total = total + acc.shifted(1)
-        divisor = PowerSeries.one(N) - self._phi_at(0, kp - 1).shifted(1)
+        def level(i: int, drop: int = 0):
+            """Known level i, with the monotone budget lowered by `drop`."""
+            if k is None:
+                return levels[(i, None)]
+            return levels[(i, k - drop)] if k - drop > 0 else zero
+
+        products: dict[tuple[int, ...], list] = {(): [one]}
+
+        def product(runs: tuple[int, ...]) -> list:
+            """Budget-marker product of the cells' families, truncated at
+            degree r - 1 and built on the product of its sorted prefix."""
+            if runs not in products:
+                family = [level(i, runs[-1]) for i in range(r)]
+                out = [zero] * r
+                for i, a in enumerate(product(runs[:-1])):
+                    for j in range(r - i):
+                        out[i + j] += a * family[j]
+                products[runs] = out
+            return products[runs]
+
+        total = one if r == 0 else zero  # the empty permutation; unrestricted level 0 is seeded
+        for (s, c, lis, runs), mult in sorted(self._classes(r, restricted=k is not None).items()):
+            if k is not None and lis >= k:
+                continue  # the kernel alone holds the forbidden increasing run
+            total = total + (mult * product(runs)[r - c]).shifted(s)
+        # Size-1 shape: its cells see budgets k-1 and k and split all of r.
+        # A split end that holds the unknown level (r, k) moves into the
+        # divisor: the r1 = 0 end always, the r1 = r end only unrestricted.
+        ends = {0} if k is not None else {0, r}
+        for r1 in range(r + 1):
+            if r1 not in ends:
+                total = total + (level(r1, 1) * level(r - r1)).shifted(1)
+        divisor = one - (len(ends) * level(0, 1)).shifted(1)
         result = total / divisor
-        if not result.is_integral() or any(c < 0 for c in result.coeffs):
-            raise SolverError(f"restricted series ({rp}, {kp}) is not a counting series")
+        if isinstance(result, PowerSeries) and (
+            not result.is_integral() or any(c < 0 for c in result.coeffs)
+        ):
+            raise SolverError(f"level ({r}, {k}) series is not a counting series: {result!r}")
+        if isinstance(divisor, AlgebraicFunction) and divisor != AlgebraicFunction.y():
+            raise SolverError("1 - 2x*S_0 did not reduce to sqrt(1-4x)")
+        if k is None:
+            # The maximal shape's term must equal x^(2r+1) * S_0^(r+2).
+            rec = self._maximal_record(r)
+            from_record = product((0,) * rec.f)[r - rec.capacity].shifted(rec.size)
+            if from_record != (level(0) ** (r + 2)).shifted(2 * r + 1):
+                raise SolverError(f"maximal-shape contribution mismatch at level {r}")
         return result
 
 

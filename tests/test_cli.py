@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from occ132 import load_catalog
+from occ132 import enumerate_kernel_shapes, load_catalog, save_catalog
 from occ132.cli import main
+from occ132.oracle import DEFAULT_GUARD
+from occ132.shapes import CatalogError
 
 
 def run(capsys, *argv):
@@ -129,3 +131,73 @@ def test_shapes_threads_deterministic(capsys, tmp_path):
     run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(a))
     run(capsys, "shapes", "--max-occ", "3", "--threads", "2", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def _budget3_lines(tmp_path):
+    path = tmp_path / "cat.jsonl"
+    save_catalog(enumerate_kernel_shapes(3), path)
+    return path, path.read_text().splitlines()
+
+
+def _drop_key(lines):
+    rec = json.loads(lines[5])
+    del rec["lis_ne"]
+    return lines[:5] + [json.dumps(rec)] + lines[6:]
+
+
+def _wrong_type(lines):
+    rec = json.loads(lines[5])
+    rec["size"] = str(rec["size"])
+    return lines[:5] + [json.dumps(rec)] + lines[6:]
+
+
+# case -> (edit of the catalog lines, expected error); line 0 is the
+# header, records are sorted by size, and the last is the maximal shape.
+MALFORMED = {
+    "missing_key": (_drop_key, "lacks lis_ne"),
+    "truncated_line": (lambda lines: lines[:5] + [lines[5][:20]] + lines[6:], "bad JSON"),
+    "wrong_type": (_wrong_type, "wrong type"),
+    "duplicate_record": (lambda lines: lines[:6] + [lines[5]] + lines[6:], "duplicated"),
+    "unsorted_records": (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:], "sorted"),
+    "no_maximal_shape": (lambda lines: lines[:-1], "no maximal shape for budget 3"),
+    "census_mismatch": (lambda lines: lines[:5] + lines[6:], "census"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_catalog_is_rebuilt(capsys, tmp_path, case):
+    edit, message = MALFORMED[case]
+    path, lines = _budget3_lines(tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(path)
+    code, out, err = run(capsys, "gf", "--occ", "3", "--order", "7", "--catalog", str(path))
+    assert code == 0
+    assert "ignoring cache" in err
+    assert json.loads(out)[7] == 410
+    load_catalog(path)  # the rebuilt cache is sound
+
+
+def test_verify_rejects_negative_max_n(capsys):
+    code, out, err = run(capsys, "verify", "--occ", "1", "--max-n", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_refuses_beyond_oracle_guard(capsys):
+    code, out, err = run(capsys, "verify", "--occ", "1", "--max-n", str(DEFAULT_GUARD + 2))
+    assert code == 2 and out == ""
+    assert "sweep guard" in err
+
+
+def test_check_invariants_rejects_empty_range(capsys):
+    code, out, err = run(capsys, "check-invariants", "--max-n", "0")
+    assert code == 2 and "PASS" not in out
+    assert err.startswith("error:")
+
+
+def test_oracle_error_is_reported(capsys):
+    # The oracle rejects k < 1; main reports it instead of a traceback.
+    code, _, err = run(capsys, "verify", "--occ", "0", "--max-n", "2", "--k", "0")
+    assert code == 2
+    assert err.startswith("error:") and "k must be >= 1" in err

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from occ132 import (
+    PowerSeries,
     Solver,
     af_to_series,
     catalan_series,
@@ -108,10 +109,31 @@ class TestRestricted:
                 for n in range(9):
                     assert series[n] == count_exact_restricted(n, r, k), (r, k, n)
 
+    def test_r0_is_chebyshev_quotient(self, catalog1):
+        # Chow-West: 132- and 12...k-avoiders have generating function
+        # P_{k-1}/P_k with P_k(x) = sum_j (-1)^j C(k-j, j) x^j.
+        def chebyshev(k):
+            return PowerSeries.from_coeffs(
+                [(-1) ** j * math.comb(k - j, j) for j in range(k // 2 + 1)], 32
+            )
+
+        solver = Solver(catalog1, 32)
+        for k in range(1, 9):
+            assert solver.restricted_series(0, k) == chebyshev(k - 1) / chebyshev(k), k
+
     def test_large_k_equals_unrestricted(self, catalog2):
         solver = Solver(catalog2, 8)
         for r in range(3):
             assert solver.restricted_series(r, 9) == solver.occurrence_series(r)
+
+
+def test_series_coefficients_are_ints(catalog3):
+    solver = Solver(catalog3, 24)
+    for r in range(4):
+        for series in [solver.occurrence_series(r)] + [
+            solver.restricted_series(r, k) for k in range(5)
+        ]:
+            assert all(type(c) is int for c in series.coeffs), (r, series)
 
 
 class TestModuleConveniences:
