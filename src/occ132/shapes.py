@@ -15,6 +15,16 @@ vectors:
   connectivity (the kernel-permutation test) is a constant-size check
   at every node instead of a rebuild.
 
+With a budget, a second prune cuts every prefix that can no longer
+become connected.  The D[v] pairs that appending v closes form a
+connected bipartite graph (the first below-v entry pairs with every
+above-v entry that is in any pair), so they span at most D[v] + 1
+positions: an append lowers the component count q by at most D[v], and
+a silent one raises it by 1.  A prefix with q components therefore
+needs at least q - 1 more occurrences, and is cut when q - 1 exceeds
+the budget left.  The unbudgeted search (``max_occ=None``) never uses
+this prune.
+
 The search over sizes <= 2r plus the constructed maximal shape of size
 2r+1 yields exactly the catalog the generating-function solver consumes.
 """
@@ -103,7 +113,38 @@ def _touched_labels(pat: tuple[int, ...], comp: tuple[int, ...], v: int) -> set[
     return touched
 
 
-def _child(pat, cnt, D, comp, v, ncnt) -> _State:
+def _children(state: _State, max_occ: int | None, final: bool):
+    """Yield (v, count, touched labels) for every child worth visiting.
+
+    A child with q components needs at least q - 1 more occurrences to
+    become connected (see the module docstring), so it is kept only if
+    q - 1 <= room, the occurrences it may still gain: max_occ minus its
+    count, none at the last level, and with no budget k + 1, more than
+    any child can need.  Since an append touches at most min(D[v] + 1, q)
+    components, a child is skipped before its touched labels are
+    computed when even that many cannot bring it within room.
+    """
+    pat, cnt, D, comp = state
+    k = len(pat)
+    q = len(set(comp))
+    for v in range(1, k + 2):
+        d = D[v]
+        ncnt = cnt + d
+        room = k + 1 if max_occ is None else max_occ - ncnt
+        if final:
+            room = min(room, 0)
+        if d == 0:
+            # A silent append leaves the new entry isolated: q + 1 components.
+            if q <= room:
+                yield v, ncnt, ()
+        elif room >= 0 and q - d - 1 <= room:
+            touched = _touched_labels(pat, comp, v)
+            if q - len(touched) <= room:
+                yield v, ncnt, touched
+
+
+def _child(state: _State, v: int, ncnt: int, touched) -> _State:
+    pat, _, D, comp = state
     k = len(pat)
     npat = tuple(x if x < v else x + 1 for x in pat) + (v,)
     # D'[w] = D[w or w-1 across the bump] plus the pairs ending at the
@@ -113,11 +154,7 @@ def _child(pat, cnt, D, comp, v, ncnt) -> _State:
         nD[w] = D[w] + w - 1
     for w in range(v + 1, k + 3):
         nD[w] = D[w - 1]
-    if cnt == ncnt:
-        ncomp = comp + (k,)
-    else:
-        touched = _touched_labels(pat, comp, v)
-        ncomp = tuple(k if c in touched else c for c in comp) + (k,)
+    ncomp = tuple(k if c in touched else c for c in comp) + (k,)
     return (npat, ncnt, tuple(nD), ncomp)
 
 
@@ -126,29 +163,20 @@ def _dfs(max_size: int, max_occ: int | None, roots: list[_State]) -> list[tuple[
     found = []
     stack = list(roots)
     while stack:
-        pat, cnt, D, comp = stack.pop()
+        state = stack.pop()
+        pat, cnt, _, comp = state
         k = len(pat)
         if len(set(comp)) == 1:
             found.append((pat, cnt))
         if k >= max_size:
             continue
         final = k + 1 == max_size
-        for v in range(1, k + 2):
-            add = D[v]
-            ncnt = cnt + add
-            if max_occ is not None and ncnt > max_occ:
-                continue
+        for v, ncnt, touched in _children(state, max_occ, final):
             if final:
-                # Leaf level: only connectivity matters, and a silent
-                # append leaves the new entry isolated.
-                if add == 0:
-                    continue
-                touched = _touched_labels(pat, comp, v)
-                if len(touched) == len(set(comp)):
-                    npat = tuple(x if x < v else x + 1 for x in pat) + (v,)
-                    found.append((npat, ncnt))
+                # Every child kept at the last level is connected.
+                found.append((tuple(x if x < v else x + 1 for x in pat) + (v,), ncnt))
             else:
-                stack.append(_child(pat, cnt, D, comp, v, ncnt))
+                stack.append(_child(state, v, ncnt, touched))
     return found
 
 
@@ -158,14 +186,12 @@ def _frontier(depth: int, max_occ: int | None) -> tuple[list[tuple[tuple[int, ..
     level = [_root_state()]
     for _ in range(1, depth):
         nxt = []
-        for pat, cnt, D, comp in level:
+        for state in level:
+            pat, cnt, _, comp = state
             if len(set(comp)) == 1:
                 found.append((pat, cnt))
-            for v in range(1, len(pat) + 2):
-                ncnt = cnt + D[v]
-                if max_occ is not None and ncnt > max_occ:
-                    continue
-                nxt.append(_child(pat, cnt, D, comp, v, ncnt))
+            for v, ncnt, touched in _children(state, max_occ, False):
+                nxt.append(_child(state, v, ncnt, touched))
         level = nxt
     return found, level
 

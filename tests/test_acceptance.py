@@ -92,6 +92,24 @@ def test_criterion_01_shape_census(catalog6):
     report(1, ok, f"shape census: budget-2 set exact; new shapes {new}")
 
 
+def test_shape_set_closed_under_inversion(catalog6):
+    # 132 is its own inverse, so inverting a permutation keeps its
+    # occurrence count and its occurrence graph: kernel shapes of
+    # capacity c invert to kernel shapes of capacity c
+    def inverse(values):
+        inv = [0] * len(values)
+        for i, v in enumerate(values, start=1):
+            inv[v - 1] = i
+        return tuple(inv)
+
+    capacity = {rec.shape.values: rec.capacity for rec in catalog6.records}
+    assert all(capacity.get(inverse(shape)) == c for shape, c in capacity.items())
+    # one maximal shape per budget 0..6, the size-1 shape being budget 0's
+    maximal = [rec.shape.values for rec in catalog6.records if rec.size == 2 * rec.capacity + 1]
+    assert len(maximal) == 7
+    assert all(inverse(shape) == shape for shape in maximal)
+
+
 def test_criterion_02_catalan(solver):
     series = solver.occurrence_series(0)
     ok = all(

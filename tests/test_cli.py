@@ -128,8 +128,8 @@ def test_output_deterministic(capsys, tmp_path):
 
 def test_shapes_threads_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(a))
-    run(capsys, "shapes", "--max-occ", "3", "--threads", "2", "--out", str(b))
+    run(capsys, "shapes", "--max-occ", "5", "--threads", "1", "--out", str(a))
+    run(capsys, "shapes", "--max-occ", "5", "--threads", "2", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 

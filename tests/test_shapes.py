@@ -72,9 +72,18 @@ class TestEnumerate:
             cat = catalog if catalog is not None else enumerate_kernel_shapes(r)
             assert found == {rec.shape.values for rec in cat.records}
 
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_pruned_search_matches_unbudgeted_search(self, r):
+        # the unbudgeted search never uses the component-count prune, so
+        # this checks that the prune cuts no shape of capacity <= r
+        want = {p.values for p in iter_kernel_permutations(2 * r) if count_132(p) <= r}
+        got = {rec.shape.values for rec in enumerate_kernel_shapes(r).records if rec.size <= 2 * r}
+        assert got == want
+
     def test_threads_give_identical_catalog(self):
-        a = enumerate_kernel_shapes(3, threads=1)
-        b = enumerate_kernel_shapes(3, threads=2)
+        # budget 5 searches sizes up to 10, deep enough to start the pool
+        a = enumerate_kernel_shapes(5, threads=1)
+        b = enumerate_kernel_shapes(5, threads=2)
         assert catalog_to_text(a) == catalog_to_text(b)
 
 
@@ -145,6 +154,22 @@ class TestSearchSoundness:
         rank = {v: i + 1 for i, v in enumerate(sorted(prefix))}
         pattern = tuple(rank[v] for v in prefix)
         assert count_132_values(pattern) <= count_132_values(tuple(vals))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+    def test_append_touches_at_most_d_plus_one_positions(self, vals):
+        # appending v closes D[v] occurrences, one per pair i < j with
+        # vals[i] < v <= vals[j]; those pairs span at most D[v] + 1
+        # positions, which is what makes the component-count prune sound
+        for v in range(1, len(vals) + 2):
+            pairs = [
+                (i, j)
+                for i in range(len(vals))
+                for j in range(i + 1, len(vals))
+                if vals[i] < v <= vals[j]
+            ]
+            positions = {q for pair in pairs for q in pair}
+            assert len(positions) <= len(pairs) + 1
 
     def test_unbounded_enumeration_matches_brute_force(self):
         got = {p.values for p in iter_kernel_permutations(6)}
