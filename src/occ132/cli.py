@@ -46,14 +46,16 @@ from .shapes import (
 from .solver import Solver
 
 
-def _default_threads() -> int:
-    env = os.environ.get("OCC132_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _thread_count(text: str) -> int:
+    """Parse ``--threads`` or, when it is not given, ``OCC132_THREADS``."""
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1 (given here or in OCC132_THREADS), got {text!r}")
+    return threads
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -140,8 +142,12 @@ def _cmd_closed_form(args) -> int:
             file=sys.stderr,
         )
         return 1
-    two_p = [int(c) for c in form.P.as_polynomial()]
-    two_q = [int(c) for c in form.Q.as_polynomial()]
+    two_p, two_q = form.P.as_polynomial(), form.Q.as_polynomial()
+    if any(c.denominator != 1 for c in two_p + two_q):
+        print(f"split of level {args.occ} has non-integer coefficients: "
+              f"2P = {[str(c) for c in two_p]}, 2Q = {[str(c) for c in two_q]}", file=sys.stderr)
+        return 1
+    two_p, two_q = [int(c) for c in two_p], [int(c) for c in two_q]
     if args.format == "latex":
         exp = Fraction(1 - 2 * args.occ, 2)
         text = (
@@ -247,11 +253,11 @@ def _cmd_conjectures(args) -> int:
             print(f"occ {r}: split NOT polynomial")
             continue
         two_p, two_q = form.P.as_polynomial(), form.Q.as_polynomial()
-        halfint = all((2 * c).denominator == 1 for c in two_p + two_q)
+        integral = all(c.denominator == 1 for c in two_p + two_q)
         q_at_quarter = poly_eval(two_q, Fraction(1, 4))
         print(
             f"occ {r}: split polynomial; half-integer halves "
-            f"{'hold' if halfint else 'FAIL'}; (1-4x) divides Q: "
+            f"{'hold' if integral else 'FAIL'}; (1-4x) divides Q: "
             f"{'no' if q_at_quarter != 0 else 'YES (unexpected)'}"
         )
     return 0
@@ -266,11 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting of permutations by number of 132-pattern occurrences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads_default = _default_threads()
+    # A string default goes through _thread_count only when --threads is absent.
+    threads_default = os.environ.get("OCC132_THREADS") or str(os.cpu_count() or 1)
 
     def add_common(p, *, order: bool = False, catalog: bool = True):
-        p.add_argument("--threads", type=int, default=threads_default,
-                       help=f"worker processes (default {threads_default}; env OCC132_THREADS)")
+        p.add_argument("--threads", type=_thread_count, default=threads_default,
+                       help="worker processes, >= 1 (default: env OCC132_THREADS, else the CPU count)")
         if order:
             p.add_argument("--order", type=int, default=32, help="series truncation (default 32)")
         if catalog:

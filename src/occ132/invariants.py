@@ -12,12 +12,11 @@ from itertools import permutations as iter_permutations
 from .kernel import (
     CellOrderError,
     DecompositionError,
-    _place_entries,
+    _decompose,
+    analyze,
     assemble,
-    build_occurrence_graph,
     cell_decomposition,
     decompose,
-    kernel_of,
     order_feasible_cells,
     southwest_dominated_cells,
 )
@@ -48,20 +47,20 @@ def structure_sweep(max_n: int) -> dict[str, list[str]]:
     for n in range(1, max_n + 1):
         for values in iter_permutations(range(1, n + 1)):
             pi = Permutation(values)
-            graph = build_occurrence_graph(pi)
-            r = len(graph.occurrences)
-            for comp in graph.components():
+            analysis = analyze(pi)
+            r = len(analysis.occurrences)
+            for comp in analysis.components:
                 if comp.t1 > 2 * comp.t3 + 1:
                     violations["component size bound"].append(f"{pi}: component {comp.positions}")
-            kernel = kernel_of(pi)
+            kernel = analysis.kernel
             if kernel.size > 2 * r + 1:
                 violations["kernel size bound"].append(f"{pi}: kernel size {kernel.size}, r={r}")
             try:
-                shape, contents = decompose(pi)
+                shape, contents = _decompose(pi, analysis)
             except (DecompositionError, CellOrderError) as exc:
                 violations["components inside single cells"].append(f"{pi}: {exc}")
                 continue
-            placed = _place_entries(pi, kernel)
+            placed = analysis.placed
             for (m1, l1), entries1 in placed.items():
                 for (m2, l2), entries2 in placed.items():
                     if m1 == m2 and l1 < l2:

@@ -20,10 +20,16 @@ Feasible cells are totally ordered by the dominance order
 (m, l) < (m', l') iff m >= m' and l <= l'.  ``decompose`` sends a
 permutation to its shape plus the content pattern of each feasible cell
 in that order; ``assemble`` is the inverse construction.
+
+``analyze`` is the single pass over a permutation behind all of this:
+one occurrence graph, one component search, and from them the kernel
+and the cell of every non-kernel entry.  ``kernel_of``, ``decompose``
+and the structure sweep read its record.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -68,14 +74,6 @@ class OccurrenceGraph:
 
     n: int
     occurrences: tuple[Occurrence, ...]
-
-    @property
-    def entry_vertices(self) -> range:
-        return range(1, self.n + 1)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """(position, occurrence index) pairs; every occurrence has degree 3."""
-        return [(p, t) for t, occ in enumerate(self.occurrences) for p in occ]
 
     def components(self) -> list[GraphComponent]:
         """Connected components, sorted by smallest position."""
@@ -123,9 +121,6 @@ class CellDecomposition:
     shape: Permutation
     feasible: frozenset[tuple[int, int]]
 
-    def is_feasible(self, m: int, l: int) -> bool:
-        return (m, l) in self.feasible
-
 
 @dataclass(frozen=True)
 class KernelShapeRecord:
@@ -146,18 +141,43 @@ def build_occurrence_graph(pi: Permutation) -> OccurrenceGraph:
     return OccurrenceGraph(pi.n, tuple(occurrences_132(pi)))
 
 
-def _kernel_from_graph(pi: Permutation, graph: OccurrenceGraph) -> tuple[Kernel, GraphComponent]:
+@dataclass(frozen=True)
+class Analysis:
+    """One pass over a permutation: its occurrences of 132, the components
+    of its occurrence graph, its kernel, and the grid cell of every
+    non-kernel entry (cell -> [(position, value), ...] in position order)."""
+
+    occurrences: tuple[Occurrence, ...]
+    components: tuple[GraphComponent, ...]
+    kernel: Kernel
+    placed: dict[tuple[int, int], list[tuple[int, int]]]
+
+
+def analyze(pi: Permutation) -> Analysis:
+    """Occurrence graph, components, kernel and cell placement of a
+    nonempty permutation, each derived once.
+
+    The kernel's capacity is its component's occurrence count: the
+    occurrences among kernel entries are exactly those of its shape.
+    Each non-kernel entry lands in exactly one open cell (m, l), keyed
+    against the kernel's positions and sorted values.
+    """
+    if pi.n < 1:
+        raise ValueError("the empty permutation has no kernel")
+    graph = build_occurrence_graph(pi)
+    components = tuple(graph.components())
     pos_of_max = pi.values.index(pi.n) + 1
-    components = graph.components()
-    for comp in components:
-        if pos_of_max in comp.positions:
-            break
-    else:  # unreachable: every position is in some component
-        raise AssertionError("maximal entry not found in any component")
-    values = tuple(pi(p) for p in comp.positions)
-    shape = reduce_to_pattern(values)
-    kernel = Kernel(comp.positions, values, shape, len(values), count_132(shape))
-    return kernel, comp
+    comp = next(c for c in components if pos_of_max in c.positions)
+    kpos = comp.positions
+    values = tuple(pi(p) for p in kpos)
+    kernel = Kernel(kpos, values, reduce_to_pattern(values), comp.t1, comp.t3)
+    kvals = sorted(values)
+    placed: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for pos, val in enumerate(pi.values, start=1):
+        if pos not in kpos:
+            cell = (bisect_left(kvals, val) + 1, bisect_left(kpos, pos) + 1)
+            placed.setdefault(cell, []).append((pos, val))
+    return Analysis(graph.occurrences, components, kernel, placed)
 
 
 def kernel_of(pi: Permutation) -> Kernel:
@@ -166,26 +186,18 @@ def kernel_of(pi: Permutation) -> Kernel:
     For pi = 57614283 the kernel values are (1, 4, 2, 8, 3) at positions
     (4, 5, 6, 7, 8); shape 14253, size 5, capacity 4.
     """
-    if pi.n < 1:
-        raise ValueError("the empty permutation has no kernel")
-    kernel, _ = _kernel_from_graph(pi, build_occurrence_graph(pi))
-    return kernel
+    return analyze(pi).kernel
 
 
 def is_kernel_permutation(rho: Permutation) -> bool:
     """True iff rho is its own kernel shape."""
-    if rho.n == 0:
-        return False
-    if rho.n == 1:
-        return True
-    return _spans_all_positions(rho.values)
+    return rho.n > 0 and _spans_all_positions(rho.values)
 
 
 @lru_cache(maxsize=None)
 def _spans_all_positions(values: tuple[int, ...]) -> bool:
     """Does the component of the maximal entry cover every position?"""
-    kernel = kernel_of(Permutation(values))
-    return kernel.size == len(values)
+    return analyze(Permutation(values)).kernel.size == len(values)
 
 
 def _cell_is_feasible(ranks: Sequence[int], m: int, l: int) -> bool:
@@ -310,29 +322,6 @@ def shape_record(rho: Permutation) -> KernelShapeRecord:
     )
 
 
-def _place_entries(
-    pi: Permutation, kernel: Kernel
-) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Assign each non-kernel entry of pi to its grid cell.
-
-    Returns cell -> [(position, value), ...] in position order.  Cells
-    are keyed (m, l) against the kernel's position and sorted-value
-    boundaries; every non-kernel entry lands in exactly one open cell.
-    """
-    kpos = kernel.positions
-    kvals = sorted(kernel.values)
-    kset = set(kpos)
-    placed: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for pos in range(1, pi.n + 1):
-        if pos in kset:
-            continue
-        val = pi(pos)
-        l = sum(1 for p in kpos if p < pos) + 1
-        m = sum(1 for v in kvals if v < val) + 1
-        placed.setdefault((m, l), []).append((pos, val))
-    return placed
-
-
 def decompose(pi: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
     """Kernel shape of pi plus the content pattern of each feasible cell.
 
@@ -340,22 +329,22 @@ def decompose(pi: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
     :class:`DecompositionError` if an entry falls in an infeasible cell
     or a non-kernel component does not sit inside a single cell.
     """
-    if pi.n < 1:
-        raise ValueError("cannot decompose the empty permutation")
-    graph = build_occurrence_graph(pi)
-    kernel, kernel_comp = _kernel_from_graph(pi, graph)
+    return _decompose(pi, analyze(pi))
+
+
+def _decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[Permutation, ...]]:
+    """:func:`decompose` of pi from its :func:`analyze` record."""
+    kernel, placed = analysis.kernel, analysis.placed
     dec = cell_decomposition(kernel.shape)
     cells = order_feasible_cells(dec)
-    placed = _place_entries(pi, kernel)
-
     for cell, entries in placed.items():
         if cell not in dec.feasible:
             raise DecompositionError(
                 f"entries {entries} of {pi} fell in infeasible cell {cell}"
             )
     cell_of_pos = {pos: cell for cell, entries in placed.items() for pos, _ in entries}
-    for comp in graph.components():
-        if comp.positions == kernel_comp.positions:
+    for comp in analysis.components:
+        if comp.positions == kernel.positions:
             continue
         comp_cells = {cell_of_pos[p] for p in comp.positions}
         if len(comp_cells) != 1:

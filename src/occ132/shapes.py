@@ -64,15 +64,6 @@ class ShapeCatalog:
     max_occ: int
     records: tuple[KernelShapeRecord, ...]
 
-    def shapes(self) -> list[Permutation]:
-        return [rec.shape for rec in self.records]
-
-    def record_for(self, shape: Permutation) -> KernelShapeRecord:
-        for rec in self.records:
-            if rec.shape == shape:
-                return rec
-        raise KeyError(f"shape {shape} not in catalog")
-
 
 @dataclass(frozen=True)
 class Census:

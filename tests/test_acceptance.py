@@ -254,7 +254,7 @@ def test_criterion_11_conjecture_reports(solver, catalog6):
             continue
         two_p = form.P.as_polynomial()
         two_q = form.Q.as_polynomial()
-        integral = all((2 * c).denominator == 1 for c in two_p + two_q)
+        integral = all(c.denominator == 1 for c in two_p + two_q)
         q_quarter = poly_eval(two_q, Fraction(1, 4))
         print(
             f"report: level {r}: split polynomial, doubled coefficients integral: {integral}, "

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from occ132 import enumerate_kernel_shapes, load_catalog, save_catalog
+from occ132 import enumerate_kernel_shapes, extract_pq, load_catalog, save_catalog
 from occ132.cli import main
 from occ132.oracle import DEFAULT_GUARD
 from occ132.shapes import CatalogError
@@ -201,3 +203,42 @@ def test_oracle_error_is_reported(capsys):
     code, _, err = run(capsys, "verify", "--occ", "0", "--max-n", "2", "--k", "0")
     assert code == 2
     assert err.startswith("error:") and "k must be >= 1" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_bad_threads_rejected(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["gf", "--occ", "1", "--order", "4", "--threads", threads])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err and "--threads" in captured.err
+
+
+def test_bad_threads_env_rejected_only_where_threads_apply(capsys, monkeypatch):
+    monkeypatch.setenv("OCC132_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["gf", "--occ", "1", "--order", "4"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    # an explicit --threads overrides the environment
+    code, out, _ = run(capsys, "gf", "--occ", "1", "--order", "4", "--threads", "1")
+    assert code == 0 and json.loads(out) == [0, 0, 0, 1, 5]
+    code, out, _ = run(capsys, "check-invariants", "--max-n", "3")
+    assert code == 0 and "FAIL" not in out
+    with pytest.raises(SystemExit) as exc:
+        main(["gf", "--help"])
+    assert exc.value.code == 0
+
+
+def test_closed_form_refuses_non_integer_coefficient(capsys, monkeypatch):
+    import occ132.cli
+
+    def half_integer_p(af, r):
+        form = extract_pq(af, r)
+        half = (Fraction(1, 2), *form.P.num[1:])
+        return replace(form, P=replace(form.P, num=half))
+
+    monkeypatch.setattr(occ132.cli, "extract_pq", half_integer_p)
+    code, out, err = run(capsys, "closed-form", "--occ", "1")
+    assert code == 1 and out == ""
+    assert "non-integer" in err
