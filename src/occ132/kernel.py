@@ -4,7 +4,10 @@ The occurrence graph of pi joins each entry (a position 1..n) to each
 occurrence of 132 it takes part in.  The kernel of pi is the set of
 entries in the connected component of the maximal entry n; its shape is
 the order-isomorphic reduction of the kernel values.  A permutation rho
-is a *kernel permutation* when it is its own kernel shape.
+is a *kernel permutation* when it is its own kernel shape, that is, when
+its occurrence graph is connected; ``is_kernel_permutation`` decides
+this with a union-find over the occurrences read straight off the
+values, without building the graph.
 
 For a kernel permutation rho of size s, the plane splits into an
 s x (s+1) grid of open cells: column l (1 <= l <= s+1) sits strictly
@@ -13,15 +16,16 @@ strictly between the (m-1)-th and m-th smallest kernel values, with the
 conventions i_0 = 0, i_{s+1} = n+1 and value floor 0.  A cell is
 *infeasible* when any entry placed in it would close an occurrence of
 132 with two kernel entries; since every kernel entry is strictly
-outside the cell's open rectangle, this reduces to a finite check over
-ordered pairs of kernel entries, carried out in ``cell_decomposition``.
+outside the cell's open rectangle, this reduces to three bounds on the
+row m per column l, all found in one pass per column
+(``_feasible_cells``), so the whole grid costs O(s^2).
 
 Feasible cells are totally ordered by the dominance order
 (m, l) < (m', l') iff m >= m' and l <= l'.  ``decompose`` sends a
 permutation to its shape plus the content pattern of each feasible cell
 in that order; ``assemble`` is the inverse construction.
 
-``analyze`` is the single pass over a permutation behind all of this:
+``analyze`` is the single pass over an arbitrary permutation behind this:
 one occurrence graph, one component search, and from them the kernel
 and the cell of every non-kernel entry.  ``kernel_of``, ``decompose``
 and the structure sweep read its record.
@@ -32,13 +36,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from .perms import (
     Occurrence,
     Permutation,
-    count_132,
-    lis_length,
     occurrences_132,
     reduce_to_pattern,
 )
@@ -191,63 +195,97 @@ def kernel_of(pi: Permutation) -> Kernel:
 
 def is_kernel_permutation(rho: Permutation) -> bool:
     """True iff rho is its own kernel shape."""
-    return rho.n > 0 and _spans_all_positions(rho.values)
+    return _kernel_capacity(rho.values) is not None
 
 
 @lru_cache(maxsize=None)
-def _spans_all_positions(values: tuple[int, ...]) -> bool:
-    """Does the component of the maximal entry cover every position?"""
-    return analyze(Permutation(values)).kernel.size == len(values)
+def _kernel_capacity(values: tuple[int, ...]) -> int | None:
+    """Occurrence count of `values` if its occurrence graph is connected,
+    that is, if every entry lies in the component of the maximal one;
+    None otherwise (the empty sequence included).
 
-
-def _cell_is_feasible(ranks: Sequence[int], m: int, l: int) -> bool:
-    """Decide feasibility of cell (m, l) for the kernel permutation `ranks`.
-
-    A hypothetical entry z in the open rectangle of the cell compares
-    the same way with every kernel entry regardless of where exactly it
-    sits, so z closes an occurrence of 132 with two kernel entries x, y
-    iff one of three configurations exists (1-based entry index a or b,
-    rank ranks[a-1]):
-
-    - z opens:   a < b, both >= l, ranks(a) > ranks(b) >= m
-    - z on top:  a <= l-1 < l <= b, ranks(a) < ranks(b) <= m-1
-    - z closes:  a < b <= l-1, ranks(a) < m <= ranks(b)
+    A union-find over the occurrences, read straight off the values: for
+    each inversion j < k, every opener i < j below values[k] gives the
+    occurrence (i, j, k), which joins i and k to j.
     """
-    s = len(ranks)
-    # z opens: an inversion in the suffix whose lower value clears the row.
-    hi = 0
-    for idx in range(l - 1, s):
-        r = ranks[idx]
-        if hi > r >= m:
-            return False
-        if r > hi:
-            hi = r
-    # z on top: a rise across the column boundary staying below the row.
-    if l > 1:
-        left_min = min(ranks[: l - 1])
-        for idx in range(l - 1, s):
-            if left_min < ranks[idx] <= m - 1:
-                return False
-        # z closes: a rise within the prefix spanning the row boundary.
-        lo = ranks[0]
-        for idx in range(1, l - 1):
-            r = ranks[idx]
-            if r >= m > lo:
-                return False
-            if r < lo:
-                lo = r
-    return True
+    n = len(values)
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def join(a: int, b: int) -> int:
+        """Merge the sets of a and b; 1 if they were apart, else 0."""
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        return int(ra != rb)
+
+    count = 0
+    components = n
+    prefix_min = n + 1
+    for j, vj in enumerate(values):
+        if prefix_min < vj:
+            for k in range(j + 1, n):
+                vk = values[k]
+                if prefix_min < vk < vj:
+                    components -= join(k, j)
+                    for i in range(j):
+                        if values[i] < vk:
+                            count += 1
+                            components -= join(i, j)
+        elif vj < prefix_min:
+            prefix_min = vj
+    return count if components == 1 else None
 
 
 @lru_cache(maxsize=None)
 def _feasible_cells(values: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """Feasible cells of the kernel permutation `values`, one pass per column.
+
+    A hypothetical entry z in the open rectangle of cell (m, l) compares
+    the same way with every kernel entry regardless of where exactly it
+    sits, so z closes an occurrence of 132 with two kernel entries iff
+    one of three configurations exists (1-based entry indices a < b,
+    rank(a) = values[a-1]):
+
+    - z opens:   a, b >= l and rank(a) > rank(b) >= m.  So m is at most
+      the largest suffix rank with a larger earlier entry in the suffix.
+    - z on top:  a <= l-1 < l <= b and rank(a) < rank(b) <= m-1.  So m
+      is above the smallest suffix rank that exceeds the prefix minimum.
+    - z closes:  a < b <= l-1 and rank(a) < m <= rank(b).  So m lies in
+      a prefix-rise interval (min of the entries before b, rank(b)].
+
+    A cell is feasible when m clears all three.  The columns are walked
+    right to left over a sorted copy of the suffix for the first two
+    bounds; the union of the prefix-rise intervals of each column is a
+    bit mask of its closed rows.
+    """
     s = len(values)
-    return frozenset(
-        (m, l)
-        for m in range(1, s + 1)
-        for l in range(1, s + 2)
-        if _cell_is_feasible(values, m, l)
-    )
+    lows = [s + 1, *accumulate(values, min)]  # lows[l-1]: minimum of entries 1..l-1
+    rises = [(1 << (r + 1)) - (1 << (lo + 1)) if r > lo else 0 for lo, r in zip(lows, values)]
+    closed = [0, *accumulate(rises, or_)]  # closed[l-1]: rows closed in column l
+    cells = []
+    suffix: list[int] = []  # sorted ranks of entries l..s
+    opens = 0
+    for l in range(s + 1, 0, -1):
+        if l <= s:
+            r = values[l - 1]
+            at = bisect_left(suffix, r)
+            if at and suffix[at - 1] > opens:
+                opens = suffix[at - 1]
+            suffix.insert(at, r)
+        above = bisect_left(suffix, lows[l - 1])
+        top = suffix[above] if above < len(suffix) else s
+        if opens < top:
+            rows = ((1 << (top + 1)) - (1 << (opens + 1))) & ~closed[l - 1]
+            while rows:
+                m = rows.bit_length() - 1
+                cells.append((m, l))
+                rows ^= 1 << m
+    return frozenset(cells)
 
 
 def cell_decomposition(rho: Permutation) -> CellDecomposition:
@@ -300,25 +338,24 @@ def lis_northeast(rho: Permutation) -> list[int]:
     Entry index k is northeast of cell (m, l) when k >= l and
     rho(k) >= m.  For rho = 1423 this gives [1, 2, 1, 0].
     """
-    dec = cell_decomposition(rho)
-    cells = order_feasible_cells(dec)
-    out = []
-    for m, l in cells:
-        northeast = [rho(k) for k in range(l, rho.n + 1) if rho(k) >= m]
-        out.append(lis_length(northeast))
-    return out
+    return list(shape_record(rho).lis_ne)
 
 
 def shape_record(rho: Permutation) -> KernelShapeRecord:
-    """Full catalog record of a kernel permutation."""
-    dec = cell_decomposition(rho)
-    cells = order_feasible_cells(dec)
+    """Full catalog record of a kernel permutation.
+
+    The entries northeast of a feasible cell increase (two of them in
+    inversion would let an entry of the cell open a 132), so each cell's
+    ``lis_ne`` is the number of those entries.
+    """
+    cells = order_feasible_cells(cell_decomposition(rho))
+    values = rho.values
     return KernelShapeRecord(
         shape=rho,
         size=rho.n,
-        capacity=count_132(rho),
+        capacity=_kernel_capacity(values),
         cells=cells,
-        lis_ne=tuple(lis_northeast(rho)),
+        lis_ne=tuple(len([r for r in values[l - 1 :] if r >= m]) for m, l in cells),
     )
 
 
@@ -335,7 +372,8 @@ def decompose(pi: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
 def _decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[Permutation, ...]]:
     """:func:`decompose` of pi from its :func:`analyze` record."""
     kernel, placed = analysis.kernel, analysis.placed
-    dec = cell_decomposition(kernel.shape)
+    # kernel.shape is a kernel by construction: no second kernel test
+    dec = CellDecomposition(kernel.shape, _feasible_cells(kernel.shape.values))
     cells = order_feasible_cells(dec)
     for cell, entries in placed.items():
         if cell not in dec.feasible:

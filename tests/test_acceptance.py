@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Everything here is
 exact; there are no tolerances anywhere.
 """
 
+import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from occ132.invariants import (
     structure_sweep,
 )
 from occ132.series import PowerSeries
+from occ132.shapes import catalog_to_text
 
 ORDER = 32
 
@@ -90,6 +93,14 @@ def test_criterion_01_shape_census(catalog6):
     new = census(catalog6).new_nonexceptional
     ok = ok and all(new[r] == want for r, want in ((3, 20), (4, 104), (5, 503), (6, 2576)))
     report(1, ok, f"shape census: budget-2 set exact; new shapes {new}")
+
+
+def test_catalog6_bytes_match_benchmark_reference(catalog6):
+    # the benchmark pins the budget-6 catalog file by its sha256; a record
+    # change that keeps the census would still change these bytes
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "references" / "catalog6.sha256"
+    want = reference.read_text().split()[0]
+    assert hashlib.sha256(catalog_to_text(catalog6).encode()).hexdigest() == want
 
 
 def test_shape_set_closed_under_inversion(catalog6):

@@ -20,7 +20,51 @@ from occ132 import (
     perm_from_str,
     shape_record,
 )
-from occ132.kernel import southwest_dominated_cells
+from occ132.kernel import _feasible_cells, southwest_dominated_cells
+from occ132.perms import lis_length
+from occ132.shapes import iter_kernel_permutations
+
+
+def _cell_is_feasible(ranks, m, l):
+    """Per-cell oracle for the feasibility grid: can an entry z in cell
+    (m, l) close an occurrence of 132 with two kernel entries?
+
+    With 1-based entry indices a < b and rank(a) = ranks[a-1], cell (m, l)
+    is infeasible iff one of these exists:
+
+    - z opens:   a, b >= l and rank(a) > rank(b) >= m
+    - z on top:  a <= l-1 < l <= b and rank(a) < rank(b) <= m-1
+    - z closes:  a < b <= l-1 and rank(a) < m <= rank(b)
+    """
+    s = len(ranks)
+    hi = 0
+    for idx in range(l - 1, s):
+        r = ranks[idx]
+        if hi > r >= m:
+            return False
+        if r > hi:
+            hi = r
+    if l > 1:
+        left_min = min(ranks[: l - 1])
+        for idx in range(l - 1, s):
+            if left_min < ranks[idx] <= m - 1:
+                return False
+        lo = ranks[0]
+        for idx in range(1, l - 1):
+            r = ranks[idx]
+            if r >= m > lo:
+                return False
+            if r < lo:
+                lo = r
+    return True
+
+
+def feasible_cells_oracle(ranks):
+    """The feasibility grid by one O(s) scan per cell."""
+    s = len(ranks)
+    return frozenset(
+        (m, l) for m in range(1, s + 1) for l in range(1, s + 2) if _cell_is_feasible(ranks, m, l)
+    )
 
 
 class TestOccurrenceGraph:
@@ -73,6 +117,7 @@ class TestIsKernelPermutation:
         assert is_kernel_permutation(make_permutation([1]))
         assert is_kernel_permutation(perm_from_str("132"))
         assert not is_kernel_permutation(perm_from_str("12"))
+        assert not is_kernel_permutation(make_permutation([]))
 
     def test_agrees_with_shape_fixed_point(self):
         # also: a kernel's capacity, read off its graph component, is the
@@ -99,8 +144,22 @@ class TestCellDecomposition:
         assert dec.feasible == {(3, 1), (1, 3), (1, 4)}
 
     def test_non_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            cell_decomposition(perm_from_str("12"))
+        for word in ("12", "21", "1324", "2413", ""):
+            rho = perm_from_str(word)
+            with pytest.raises(ValueError):
+                cell_decomposition(rho)
+            with pytest.raises(ValueError):
+                shape_record(rho)
+
+    def test_grid_and_lis_agree_with_per_cell_oracle(self):
+        shapes = iter_kernel_permutations(8)
+        assert len(shapes) == 17639
+        for rho in shapes:
+            assert _feasible_cells(rho.values) == feasible_cells_oracle(rho.values), rho
+            rec = shape_record(rho)
+            assert rec.capacity == count_132(rho), rho
+            northeast = [[r for r in rho.values[l - 1 :] if r >= m] for m, l in rec.cells]
+            assert rec.lis_ne == tuple(map(lis_length, northeast)), rho
 
     def test_infeasible_cells_empty_for_all_members(self):
         # every permutation's entries must land in feasible cells only;

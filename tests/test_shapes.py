@@ -24,6 +24,7 @@ from occ132.shapes import (
     save_catalog,
     verify_exceptional_uniqueness,
 )
+from test_kernel import feasible_cells_oracle
 
 
 class TestEnumerate:
@@ -55,7 +56,9 @@ class TestEnumerate:
             assert is_kernel_permutation(rec.shape)
             assert rec.capacity <= 3
             assert rec.size <= 2 * rec.capacity + 1
-            assert shape_record(rec.shape) == rec
+            assert rec.capacity == count_132(rec.shape)
+            assert set(rec.cells) == feasible_cells_oracle(rec.shape.values)
+            assert list(rec.cells) == sorted(rec.cells, key=lambda ml: (ml[1], -ml[0]))
             assert rec.shape.values not in seen
             seen.add(rec.shape.values)
 
