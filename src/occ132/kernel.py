@@ -410,14 +410,12 @@ def assemble(rho: Permutation, contents: Sequence[Permutation]) -> Permutation:
     if len(contents) != len(cells):
         raise ValueError(f"expected {len(cells)} cell contents, got {len(contents)}")
     s = rho.n
-    size_of = dict(zip(cells, (alpha.n for alpha in contents)))
-
-    row_total = [0] * (s + 2)
-    col_total = [0] * (s + 3)
-    for (m, l), size in size_of.items():
-        row_total[m] += size
-        col_total[l] += size
-    n = s + sum(size_of.values())
+    row_total = [0] * (s + 1)
+    col_total = [0] * (s + 2)
+    for (m, l), alpha in zip(cells, contents):
+        row_total[m] += alpha.n
+        col_total[l] += alpha.n
+    n = s + sum(row_total)
 
     # Kernel coordinates after making room for the cell blocks.
     val_of_rank = [0] * (s + 1)
@@ -431,30 +429,19 @@ def assemble(rho: Permutation, contents: Sequence[Permutation]) -> Permutation:
         acc += col_total[k]
         pos_of_index[k] = acc + k
 
-    # Value blocks: within a row, leftmost cell takes the top of the band.
-    value_block: dict[tuple[int, int], range] = {}
-    for m in range(1, s + 1):
-        top = val_of_rank[m] - 1
-        for cell in sorted((c for c in cells if c[0] == m), key=lambda c: c[1]):
-            size = size_of[cell]
-            value_block[cell] = range(top - size + 1, top + 1)
-            top -= size
-
-    # Position blocks: within a column, highest cell sits leftmost.
-    position_block: dict[tuple[int, int], range] = {}
-    for l in range(1, s + 2):
-        left = pos_of_index[l - 1] if l > 1 else 0
-        for cell in sorted((c for c in cells if c[1] == l), key=lambda c: -c[0]):
-            size = size_of[cell]
-            position_block[cell] = range(left + 1, left + size + 1)
-            left += size
-
     result = [0] * (n + 1)
     for k in range(1, s + 1):
         result[pos_of_index[k]] = val_of_rank[rho(k)]
-    for cell, alpha in zip(cells, contents):
-        positions = position_block[cell]
-        values = value_block[cell]
-        for t, pos in enumerate(positions, start=1):
-            result[pos] = values[alpha(t) - 1]
+    # One walk in dominance order (l ascending, m descending within a
+    # column): a row's leftmost cell comes first and takes the top of the
+    # row's value band; a column's highest cell comes first and sits
+    # leftmost in the column's position band.
+    top = [v - 1 for v in val_of_rank]
+    left = [0, *pos_of_index]
+    for (m, l), alpha in zip(cells, contents):
+        low, start = top[m] - alpha.n, left[l]
+        for t, a in enumerate(alpha.values, start=1):
+            result[start + t] = low + a
+        top[m] = low
+        left[l] = start + alpha.n
     return Permutation(tuple(result[1:]))

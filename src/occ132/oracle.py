@@ -6,6 +6,22 @@ subsequence.  Everything else (plain distributions, restricted counts)
 is a marginal of that joint table, so each n is enumerated at most once
 per process.
 
+A sweep is a depth-first walk of the lexicographic prefix tree, so
+neighbouring permutations share their prefix and its counts.  Each
+prefix carries its occurrence count, its patience-sorting tails (whose
+length is the LIS length) and, for each unplaced value u, the number
+D[u] of placed pairs i < j with pi(i) < u < pi(j); the number of placed
+values below u is read off the sorted list of unplaced values.
+Appending w adds D[w] occurrences (w closes each such pair as a 2), adds
+to D[u] the placed values below u for every unplaced u < w, and moves w
+into the tails, so a node costs O(n).  The last two entries a < b are
+closed in O(1): (..., a, b) adds D[a] + D[b] and (..., b, a) adds the
+a - 1 placed values below a on top.
+
+Every SPOT_CHECK_STRIDE-th permutation by lexicographic index is
+recounted independently, with the cubic listing scan and with
+``lis_length``; a disagreement raises :class:`OracleError`.
+
 Sweeps are partitioned by the leading entry, which makes them trivially
 data-parallel; partial tables merge by addition, so results do not
 depend on the number of workers.
@@ -14,17 +30,17 @@ depend on the number of workers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 from multiprocessing import Pool
 
-from .perms import Permutation, count_132_values, lis_length, occurrences_132
+from .perms import Permutation, lis_length, occurrences_132
 
 DEFAULT_GUARD = 10
 
 # Every 100th permutation (by lexicographic index) is re-counted with the
-# cubic listing scan as a cross-check on the quadratic counter.
+# cubic listing scan and patience sorting as a cross-check on the sweep.
 SPOT_CHECK_STRIDE = 100
 
 
@@ -50,20 +66,70 @@ def _check_guard(n: int, guard: int) -> None:
         raise OracleError(f"n={n} exceeds the sweep guard {guard}; raise `guard` to override")
 
 
+def _spot_check(values: tuple[int, ...], occ: int, lis: int) -> None:
+    """Recount one permutation with the cubic listing scan and patience sorting."""
+    listed = len(occurrences_132(Permutation(values)))
+    if listed != occ:
+        raise OracleError(f"sweep count disagrees with listing on {values}: {occ} vs {listed}")
+    longest = lis_length(values)
+    if longest != lis:
+        raise OracleError(f"sweep LIS disagrees with patience sorting on {values}: {lis} vs {longest}")
+
+
 def _sweep_class(n: int, first: int, start_index: int) -> Counter:
-    """Joint (occurrences, lis) table over permutations of S_n starting with `first`."""
+    """Joint (occurrences, lis) table over permutations of S_n starting with `first`.
+
+    Walks the lexicographic prefix tree depth first; `start_index` is the
+    lexicographic index of the first permutation, which places the
+    spot-checks.
+    """
     table: Counter = Counter()
-    rest = [v for v in range(1, n + 1) if v != first]
+    prefix = [first]
     index = start_index
-    for tail in permutations(rest):
-        values = (first, *tail)
-        r = count_132_values(values)
-        if index % SPOT_CHECK_STRIDE == 0:
-            listed = len(occurrences_132(Permutation(values)))
-            if listed != r:
-                raise OracleError(f"counter disagrees with listing on {values}: {r} vs {listed}")
-        table[(r, lis_length(values))] += 1
-        index += 1
+
+    def walk(rest: list[int], between: list[int], occ: int, tails: list[int]) -> None:
+        # rest: unplaced values, ascending; between[t]: placed pairs i < j
+        # with pi(i) < rest[t] < pi(j).  rest[t] - 1 - t placed values lie
+        # below rest[t].
+        nonlocal index
+        if len(rest) == 2:
+            a, b = rest
+            occ += between[0] + between[1]
+            lis_ba = max(len(tails), bisect_left(tails, b) + 1)
+            lis_ab = max(lis_ba, bisect_left(tails, a) + 2)
+            # b before a adds the a - 1 openers below a to the pair (b, a)
+            table[occ, lis_ab] += 1
+            table[occ + a - 1, lis_ba] += 1
+            if index % SPOT_CHECK_STRIDE == 0:
+                _spot_check((*prefix, a, b), occ, lis_ab)
+            if (index + 1) % SPOT_CHECK_STRIDE == 0:
+                _spot_check((*prefix, b, a), occ + a - 1, lis_ba)
+            index += 2
+            return
+        if not rest:
+            table[occ, len(tails)] += 1
+            if index % SPOT_CHECK_STRIDE == 0:
+                _spot_check(tuple(prefix), occ, len(tails))
+            index += 1
+            return
+        for t, w in enumerate(rest):
+            child_tails = tails.copy()
+            i = bisect_left(tails, w)
+            if i == len(tails):
+                child_tails.append(w)
+            else:
+                child_tails[i] = w
+            prefix.append(w)
+            walk(
+                rest[:t] + rest[t + 1 :],
+                [d + v - 1 - j for j, (d, v) in enumerate(zip(between, rest[:t]))]
+                + between[t + 1 :],
+                occ + between[t],
+                child_tails,
+            )
+            prefix.pop()
+
+    walk([v for v in range(1, n + 1) if v != first], [0] * (n - 1), 0, [first])
     return table
 
 
@@ -85,7 +151,7 @@ def joint_table(n: int, *, guard: int = DEFAULT_GUARD, threads: int = 1) -> dict
         jobs = [(n, first, (first - 1) * block) for first in range(1, n + 1)]
         if threads > 1:
             with Pool(threads) as pool:
-                parts = pool.map(_sweep_class_args, jobs)
+                parts = pool.map(_sweep_class_args, jobs, chunksize=1)
         else:
             parts = [_sweep_class(*job) for job in jobs]
         merged: Counter = Counter()

@@ -1,10 +1,11 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from occ132 import enumerate_kernel_shapes, extract_pq, load_catalog, save_catalog
+from occ132 import enumerate_kernel_shapes, extract_pq, load_catalog, oracle, save_catalog
 from occ132.cli import main
 from occ132.oracle import DEFAULT_GUARD
 from occ132.shapes import CatalogError
@@ -80,6 +81,23 @@ def test_verify_restricted_ok(capsys):
     code, out, _ = run(capsys, "verify", "--occ", "1", "--max-n", "6", "--k", "3")
     assert code == 0
     assert "MISMATCH" not in out
+
+
+VERIFY_REFERENCES = {
+    "verify2": ("verify", "--occ", "2", "--max-n", "9"),
+    "verify1_k4": ("verify", "--occ", "1", "--max-n", "9", "--k", "4"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("reference", sorted(VERIFY_REFERENCES))
+def test_verify_matches_benchmark_reference(capsys, reference, threads):
+    # a fresh sweep each run, so that no cached table hides a difference
+    oracle._joint_cache.clear()
+    code, out, _ = run(capsys, *VERIFY_REFERENCES[reference], "--threads", threads)
+    assert code == 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "references" / f"{reference}.out"
+    assert out.encode() == path.read_bytes()
 
 
 def test_check_invariants(capsys):

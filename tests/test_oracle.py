@@ -1,10 +1,21 @@
 import math
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from occ132 import count_exact, count_exact_restricted, distribution
+from occ132 import count_exact, count_exact_restricted, distribution, oracle
 from occ132.oracle import OracleError, joint_table
+from occ132.perms import count_132_values, lis_length
+
+
+def per_permutation_joint_table(n):
+    """Oracle for the prefix-tree sweep: every permutation of S_n counted
+    on its own, with the quadratic counter and patience sorting."""
+    table = Counter()
+    for values in permutations(range(1, n + 1)):
+        table[count_132_values(values), lis_length(values)] += 1
+    return dict(sorted(table.items()))
 
 
 def test_count_exact_examples():
@@ -67,10 +78,39 @@ def test_guard_overridable():
 
 
 def test_thread_count_does_not_change_results():
-    from occ132 import oracle
-
-    oracle._joint_cache.pop(6, None)
-    serial = joint_table(6, threads=1)
-    oracle._joint_cache.pop(6, None)
-    parallel = joint_table(6, threads=2)
+    # n = 8 gives 8 first-entry jobs for 2 workers, one job per task
+    oracle._joint_cache.pop(8, None)
+    serial = joint_table(8, threads=1)
+    oracle._joint_cache.pop(8, None)
+    parallel = joint_table(8, threads=2)
     assert serial == parallel
+
+
+def test_sweep_matches_per_permutation_count():
+    for n in range(9):
+        assert joint_table(n) == per_permutation_joint_table(n), n
+
+
+def test_spot_check_visits_every_stride_th_permutation(monkeypatch):
+    seen = []
+    monkeypatch.setattr(oracle, "_spot_check", lambda values, occ, lis: seen.append(values))
+    for n in range(1, 8):
+        seen.clear()
+        oracle._joint_cache.pop(n, None)
+        joint_table(n)
+        assert seen == list(permutations(range(1, n + 1)))[:: oracle.SPOT_CHECK_STRIDE], n
+
+
+def test_spot_check_catches_a_wrong_count(monkeypatch):
+    listing = oracle.occurrences_132
+    monkeypatch.setattr(oracle, "occurrences_132", lambda pi: [*listing(pi), None])
+    oracle._joint_cache.clear()
+    with pytest.raises(OracleError, match="listing"):
+        joint_table(5)
+
+
+def test_spot_check_catches_a_wrong_lis(monkeypatch):
+    monkeypatch.setattr(oracle, "lis_length", lambda values: lis_length(values) + 1)
+    oracle._joint_cache.clear()
+    with pytest.raises(OracleError, match="LIS"):
+        joint_table(5)
