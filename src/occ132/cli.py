@@ -32,7 +32,13 @@ from .invariants import (
     roundtrip_backward,
     structure_sweep,
 )
-from .oracle import DEFAULT_GUARD, OracleError, count_exact, count_exact_restricted
+from .oracle import (
+    DEFAULT_GUARD,
+    OracleError,
+    count_exact,
+    count_exact_restricted,
+    joint_tables,
+)
 from .shapes import (
     CatalogError,
     ShapeCatalog,
@@ -196,6 +202,7 @@ def _cmd_verify(args) -> int:
     else:
         series = solver.restricted_series(args.occ, args.k)
         tag = f"occ={args.occ}, k={args.k}"
+    joint_tables(range(args.max_n + 1), threads=args.threads)  # every n in one sweep
     print(f"{'n':>3} {'solver':>14} {'oracle':>14}  ({tag})")
     ok = True
     for n in range(args.max_n + 1):

@@ -24,7 +24,8 @@ recounted independently, with the cubic listing scan and with
 
 Sweeps are partitioned by the leading entry, which makes them trivially
 data-parallel; partial tables merge by addition, so results do not
-depend on the number of workers.
+depend on the number of workers.  ``joint_tables`` sweeps several n as
+one batch of such jobs, through a single worker pool.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import Iterable
 
 from .perms import Permutation, lis_length, occurrences_132
 
@@ -139,27 +141,41 @@ def _sweep_class_args(args) -> Counter:
 _joint_cache: dict[int, dict[tuple[int, int], int]] = {}
 
 
+def joint_tables(
+    ns: Iterable[int], *, guard: int = DEFAULT_GUARD, threads: int = 1
+) -> dict[int, dict[tuple[int, int], int]]:
+    """Map each n in `ns` to its joint table, (occurrences, lis length) ->
+    number of permutations in S_n.
+
+    Every uncached n is swept in one pass: its first-entry classes are
+    jobs, largest n first so the longest jobs start first, and with
+    threads > 1 they all go through one worker pool.
+    """
+    ns = sorted(set(ns), reverse=True)
+    for n in ns:
+        _check_guard(n, guard)
+    todo = [n for n in ns if n not in _joint_cache]
+    jobs = [
+        (n, first, (first - 1) * math.factorial(n - 1))
+        for n in todo
+        for first in range(1, n + 1)
+    ]
+    if threads > 1 and jobs:
+        with Pool(threads) as pool:
+            parts = pool.map(_sweep_class_args, jobs, chunksize=1)
+    else:
+        parts = [_sweep_class(*job) for job in jobs]
+    merged = {n: Counter() for n in todo}
+    for (n, _, _), part in zip(jobs, parts):
+        merged[n].update(part)
+    for n, table in merged.items():
+        _joint_cache[n] = dict(sorted(table.items())) if n else {(0, 0): 1}
+    return {n: _joint_cache[n] for n in ns}
+
+
 def joint_table(n: int, *, guard: int = DEFAULT_GUARD, threads: int = 1) -> dict[tuple[int, int], int]:
     """Map (occurrences, lis length) -> number of permutations in S_n."""
-    _check_guard(n, guard)
-    if n in _joint_cache:
-        return _joint_cache[n]
-    if n == 0:
-        table = {(0, 0): 1}
-    else:
-        block = math.factorial(n - 1)
-        jobs = [(n, first, (first - 1) * block) for first in range(1, n + 1)]
-        if threads > 1:
-            with Pool(threads) as pool:
-                parts = pool.map(_sweep_class_args, jobs, chunksize=1)
-        else:
-            parts = [_sweep_class(*job) for job in jobs]
-        merged: Counter = Counter()
-        for part in parts:
-            merged.update(part)
-        table = dict(sorted(merged.items()))
-    _joint_cache[n] = table
-    return table
+    return joint_tables([n], guard=guard, threads=threads)[n]
 
 
 def distribution(n: int, *, guard: int = DEFAULT_GUARD, threads: int = 1) -> DistributionTable:

@@ -14,8 +14,12 @@ Budget splits are never enumerated: per shape, the family of
 lower-level solutions is treated as a polynomial in a formal budget
 marker, the f-fold product is taken with truncation, and the wanted
 coefficient is read off.  Shapes that contribute identically are folded
-into classes first, and products are shared between classes through
-their common factors.
+into classes first.  Each ring keeps its marker products for the whole
+Solver, next to its levels, keyed by the cells' own monotone budgets
+(None when unrestricted): every level and every monotone budget reuses
+them, and a product grows from the product of its key's prefix.  A
+product is extended only to the marker degree a caller reads, which is
+r - c for a class of capacity c at level r.
 
 The level step is written once and runs over truncated integer series
 and over closed forms in Q(x)[sqrt(1-4x)]; the two rings check each
@@ -48,12 +52,52 @@ class SolverError(RuntimeError):
     """An internal consistency check failed while solving."""
 
 
+class _Ring:
+    """One coefficient ring's solved levels and budget-marker products.
+
+    ``levels`` maps (r, k) to a solved level, k being the monotone budget
+    or None.  ``products`` maps a tuple of cell budgets to the marker
+    coefficients, lowest degree first, of the product of those cells'
+    families; a cell of budget b has the family levels[(., b)].  A
+    product is extended only as far as some caller has asked.
+    """
+
+    def __init__(self, one, level0):
+        self.one = one
+        self.zero = one * 0
+        self.levels: dict = {(0, None): level0}
+        self.products: dict[tuple, list] = {}
+
+    def product(self, key: tuple, degree: int) -> list:
+        """Marker coefficients 0..degree (the list may run further) of the
+        product over the cells of `key`.
+
+        The stored list grows from its current length on the product of
+        the key's prefix, extended to the same degree.  Degree d reads
+        levels below d + 1 only.
+        """
+        if not key:
+            return [self.one] + [self.zero] * degree
+        out = self.products.setdefault(key, [])
+        if len(out) <= degree:
+            head = self.product(key[:-1], degree)
+            budget = key[-1]
+            for d in range(len(out), degree + 1):
+                term = self.zero
+                for i in range(d + 1):
+                    # the empty key's zeros, and sums of nothing but them,
+                    # are the ring's own zero: no product is formed for them
+                    if head[i] is not self.zero:
+                        term = term + head[i] * self.levels[(d - i, budget)]
+                out.append(term)
+        return out
+
+
 class Solver:
     """Memoized solutions at a fixed truncation order over one catalog.
 
-    Levels are keyed by (r, k), where k is the monotone budget of the
-    restricted variant and None means unrestricted.  Each ring keeps its
-    own table, seeded with the Catalan level 0.
+    Each ring keeps its own levels, seeded with the Catalan level 0, and
+    its own marker products, shared by every level and monotone budget.
     """
 
     def __init__(self, catalog: ShapeCatalog, order: int = 32):
@@ -61,10 +105,12 @@ class Solver:
             raise ValueError(f"order must be >= 0, got {order}")
         self.catalog = catalog
         self.order = order
-        self._series: dict = {(0, None): catalan_series(order)}
+        self._series = _Ring(PowerSeries.one(order), catalan_series(order))
         # (1 - y) / 2x: the quadratic x*S^2 - S + 1 = 0 solved for y.
-        self._closed: dict = {(0, None): AlgebraicFunction((1,), (-1,), (0, 2))}
-        self._class_tables: dict[tuple[int, bool], Counter] = {}
+        self._closed = _Ring(
+            AlgebraicFunction.from_poly((1,)), AlgebraicFunction((1,), (-1,), (0, 2))
+        )
+        self._folds: dict[bool, Counter] = {}
 
     # -- catalog views ------------------------------------------------------
 
@@ -85,20 +131,21 @@ class Solver:
         shape contributes nothing to budgets k <= lis: its kernel alone
         already contains the forbidden monotone pattern.  Unrestricted,
         every cell sees the same family, so lis and runs are zeroed and
-        the classes are just (size, capacity, cell count).
+        the classes are just (size, capacity, cell count).  The catalog
+        is folded once per Solver and variant; each level filters the
+        fold by capacity.
         """
-        key = (r, restricted)
-        if key not in self._class_tables:
+        if restricted not in self._folds:
             counts: Counter = Counter()
             for rec in self.catalog.records:
-                if 1 < rec.size and rec.capacity <= r:
+                if rec.size > 1:
                     if restricted:
                         lis, runs = lis_length(rec.shape.values), tuple(sorted(rec.lis_ne))
                     else:
                         lis, runs = 0, (0,) * rec.f
                     counts[(rec.size, rec.capacity, lis, runs)] += 1
-            self._class_tables[key] = counts
-        return self._class_tables[key]
+            self._folds[restricted] = counts
+        return Counter({cls: m for cls, m in self._folds[restricted].items() if cls[1] <= r})
 
     def _restricted_classes(self, r: int) -> Counter:
         return self._classes(r, restricted=True)
@@ -115,33 +162,33 @@ class Solver:
         """Series counting permutations of each size with exactly r
         occurrences of 132, to the solver's truncation order."""
         self._require(r)
-        return self._level(self._series, PowerSeries.one(self.order), r, None)
+        return self._level(self._series, r, None)
 
     def occurrence_closed_form(self, r: int) -> AlgebraicFunction:
         """Closed form of the level-r series in Q(x)[sqrt(1-4x)]."""
         self._require(r)
-        return self._level(self._closed, AlgebraicFunction.from_poly((1,)), r, None)
+        return self._level(self._closed, r, None)
 
     def restricted_series(self, r: int, k: int) -> PowerSeries:
         """Series counting permutations with exactly r occurrences of 132
         that also avoid the increasing pattern of length k."""
         self._require(r)
-        return self._level(self._series, PowerSeries.one(self.order), r, k)
+        return self._level(self._series, r, k)
 
     # -- the level step ---------------------------------------------------------
 
-    def _level(self, levels: dict, one, r: int, k: int | None):
-        """Level (r, k) in the ring of `one`, solving every level it rests
-        on first, in an order where each step finds its inputs in `levels`."""
+    def _level(self, ring: _Ring, r: int, k: int | None):
+        """Level (r, k) in `ring`, solving every level it rests on first,
+        in an order where each step finds its inputs in ``ring.levels``."""
         for rp in range(r + 1):
             for kp in [None] if k is None else range(1, k + 1):
-                if (rp, kp) not in levels:
-                    levels[(rp, kp)] = self._step(levels, one, rp, kp)
-        return levels[(r, k)] if k is None or k > 0 else one * 0
+                if (rp, kp) not in ring.levels:
+                    ring.levels[(rp, kp)] = self._step(ring, rp, kp)
+        return ring.levels[(r, k)] if k is None or k > 0 else ring.zero
 
-    def _step(self, levels: dict, one, r: int, k: int | None):
-        """Solve level (r, k) from the lower levels already in `levels`."""
-        zero = one * 0
+    def _step(self, ring: _Ring, r: int, k: int | None):
+        """Solve level (r, k) from the lower levels already in `ring`."""
+        levels, one, zero = ring.levels, ring.one, ring.zero
 
         def level(i: int, drop: int = 0):
             """Known level i, with the monotone budget lowered by `drop`."""
@@ -149,25 +196,13 @@ class Solver:
                 return levels[(i, None)]
             return levels[(i, k - drop)] if k - drop > 0 else zero
 
-        products: dict[tuple[int, ...], list] = {(): [one]}
-
-        def product(runs: tuple[int, ...]) -> list:
-            """Budget-marker product of the cells' families, truncated at
-            degree r - 1 and built on the product of its sorted prefix."""
-            if runs not in products:
-                family = [level(i, runs[-1]) for i in range(r)]
-                out = [zero] * r
-                for i, a in enumerate(product(runs[:-1])):
-                    for j in range(r - i):
-                        out[i + j] += a * family[j]
-                products[runs] = out
-            return products[runs]
-
         total = one if r == 0 else zero  # the empty permutation; unrestricted level 0 is seeded
         for (s, c, lis, runs), mult in sorted(self._classes(r, restricted=k is not None).items()):
             if k is not None and lis >= k:
                 continue  # the kernel alone holds the forbidden increasing run
-            total = total + (mult * product(runs)[r - c]).shifted(s)
+            # lis >= every run, so each cell budget k - run is >= 1 here
+            key = (None,) * len(runs) if k is None else tuple(k - run for run in runs)
+            total = total + (mult * ring.product(key, r - c)[r - c]).shifted(s)
         # Size-1 shape: its cells see budgets k-1 and k and split all of r.
         # A split end that holds the unknown level (r, k) moves into the
         # divisor: the r1 = 0 end always, the r1 = r end only unrestricted.
@@ -186,7 +221,7 @@ class Solver:
         if k is None:
             # The maximal shape's term must equal x^(2r+1) * S_0^(r+2).
             rec = self._maximal_record(r)
-            from_record = product((0,) * rec.f)[r - rec.capacity].shifted(rec.size)
+            from_record = ring.product((None,) * rec.f, 0)[0].shifted(rec.size)
             if from_record != (level(0) ** (r + 2)).shifted(2 * r + 1):
                 raise SolverError(f"maximal-shape contribution mismatch at level {r}")
         return result

@@ -16,3 +16,8 @@ def catalog2():
 @pytest.fixture(scope="session")
 def catalog3():
     return enumerate_kernel_shapes(3)
+
+
+@pytest.fixture(scope="session")
+def catalog6():
+    return enumerate_kernel_shapes(6)

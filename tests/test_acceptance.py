@@ -22,6 +22,7 @@ from occ132 import (
     extract_pq,
 )
 from occ132.algebraic import poly_eval
+from occ132.cli import main
 from occ132.invariants import (
     cell_order_totality,
     one_sided_criterion_subsumed,
@@ -29,7 +30,7 @@ from occ132.invariants import (
     structure_sweep,
 )
 from occ132.series import PowerSeries
-from occ132.shapes import catalog_to_text
+from occ132.shapes import catalog_to_text, save_catalog
 
 ORDER = 32
 
@@ -72,11 +73,6 @@ EXPECTED_R = {
 
 
 @pytest.fixture(scope="module")
-def catalog6():
-    return enumerate_kernel_shapes(6)
-
-
-@pytest.fixture(scope="module")
 def solver(catalog6):
     return Solver(catalog6, ORDER)
 
@@ -101,6 +97,24 @@ def test_catalog6_bytes_match_benchmark_reference(catalog6):
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "references" / "catalog6.sha256"
     want = reference.read_text().split()[0]
     assert hashlib.sha256(catalog_to_text(catalog6).encode()).hexdigest() == want
+
+
+# benchmark command -> its warm-solve arguments, each run on a saved catalog
+WARM_SOLVE_REFERENCES = {
+    "gf6_order64": ("gf", "--occ", "6", "--order", "64"),
+    "closed_form6": ("closed-form", "--occ", "6"),
+    "restricted6_k6": ("restricted", "--occ", "6", "--k", "6"),
+}
+
+
+@pytest.mark.parametrize("reference", sorted(WARM_SOLVE_REFERENCES))
+def test_warm_solve_matches_benchmark_reference(catalog6, tmp_path, capsys, reference):
+    path = tmp_path / "catalog6.jsonl"
+    save_catalog(catalog6, path)
+    argv = [*WARM_SOLVE_REFERENCES[reference], "--threads", "1", "--catalog", str(path)]
+    assert main(argv) == 0
+    want = Path(__file__).resolve().parents[1] / "perfbench" / "references" / f"{reference}.out"
+    assert capsys.readouterr().out.encode() == want.read_bytes()
 
 
 def test_shape_set_closed_under_inversion(catalog6):

@@ -100,6 +100,23 @@ def test_verify_matches_benchmark_reference(capsys, reference, threads):
     assert out.encode() == path.read_bytes()
 
 
+def test_verify_sweeps_every_n_in_one_pool(capsys, monkeypatch):
+    pools = []
+    real_pool = oracle.Pool
+
+    def counting_pool(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    # an empty cache, so every n is swept; the shared cache comes back after
+    monkeypatch.setattr(oracle, "_joint_cache", {})
+    monkeypatch.setattr(oracle, "Pool", counting_pool)
+    code, out, _ = run(capsys, *VERIFY_REFERENCES["verify2"], "--threads", "2")
+    assert code == 0
+    assert len(pools) == 1
+    assert sorted(oracle._joint_cache) == list(range(10))
+
+
 def test_check_invariants(capsys):
     # n = 6 is the first size with two nonempty cells in one column (531462),
     # so a smaller bound passes the column dominance check without testing it

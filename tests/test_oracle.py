@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from occ132 import count_exact, count_exact_restricted, distribution, oracle
-from occ132.oracle import OracleError, joint_table
+from occ132.oracle import OracleError, joint_table, joint_tables
 from occ132.perms import count_132_values, lis_length
 
 
@@ -84,6 +84,20 @@ def test_thread_count_does_not_change_results():
     oracle._joint_cache.pop(8, None)
     parallel = joint_table(8, threads=2)
     assert serial == parallel
+
+
+def test_joint_tables_match_one_n_sweeps(monkeypatch):
+    # one batched sweep over several n, serial and through one pool,
+    # gives each n the table of its own sweep
+    singles = {}
+    for n in range(8):
+        oracle._joint_cache.pop(n, None)
+        singles[n] = joint_table(n)
+    for threads in (1, 2):
+        monkeypatch.setattr(oracle, "_joint_cache", {})
+        assert joint_tables(range(8), threads=threads) == singles
+    with pytest.raises(OracleError):
+        joint_tables([3, 11])
 
 
 def test_sweep_matches_per_permutation_count():

@@ -136,6 +136,40 @@ def test_series_coefficients_are_ints(catalog3):
             assert all(type(c) is int for c in series.coeffs), (r, series)
 
 
+class TestSharedProducts:
+    # a scrambled request order: products extended for one level or budget
+    # are reused, and extended further, by the later requests
+    REQUESTS = [
+        ("restricted_series", 2, 6),
+        ("occurrence_series", 4),
+        ("restricted_series", 5, 3),
+        ("restricted_series", 6, 6),
+        ("occurrence_series", 6),
+        ("occurrence_closed_form", 6),
+    ]
+
+    def test_results_do_not_depend_on_request_order(self, catalog6):
+        shared = Solver(catalog6, 32)
+        for name, *args in self.REQUESTS:
+            fresh = getattr(Solver(catalog6, 32), name)(*args)
+            assert getattr(shared, name)(*args) == fresh, (name, args)
+
+    def test_restricted_product_count(self, catalog6, monkeypatch):
+        # series-by-series products in restricted_series(6, 6) at order 32;
+        # rebuilding the products per level and budget took 4810
+        calls = []
+        mul = PowerSeries.__mul__
+
+        def counting_mul(self, other):
+            if isinstance(other, PowerSeries):
+                calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(PowerSeries, "__mul__", counting_mul)
+        Solver(catalog6, 32).restricted_series(6, 6)
+        assert 0 < len(calls) <= 4810 // 3
+
+
 class TestModuleConveniences:
     def test_occurrence_series_builds_catalog(self):
         assert occurrence_series(1, 6).integer_coeffs() == [0, 0, 0, 1, 5, 21, 84]
