@@ -331,6 +331,17 @@ def order_feasible_cells(dec: CellDecomposition) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
+@lru_cache(maxsize=None)
+def _dominance_cells(values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """:func:`order_feasible_cells` of the kernel permutation `values`,
+    sorted once per shape for ``decompose``, ``assemble`` and ``shape_record``.
+
+    A ``ValueError`` (not a kernel) or :class:`CellOrderError` is raised
+    again on every call: ``lru_cache`` keeps only results.
+    """
+    return order_feasible_cells(cell_decomposition(Permutation(values)))
+
+
 def lis_northeast(rho: Permutation) -> list[int]:
     """Per feasible cell (in dominance order), the length of the longest
     increasing subsequence of rho weakly to its northeast.
@@ -348,8 +359,8 @@ def shape_record(rho: Permutation) -> KernelShapeRecord:
     inversion would let an entry of the cell open a 132), so each cell's
     ``lis_ne`` is the number of those entries.
     """
-    cells = order_feasible_cells(cell_decomposition(rho))
     values = rho.values
+    cells = _dominance_cells(values)
     return KernelShapeRecord(
         shape=rho,
         size=rho.n,
@@ -357,6 +368,9 @@ def shape_record(rho: Permutation) -> KernelShapeRecord:
         cells=cells,
         lis_ne=tuple(len([r for r in values[l - 1 :] if r >= m]) for m, l in cells),
     )
+
+
+_EMPTY = Permutation(())  # the content of most cells
 
 
 def decompose(pi: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
@@ -372,11 +386,10 @@ def decompose(pi: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
 def _decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[Permutation, ...]]:
     """:func:`decompose` of pi from its :func:`analyze` record."""
     kernel, placed = analysis.kernel, analysis.placed
-    # kernel.shape is a kernel by construction: no second kernel test
-    dec = CellDecomposition(kernel.shape, _feasible_cells(kernel.shape.values))
-    cells = order_feasible_cells(dec)
+    cells = _dominance_cells(kernel.shape.values)
+    feasible = _feasible_cells(kernel.shape.values)
     for cell, entries in placed.items():
-        if cell not in dec.feasible:
+        if cell not in feasible:
             raise DecompositionError(
                 f"entries {entries} of {pi} fell in infeasible cell {cell}"
             )
@@ -390,7 +403,8 @@ def _decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[
                 f"component {comp.positions} of {pi} straddles cells {sorted(comp_cells)}"
             )
     contents = tuple(
-        reduce_to_pattern([val for _, val in placed.get(cell, [])]) for cell in cells
+        reduce_to_pattern([val for _, val in placed[cell]]) if cell in placed else _EMPTY
+        for cell in cells
     )
     return kernel.shape, contents
 
@@ -405,8 +419,7 @@ def assemble(rho: Permutation, contents: Sequence[Permutation]) -> Permutation:
     position blocks.  These allocations are forced by the grid, so the
     construction is canonical and inverts :func:`decompose`.
     """
-    dec = cell_decomposition(rho)
-    cells = order_feasible_cells(dec)
+    cells = _dominance_cells(rho.values)
     if len(contents) != len(cells):
         raise ValueError(f"expected {len(cells)} cell contents, got {len(contents)}")
     s = rho.n

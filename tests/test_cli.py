@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from occ132 import enumerate_kernel_shapes, extract_pq, load_catalog, oracle, save_catalog
+from occ132 import cli, enumerate_kernel_shapes, extract_pq, load_catalog, oracle, save_catalog
 from occ132.cli import main
 from occ132.oracle import DEFAULT_GUARD
 from occ132.shapes import CatalogError
@@ -126,6 +126,13 @@ def test_check_invariants(capsys):
     assert out.count("PASS") == 9
 
 
+def test_check_invariants_matches_benchmark_reference(capsys):
+    code, out, _ = run(capsys, "check-invariants", "--max-n", "7")
+    assert code == 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "references" / "invariants7.out"
+    assert out.encode() == path.read_bytes()
+
+
 def test_conjectures(capsys):
     code, out, _ = run(capsys, "conjectures", "--max-occ", "2")
     assert code == 0
@@ -233,6 +240,17 @@ def test_check_invariants_rejects_empty_range(capsys):
     code, out, err = run(capsys, "check-invariants", "--max-n", "0")
     assert code == 2 and "PASS" not in out
     assert err.startswith("error:")
+
+
+def test_check_invariants_refuses_beyond_sweep_guard(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(cli, "iter_kernel_permutations", no_sweep)
+    monkeypatch.setattr(cli, "structure_sweep", no_sweep)
+    code, out, err = run(capsys, "check-invariants", "--max-n", str(DEFAULT_GUARD + 2))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "sweep guard" in err
 
 
 def test_oracle_error_is_reported(capsys):

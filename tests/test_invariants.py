@@ -2,7 +2,8 @@
 
 A clean sweep only shows something if the checks can fail, so every
 check in ``STRUCTURE_CHECKS`` gets a planted defect here: the analysis
-record, the cell order or ``assemble`` is replaced through monkeypatch.
+record, the cell order, ``decompose`` or ``assemble`` is replaced through
+monkeypatch.
 """
 
 from dataclasses import replace
@@ -49,8 +50,12 @@ def _swap_one_entry_cells(axis):
     return edit
 
 
-def _incomparable_cells(dec):
-    raise CellOrderError(f"planted: cells of {dec.shape} incomparable")
+def _incomparable_cells(mp):
+    def planted(dec):
+        raise CellOrderError(f"planted: cells of {dec.shape} incomparable")
+
+    mp.setattr(occ132.kernel, "order_feasible_cells", planted)
+    occ132.kernel._dominance_cells.cache_clear()  # else cached orders skip the plant
 
 
 def _swap_first_two(assemble):
@@ -61,6 +66,19 @@ def _swap_first_two(assemble):
     return planted
 
 
+def _extra_empty_content(mp):
+    """decompose appends an empty content that assemble drops again: the
+    forward roundtrip holds, but decompose leaves the enumerated domain."""
+    decompose, assemble = occ132.invariants._decompose, occ132.invariants.assemble
+
+    def planted(pi, analysis):
+        shape, contents = decompose(pi, analysis)
+        return shape, (*contents, Permutation(()))
+
+    mp.setattr(occ132.invariants, "_decompose", planted)
+    mp.setattr(occ132.invariants, "assemble", lambda rho, contents: assemble(rho, contents[:-1]))
+
+
 # Two nonempty cells first share a column at n = 6 (531462, shape 1342), so
 # the column check needs that size; every other defect shows at n <= 4.
 PLANTS = {
@@ -68,9 +86,7 @@ PLANTS = {
     "oversized kernel": ("kernel size bound", 4, lambda mp: _plant_analysis(mp, _oversized_kernel)),
     "entry in infeasible cell": (
         "components inside single cells", 4, lambda mp: _plant_analysis(mp, _off_by_one_cells)),
-    "cell order error": (
-        "components inside single cells", 4,
-        lambda mp: mp.setattr(occ132.kernel, "order_feasible_cells", _incomparable_cells)),
+    "cell order error": ("components inside single cells", 4, _incomparable_cells),
     "swapped value blocks": (
         "row value dominance", 4, lambda mp: _plant_analysis(mp, _swap_one_entry_cells(0))),
     "swapped position blocks": (
@@ -78,6 +94,7 @@ PLANTS = {
     "assemble swaps two entries": (
         "roundtrip decompose-assemble", 4,
         lambda mp: mp.setattr(occ132.invariants, "assemble", _swap_first_two(occ132.invariants.assemble))),
+    "extra empty content": ("assemble/decompose inverse", 4, _extra_empty_content),
 }
 
 

@@ -1,3 +1,4 @@
+import gc
 from itertools import permutations
 
 import pytest
@@ -49,6 +50,17 @@ class TestEnumerate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             enumerate_kernel_shapes(-1)
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_collector_state_restored(self, collecting):
+        # the record loop pauses the cyclic collector and gives back the caller's state
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            enumerate_kernel_shapes(2)
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_every_record_is_kernel_with_consistent_fields(self, catalog3):
         seen = set()
