@@ -16,7 +16,6 @@ from .kernel import (
     DecompositionError,
     Kernel,
     KernelShapeRecord,
-    OccurrenceGraph,
     assemble,
     build_occurrence_graph,
     cell_decomposition,
@@ -75,7 +74,6 @@ __all__ = [
     "Kernel",
     "KernelShapeRecord",
     "Occurrence",
-    "OccurrenceGraph",
     "PQForm",
     "Permutation",
     "PoleAtOriginError",

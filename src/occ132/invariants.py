@@ -95,7 +95,7 @@ def structure_sweep(max_n: int, kernels: Sequence[Permutation] | None = None) ->
         for values in iter_permutations(range(1, n + 1)):
             pi = Permutation(values)
             analysis = analyze(pi)
-            r = len(analysis.occurrences)
+            r = analysis.occurrences
             for comp in analysis.components:
                 if comp.t1 > 2 * comp.t3 + 1:
                     violations["component size bound"].append(f"{pi}: component {comp.positions}")

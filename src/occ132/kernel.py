@@ -5,9 +5,11 @@ occurrence of 132 it takes part in.  The kernel of pi is the set of
 entries in the connected component of the maximal entry n; its shape is
 the order-isomorphic reduction of the kernel values.  A permutation rho
 is a *kernel permutation* when it is its own kernel shape, that is, when
-its occurrence graph is connected; ``is_kernel_permutation`` decides
-this with a union-find over the occurrences read straight off the
-values, without building the graph.
+its occurrence graph is connected.  One union-find, read straight off
+the values in O(n^2) steps without listing the occurrences
+(``_occurrence_components``), gives the components and their occurrence
+counts to ``build_occurrence_graph``, ``is_kernel_permutation`` and the
+shape records.
 
 For a kernel permutation rho of size s, the plane splits into an
 s x (s+1) grid of open cells: column l (1 <= l <= s+1) sits strictly
@@ -26,26 +28,21 @@ permutation to its shape plus the content pattern of each feasible cell
 in that order; ``assemble`` is the inverse construction.
 
 ``analyze`` is the single pass over an arbitrary permutation behind this:
-one occurrence graph, one component search, and from them the kernel
-and the cell of every non-kernel entry.  ``kernel_of``, ``decompose``
-and the structure sweep read its record.
+one component search, and from it the kernel and the cell of every
+non-kernel entry.  ``kernel_of``, ``decompose`` and the structure sweep
+read its record.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import or_
 from typing import NamedTuple, Sequence
 
-from .perms import (
-    Occurrence,
-    Permutation,
-    occurrences_132,
-    reduce_to_pattern,
-)
+from .perms import Permutation, reduce_to_pattern
 
 
 class CellOrderError(RuntimeError):
@@ -58,10 +55,10 @@ class DecompositionError(RuntimeError):
 
 
 class GraphComponent(NamedTuple):
-    """One connected component: entry positions and occurrence indices."""
+    """One connected component: entry positions and occurrence count."""
 
     positions: tuple[int, ...]
-    occurrence_indices: tuple[int, ...]
+    occurrences: int
 
     @property
     def t1(self) -> int:
@@ -69,42 +66,7 @@ class GraphComponent(NamedTuple):
 
     @property
     def t3(self) -> int:
-        return len(self.occurrence_indices)
-
-
-@dataclass(frozen=True)
-class OccurrenceGraph:
-    """Bipartite graph of entries (positions 1..n) versus occurrences."""
-
-    n: int
-    occurrences: tuple[Occurrence, ...]
-
-    def components(self) -> list[GraphComponent]:
-        """Connected components, sorted by smallest position."""
-        parent = list(range(self.n + 1))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for occ in self.occurrences:
-            ra = find(occ.i)
-            for b in (occ.j, occ.k):
-                rb = find(b)
-                if ra != rb:
-                    parent[rb] = ra
-        by_root: dict[int, list[int]] = {}
-        for p in range(1, self.n + 1):
-            by_root.setdefault(find(p), []).append(p)
-        occs_by_root: dict[int, list[int]] = {}
-        for t, occ in enumerate(self.occurrences):
-            occs_by_root.setdefault(find(occ.i), []).append(t)
-        return [
-            GraphComponent(tuple(positions), tuple(occs_by_root.get(root, ())))
-            for root, positions in sorted(by_root.items(), key=lambda kv: kv[1][0])
-        ]
+        return self.occurrences
 
 
 @dataclass(frozen=True)
@@ -141,24 +103,34 @@ class KernelShapeRecord:
         return len(self.cells)
 
 
-def build_occurrence_graph(pi: Permutation) -> OccurrenceGraph:
-    return OccurrenceGraph(pi.n, tuple(occurrences_132(pi)))
+def build_occurrence_graph(pi: Permutation) -> tuple[GraphComponent, ...]:
+    """Components of the occurrence graph of pi, sorted by smallest position.
+
+    For pi = 57614283 these are (1, 2, 3), holding one occurrence, and
+    (4, 5, 6, 7, 8), holding four.
+    """
+    roots, counts = _occurrence_components(pi.values)
+    by_root: dict[int, list[int]] = {}
+    for pos, root in enumerate(roots, start=1):
+        by_root.setdefault(root, []).append(pos)
+    return tuple(GraphComponent(tuple(positions), counts[root]) for root, positions in by_root.items())
 
 
 @dataclass(frozen=True)
 class Analysis:
-    """One pass over a permutation: its occurrences of 132, the components
-    of its occurrence graph, its kernel, and the grid cell of every
-    non-kernel entry (cell -> [(position, value), ...] in position order)."""
+    """One pass over a permutation: its number of occurrences of 132, the
+    components of its occurrence graph, its kernel, and the grid cell of
+    every non-kernel entry (cell -> [(position, value), ...] in position
+    order)."""
 
-    occurrences: tuple[Occurrence, ...]
+    occurrences: int
     components: tuple[GraphComponent, ...]
     kernel: Kernel
     placed: dict[tuple[int, int], list[tuple[int, int]]]
 
 
 def analyze(pi: Permutation) -> Analysis:
-    """Occurrence graph, components, kernel and cell placement of a
+    """Components, occurrence count, kernel and cell placement of a
     nonempty permutation, each derived once.
 
     The kernel's capacity is its component's occurrence count: the
@@ -168,8 +140,7 @@ def analyze(pi: Permutation) -> Analysis:
     """
     if pi.n < 1:
         raise ValueError("the empty permutation has no kernel")
-    graph = build_occurrence_graph(pi)
-    components = tuple(graph.components())
+    components = build_occurrence_graph(pi)
     pos_of_max = pi.values.index(pi.n) + 1
     comp = next(c for c in components if pos_of_max in c.positions)
     kpos = comp.positions
@@ -181,7 +152,7 @@ def analyze(pi: Permutation) -> Analysis:
         if pos not in kpos:
             cell = (bisect_left(kvals, val) + 1, bisect_left(kpos, pos) + 1)
             placed.setdefault(cell, []).append((pos, val))
-    return Analysis(graph.occurrences, components, kernel, placed)
+    return Analysis(sum(c.occurrences for c in components), components, kernel, placed)
 
 
 def kernel_of(pi: Permutation) -> Kernel:
@@ -203,10 +174,22 @@ def _kernel_capacity(values: tuple[int, ...]) -> int | None:
     """Occurrence count of `values` if its occurrence graph is connected,
     that is, if every entry lies in the component of the maximal one;
     None otherwise (the empty sequence included).
+    """
+    roots, counts = _occurrence_components(values)
+    return counts[roots[0]] if len(set(roots)) == 1 else None
 
-    A union-find over the occurrences, read straight off the values: for
-    each inversion j < k, every opener i < j below values[k] gives the
-    occurrence (i, j, k), which joins i and k to j.
+
+def _occurrence_components(values: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Union-find over the occurrence graph of `values`, read straight off
+    the values: the root of each 0-based position, and per position the
+    number of occurrences of 132 in its component if it is a root (0
+    otherwise).
+
+    Each occurrence (i, j, k) is counted at its "2", j.  A "3" of j is a
+    k > j with values[k] < values[j] above the minimum before j, and the
+    entries before j below values[k] are its "1"s.  So j joins each of
+    its "3"s, and each earlier entry below the largest of them, with
+    O(n) finds per j.
     """
     n = len(values)
     parent = list(range(n))
@@ -217,28 +200,32 @@ def _kernel_capacity(values: tuple[int, ...]) -> int | None:
             a = parent[a]
         return a
 
-    def join(a: int, b: int) -> int:
-        """Merge the sets of a and b; 1 if they were apart, else 0."""
-        ra, rb = find(a), find(b)
-        parent[ra] = rb
-        return int(ra != rb)
-
-    count = 0
-    components = n
-    prefix_min = n + 1
+    at_two = [0] * n
+    seen: list[int] = []  # sorted values before j
+    low = n + 1  # their minimum
     for j, vj in enumerate(values):
-        if prefix_min < vj:
+        if low < vj:
+            rj = find(j)  # stays a root: only other roots are hung under it
+            top = 0
             for k in range(j + 1, n):
                 vk = values[k]
-                if prefix_min < vk < vj:
-                    components -= join(k, j)
-                    for i in range(j):
-                        if values[i] < vk:
-                            count += 1
-                            components -= join(i, j)
-        elif vj < prefix_min:
-            prefix_min = vj
-    return count if components == 1 else None
+                if low < vk < vj:
+                    at_two[j] += bisect_left(seen, vk)
+                    parent[find(k)] = rj
+                    if vk > top:
+                        top = vk
+            if top:
+                for i in range(j):
+                    if values[i] < top:
+                        parent[find(i)] = rj
+        elif vj < low:
+            low = vj
+        insort(seen, vj)
+    roots = [find(p) for p in range(n)]
+    counts = [0] * n
+    for root, count in zip(roots, at_two):
+        counts[root] += count
+    return roots, counts
 
 
 @lru_cache(maxsize=None)
@@ -321,11 +308,16 @@ def order_feasible_cells(dec: CellDecomposition) -> tuple[tuple[int, int], ...]:
     Raises :class:`CellOrderError` if two feasible cells are
     incomparable, which would contradict the grid construction.
     """
-    cells = sorted(dec.feasible, key=lambda ml: (ml[1], -ml[0]))
+    return _ordered_cells(dec.shape.values, dec.feasible)
+
+
+def _ordered_cells(values: tuple[int, ...], feasible: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """:func:`order_feasible_cells` of the cells `feasible` of `values`."""
+    cells = sorted(feasible, key=lambda ml: (ml[1], -ml[0]))
     for (m1, l1), (m2, l2) in zip(cells, cells[1:]):
         if not (m1 >= m2 and l1 <= l2):
             raise CellOrderError(
-                f"feasible cells of {dec.shape} are not totally ordered: "
+                f"feasible cells of {values} are not totally ordered: "
                 f"C_{m1},{l1} vs C_{m2},{l2}"
             )
     return tuple(cells)
@@ -333,13 +325,16 @@ def order_feasible_cells(dec: CellDecomposition) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _dominance_cells(values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """:func:`order_feasible_cells` of the kernel permutation `values`,
-    sorted once per shape for ``decompose``, ``assemble`` and ``shape_record``.
+    """Feasible cells of the kernel permutation `values` in dominance
+    order, sorted once per shape for ``decompose``, ``assemble`` and
+    ``shape_record``.
 
     A ``ValueError`` (not a kernel) or :class:`CellOrderError` is raised
     again on every call: ``lru_cache`` keeps only results.
     """
-    return order_feasible_cells(cell_decomposition(Permutation(values)))
+    if _kernel_capacity(values) is None:
+        raise ValueError(f"not a kernel permutation: {values}")
+    return _ordered_cells(values, _feasible_cells(values))
 
 
 def lis_northeast(rho: Permutation) -> list[int]:

@@ -235,7 +235,6 @@ _default_solvers: dict[tuple[int, int], Solver] = {}
 def _solver_for(r: int, order: int, catalog: ShapeCatalog | None) -> Solver:
     if catalog is not None:
         return Solver(catalog, order)
-    key = (r, order)
     for (max_occ, o), solver in _default_solvers.items():
         if max_occ >= r and o == order:
             return solver

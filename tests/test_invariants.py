@@ -23,7 +23,7 @@ def _plant_analysis(monkeypatch, edit):
 
 
 def _lost_occurrences(a):
-    return replace(a, components=tuple(c._replace(occurrence_indices=()) for c in a.components))
+    return replace(a, components=tuple(c._replace(occurrences=0) for c in a.components))
 
 
 def _oversized_kernel(a):
@@ -51,10 +51,10 @@ def _swap_one_entry_cells(axis):
 
 
 def _incomparable_cells(mp):
-    def planted(dec):
-        raise CellOrderError(f"planted: cells of {dec.shape} incomparable")
+    def planted(values, feasible):
+        raise CellOrderError(f"planted: cells of {values} incomparable")
 
-    mp.setattr(occ132.kernel, "order_feasible_cells", planted)
+    mp.setattr(occ132.kernel, "_ordered_cells", planted)
     occ132.kernel._dominance_cells.cache_clear()  # else cached orders skip the plant
 
 

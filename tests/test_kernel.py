@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -21,7 +22,7 @@ from occ132 import (
     shape_record,
 )
 from occ132.kernel import _feasible_cells, southwest_dominated_cells
-from occ132.perms import lis_length
+from occ132.perms import lis_length, occurrences_132
 from occ132.shapes import iter_kernel_permutations
 
 
@@ -67,24 +68,50 @@ def feasible_cells_oracle(ranks):
     )
 
 
+def occurrence_components_oracle(pi):
+    """Components of the occurrence graph of pi as (positions, occurrence
+    count), sorted by smallest position: every listed occurrence joins
+    its three entries in a plain union-find."""
+    parent = list(range(pi.n + 1))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    occurrences = occurrences_132(pi)
+    for i, j, k in occurrences:
+        parent[find(j)] = parent[find(k)] = find(i)
+    roots = [find(p) for p in range(pi.n + 1)]
+    positions, counts = {}, Counter(roots[i] for i, _, _ in occurrences)
+    for p in range(1, pi.n + 1):
+        positions.setdefault(roots[p], []).append(p)
+    return [(tuple(ps), counts[root]) for root, ps in positions.items()]
+
+
 class TestOccurrenceGraph:
     def test_worked_example(self):
-        g = build_occurrence_graph(perm_from_str("57614283"))
-        assert g.n == 8
-        assert len(g.occurrences) == 5
-        assert all(len(set(occ)) == 3 for occ in g.occurrences)
+        comps = build_occurrence_graph(perm_from_str("57614283"))
+        assert comps == (((1, 2, 3), 1), ((4, 5, 6, 7, 8), 4))
+        assert sum(c.occurrences for c in comps) == 5
 
     def test_increasing_is_isolated(self):
-        g = build_occurrence_graph(make_permutation([1, 2, 3, 4]))
-        assert g.occurrences == ()
-        assert len(g.components()) == 4
+        comps = build_occurrence_graph(make_permutation([1, 2, 3, 4]))
+        assert comps == tuple(((p,), 0) for p in range(1, 5))
 
     def test_pattern_is_one_component(self):
-        g = build_occurrence_graph(make_permutation([1, 3, 2]))
-        comps = g.components()
+        comps = build_occurrence_graph(make_permutation([1, 3, 2]))
         assert len(comps) == 1
         assert comps[0].positions == (1, 2, 3)
         assert comps[0].t3 == 1
+
+    def test_agrees_with_occurrence_listing(self):
+        for n in range(1, 9):
+            for vals in permutations(range(1, n + 1)):
+                pi = Permutation(vals)
+                comps = build_occurrence_graph(pi)
+                assert list(comps) == occurrence_components_oracle(pi), pi
+                assert sum(c.occurrences for c in comps) == count_132(pi), pi
 
 
 class TestKernelOf:
