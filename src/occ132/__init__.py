@@ -11,19 +11,14 @@ exhaustive checks of the structural facts the computation rests on.
 
 from .algebraic import AlgebraicFunction, PQForm, af_to_series, extract_pq, reassemble_pq
 from .kernel import (
-    CellDecomposition,
     CellOrderError,
     DecompositionError,
     Kernel,
     KernelShapeRecord,
     assemble,
     build_occurrence_graph,
-    cell_decomposition,
     decompose,
     is_kernel_permutation,
-    kernel_of,
-    lis_northeast,
-    order_feasible_cells,
     shape_record,
 )
 from .oracle import (
@@ -66,7 +61,6 @@ from .solver import (
 __all__ = [
     "AlgebraicFunction",
     "CatalogError",
-    "CellDecomposition",
     "CellOrderError",
     "Census",
     "DecompositionError",
@@ -86,7 +80,6 @@ __all__ = [
     "avoids_monotone",
     "build_occurrence_graph",
     "catalan_series",
-    "cell_decomposition",
     "census",
     "count_132",
     "count_exact",
@@ -97,15 +90,12 @@ __all__ = [
     "exceptional_shape",
     "extract_pq",
     "is_kernel_permutation",
-    "kernel_of",
     "lis_length",
-    "lis_northeast",
     "load_catalog",
     "make_permutation",
     "occurrence_closed_form",
     "occurrence_series",
     "occurrences_132",
-    "order_feasible_cells",
     "perm_from_str",
     "perm_to_str",
     "reassemble_pq",

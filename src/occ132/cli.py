@@ -31,13 +31,7 @@ from .invariants import (
     one_sided_criterion_subsumed,
     structure_sweep,
 )
-from .oracle import (
-    DEFAULT_GUARD,
-    OracleError,
-    count_exact,
-    count_exact_restricted,
-    joint_tables,
-)
+from .oracle import DEFAULT_GUARD, OracleError, joint_tables
 from .shapes import (
     CatalogError,
     ShapeCatalog,
@@ -69,6 +63,16 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_series(series, args) -> None:
+    """Integer coefficients as a JSON list or as ``n,c`` CSV lines."""
+    coeffs = series.integer_coeffs()
+    if args.format == "csv":
+        text = "\n".join(f"{n},{c}" for n, c in enumerate(coeffs)) + "\n"
+    else:
+        text = json.dumps(coeffs) + "\n"
+    _emit(text, args.out)
 
 
 def _obtain_catalog(max_occ: int, path: str | None, threads: int) -> ShapeCatalog:
@@ -111,13 +115,7 @@ def _cmd_shapes(args) -> int:
 
 def _cmd_gf(args) -> int:
     catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
-    series = Solver(catalog, args.order).occurrence_series(args.occ)
-    coeffs = series.integer_coeffs()
-    if args.format == "csv":
-        text = "\n".join(f"{n},{c}" for n, c in enumerate(coeffs)) + "\n"
-    else:
-        text = json.dumps(coeffs) + "\n"
-    _emit(text, args.out)
+    _emit_series(Solver(catalog, args.order).occurrence_series(args.occ), args)
     return 0
 
 
@@ -178,14 +176,10 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_restricted(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
-    series = Solver(catalog, args.order).restricted_series(args.occ, args.k)
-    coeffs = series.integer_coeffs()
-    if args.format == "csv":
-        text = "\n".join(f"{n},{c}" for n, c in enumerate(coeffs)) + "\n"
-    else:
-        text = json.dumps(coeffs) + "\n"
-    _emit(text, args.out)
+    _emit_series(Solver(catalog, args.order).restricted_series(args.occ, args.k), args)
     return 0
 
 
@@ -194,6 +188,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
     if args.max_n > DEFAULT_GUARD:
         raise OracleError(f"--max-n {args.max_n} exceeds the oracle's sweep guard {DEFAULT_GUARD}")
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
     solver = Solver(catalog, args.max_n)
     if args.k is None:
@@ -202,15 +198,13 @@ def _cmd_verify(args) -> int:
     else:
         series = solver.restricted_series(args.occ, args.k)
         tag = f"occ={args.occ}, k={args.k}"
-    joint_tables(range(args.max_n + 1), threads=args.threads)  # every n in one sweep
+    tables = joint_tables(range(args.max_n + 1), threads=args.threads)  # every n in one sweep
     print(f"{'n':>3} {'solver':>14} {'oracle':>14}  ({tag})")
     ok = True
     for n in range(args.max_n + 1):
         got = int(series[n])
-        if args.k is None:
-            want = count_exact(n, args.occ, threads=args.threads)
-        else:
-            want = count_exact_restricted(n, args.occ, args.k, threads=args.threads)
+        want = sum(c for (occ, lis), c in tables[n].items()
+                   if occ == args.occ and (args.k is None or lis < args.k))
         mark = "" if got == want else "  MISMATCH"
         print(f"{n:>3} {got:>14} {want:>14}{mark}")
         ok = ok and got == want

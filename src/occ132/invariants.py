@@ -48,10 +48,9 @@ from .kernel import (
     DecompositionError,
     _decompose,
     _feasible_cells,
+    _shape_cells,
     analyze,
     assemble,
-    cell_decomposition,
-    order_feasible_cells,
     southwest_dominated_cells,
 )
 from .perms import Permutation
@@ -72,7 +71,8 @@ STRUCTURE_CHECKS = {
 def structure_sweep(max_n: int, kernels: Sequence[Permutation] | None = None) -> dict[str, list[str]]:
     """Run all structural checks over S_1..S_max_n, one analysis per permutation.
 
-    - every occurrence-graph component has at most 2*t3 + 1 entries;
+    - every occurrence-graph component has at most 2t + 1 entries when it
+      holds t occurrences;
     - the kernel has at most 2r + 1 entries when pi has r occurrences;
     - every non-kernel component sits inside one feasible cell;
     - within a grid row, cells further left hold strictly larger values;
@@ -97,7 +97,7 @@ def structure_sweep(max_n: int, kernels: Sequence[Permutation] | None = None) ->
             analysis = analyze(pi)
             r = analysis.occurrences
             for comp in analysis.components:
-                if comp.t1 > 2 * comp.t3 + 1:
+                if len(comp.positions) > 2 * comp.occurrences + 1:
                     violations["component size bound"].append(f"{pi}: component {comp.positions}")
             kernel = analysis.kernel
             if kernel.size > 2 * r + 1:
@@ -149,7 +149,7 @@ def cell_order_totality(shapes) -> list[str]:
     violations = []
     for rho in shapes:
         try:
-            order_feasible_cells(cell_decomposition(rho))
+            _shape_cells(rho.values)
         except CellOrderError as exc:
             violations.append(str(exc))
     return violations
@@ -159,8 +159,7 @@ def one_sided_criterion_subsumed(shapes) -> list[str]:
     """Cells with a kernel entry to the southwest must come out infeasible."""
     violations = []
     for rho in shapes:
-        dec = cell_decomposition(rho)
-        overlap = southwest_dominated_cells(rho) & dec.feasible
+        overlap = southwest_dominated_cells(rho).intersection(_shape_cells(rho.values)[1])
         if overlap:
             violations.append(f"{rho}: southwest-dominated cells marked feasible: {sorted(overlap)}")
     return violations

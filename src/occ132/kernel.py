@@ -27,10 +27,15 @@ Feasible cells are totally ordered by the dominance order
 permutation to its shape plus the content pattern of each feasible cell
 in that order; ``assemble`` is the inverse construction.
 
+A shape's capacity and its feasible cells in dominance order are held in
+one cache keyed by the values tuple (``_shape_cells``).  ``shape_record``,
+``decompose``, ``assemble`` and the cell checks of ``invariants`` all read
+it; a non-kernel or an incomparable pair of cells raises again on every
+call.
+
 ``analyze`` is the single pass over an arbitrary permutation behind this:
 one component search, and from it the kernel and the cell of every
-non-kernel entry.  ``kernel_of``, ``decompose`` and the structure sweep
-read its record.
+non-kernel entry.  ``decompose`` and the structure sweep read its record.
 """
 
 from __future__ import annotations
@@ -60,14 +65,6 @@ class GraphComponent(NamedTuple):
     positions: tuple[int, ...]
     occurrences: int
 
-    @property
-    def t1(self) -> int:
-        return len(self.positions)
-
-    @property
-    def t3(self) -> int:
-        return self.occurrences
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -78,14 +75,6 @@ class Kernel:
     shape: Permutation
     size: int
     capacity: int
-
-
-@dataclass(frozen=True)
-class CellDecomposition:
-    """Feasibility grid of the s x (s+1) cells of a kernel permutation."""
-
-    shape: Permutation
-    feasible: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -145,7 +134,7 @@ def analyze(pi: Permutation) -> Analysis:
     comp = next(c for c in components if pos_of_max in c.positions)
     kpos = comp.positions
     values = tuple(pi(p) for p in kpos)
-    kernel = Kernel(kpos, values, reduce_to_pattern(values), comp.t1, comp.t3)
+    kernel = Kernel(kpos, values, reduce_to_pattern(values), len(kpos), comp.occurrences)
     kvals = sorted(values)
     placed: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for pos, val in enumerate(pi.values, start=1):
@@ -155,21 +144,11 @@ def analyze(pi: Permutation) -> Analysis:
     return Analysis(sum(c.occurrences for c in components), components, kernel, placed)
 
 
-def kernel_of(pi: Permutation) -> Kernel:
-    """Kernel of a nonempty permutation.
-
-    For pi = 57614283 the kernel values are (1, 4, 2, 8, 3) at positions
-    (4, 5, 6, 7, 8); shape 14253, size 5, capacity 4.
-    """
-    return analyze(pi).kernel
-
-
 def is_kernel_permutation(rho: Permutation) -> bool:
     """True iff rho is its own kernel shape."""
     return _kernel_capacity(rho.values) is not None
 
 
-@lru_cache(maxsize=None)
 def _kernel_capacity(values: tuple[int, ...]) -> int | None:
     """Occurrence count of `values` if its occurrence graph is connected,
     that is, if every entry lies in the component of the maximal one;
@@ -228,7 +207,6 @@ def _occurrence_components(values: Sequence[int]) -> tuple[list[int], list[int]]
     return roots, counts
 
 
-@lru_cache(maxsize=None)
 def _feasible_cells(values: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     """Feasible cells of the kernel permutation `values`, one pass per column.
 
@@ -275,16 +253,6 @@ def _feasible_cells(values: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     return frozenset(cells)
 
 
-def cell_decomposition(rho: Permutation) -> CellDecomposition:
-    """Feasibility grid for a kernel permutation.
-
-    For rho = 1423 exactly C_41, C_13, C_14 and C_15 are feasible.
-    """
-    if not is_kernel_permutation(rho):
-        raise ValueError(f"not a kernel permutation: {rho}")
-    return CellDecomposition(rho, _feasible_cells(rho.values))
-
-
 def southwest_dominated_cells(rho: Permutation) -> frozenset[tuple[int, int]]:
     """Cells with some kernel entry strictly to their southwest.
 
@@ -302,17 +270,13 @@ def southwest_dominated_cells(rho: Permutation) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def order_feasible_cells(dec: CellDecomposition) -> tuple[tuple[int, int], ...]:
-    """Feasible cells sorted by dominance (m, l) with m >= m', l <= l'.
-
-    Raises :class:`CellOrderError` if two feasible cells are
-    incomparable, which would contradict the grid construction.
-    """
-    return _ordered_cells(dec.shape.values, dec.feasible)
-
-
 def _ordered_cells(values: tuple[int, ...], feasible: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """:func:`order_feasible_cells` of the cells `feasible` of `values`."""
+    """The cells `feasible` of `values` sorted by dominance, (m, l) before
+    (m', l') when m >= m' and l <= l'.
+
+    Raises :class:`CellOrderError` if two of them are incomparable, which
+    would contradict the grid construction.
+    """
     cells = sorted(feasible, key=lambda ml: (ml[1], -ml[0]))
     for (m1, l1), (m2, l2) in zip(cells, cells[1:]):
         if not (m1 >= m2 and l1 <= l2):
@@ -324,27 +288,18 @@ def _ordered_cells(values: tuple[int, ...], feasible: frozenset[tuple[int, int]]
 
 
 @lru_cache(maxsize=None)
-def _dominance_cells(values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Feasible cells of the kernel permutation `values` in dominance
-    order, sorted once per shape for ``decompose``, ``assemble`` and
-    ``shape_record``.
+def _shape_cells(values: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Capacity of the kernel permutation `values` and its feasible cells
+    in dominance order: the one per-shape cache.
 
-    A ``ValueError`` (not a kernel) or :class:`CellOrderError` is raised
+    For 1423 this is capacity 2 and cells C_41, C_13, C_14, C_15.  A
+    ``ValueError`` (not a kernel) or :class:`CellOrderError` is raised
     again on every call: ``lru_cache`` keeps only results.
     """
-    if _kernel_capacity(values) is None:
+    capacity = _kernel_capacity(values)
+    if capacity is None:
         raise ValueError(f"not a kernel permutation: {values}")
-    return _ordered_cells(values, _feasible_cells(values))
-
-
-def lis_northeast(rho: Permutation) -> list[int]:
-    """Per feasible cell (in dominance order), the length of the longest
-    increasing subsequence of rho weakly to its northeast.
-
-    Entry index k is northeast of cell (m, l) when k >= l and
-    rho(k) >= m.  For rho = 1423 this gives [1, 2, 1, 0].
-    """
-    return list(shape_record(rho).lis_ne)
+    return capacity, _ordered_cells(values, _feasible_cells(values))
 
 
 def shape_record(rho: Permutation) -> KernelShapeRecord:
@@ -352,14 +307,16 @@ def shape_record(rho: Permutation) -> KernelShapeRecord:
 
     The entries northeast of a feasible cell increase (two of them in
     inversion would let an entry of the cell open a 132), so each cell's
-    ``lis_ne`` is the number of those entries.
+    ``lis_ne``, the longest increasing subsequence of rho weakly to its
+    northeast, is the number of those entries: entry index k with
+    k >= l and rho(k) >= m.  For rho = 1423 this gives (1, 2, 1, 0).
     """
     values = rho.values
-    cells = _dominance_cells(values)
+    capacity, cells = _shape_cells(values)
     return KernelShapeRecord(
         shape=rho,
         size=rho.n,
-        capacity=_kernel_capacity(values),
+        capacity=capacity,
         cells=cells,
         lis_ne=tuple(len([r for r in values[l - 1 :] if r >= m]) for m, l in cells),
     )
@@ -381,10 +338,9 @@ def decompose(pi: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
 def _decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[Permutation, ...]]:
     """:func:`decompose` of pi from its :func:`analyze` record."""
     kernel, placed = analysis.kernel, analysis.placed
-    cells = _dominance_cells(kernel.shape.values)
-    feasible = _feasible_cells(kernel.shape.values)
+    cells = _shape_cells(kernel.shape.values)[1]
     for cell, entries in placed.items():
-        if cell not in feasible:
+        if cell not in cells:
             raise DecompositionError(
                 f"entries {entries} of {pi} fell in infeasible cell {cell}"
             )
@@ -414,7 +370,7 @@ def assemble(rho: Permutation, contents: Sequence[Permutation]) -> Permutation:
     position blocks.  These allocations are forced by the grid, so the
     construction is canonical and inverts :func:`decompose`.
     """
-    cells = _dominance_cells(rho.values)
+    cells = _shape_cells(rho.values)[1]
     if len(contents) != len(cells):
         raise ValueError(f"expected {len(cells)} cell contents, got {len(contents)}")
     s = rho.n

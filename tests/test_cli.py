@@ -68,6 +68,9 @@ def test_restricted(capsys):
     code, out, _ = run(capsys, "restricted", "--occ", "0", "--k", "3", "--order", "6")
     assert code == 0
     assert json.loads(out) == [1, 1, 2, 4, 8, 16, 32]
+    code, out, _ = run(capsys, "restricted", "--occ", "0", "--k", "3", "--order", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["0,1", "1,1", "2,2", "3,4"]
 
 
 def test_verify_ok(capsys):
@@ -254,10 +257,15 @@ def test_check_invariants_refuses_beyond_sweep_guard(capsys, monkeypatch):
 
 
 def test_oracle_error_is_reported(capsys):
-    # The oracle rejects k < 1; main reports it instead of a traceback.
-    code, _, err = run(capsys, "verify", "--occ", "0", "--max-n", "2", "--k", "0")
-    assert code == 2
-    assert err.startswith("error:") and "k must be >= 1" in err
+    # k < 1 is refused before any output, not after the table header; the
+    # library's restricted_series(r, 0) stays the zero series.
+    for argv in (("verify", "--occ", "0", "--max-n", "2", "--k", "0"),
+                 ("restricted", "--occ", "0", "--k", "0", "--order", "4"),
+                 ("restricted", "--occ", "1", "--k", "-3", "--order", "4")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("error:") and "k must be >= 1" in err, argv
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])

@@ -55,7 +55,7 @@ def _incomparable_cells(mp):
         raise CellOrderError(f"planted: cells of {values} incomparable")
 
     mp.setattr(occ132.kernel, "_ordered_cells", planted)
-    occ132.kernel._dominance_cells.cache_clear()  # else cached orders skip the plant
+    occ132.kernel._shape_cells.cache_clear()  # else cached orders skip the plant
 
 
 def _swap_first_two(assemble):

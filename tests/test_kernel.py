@@ -11,17 +11,13 @@ from occ132 import (
     assemble,
     build_occurrence_graph,
     count_132,
-    cell_decomposition,
     decompose,
     is_kernel_permutation,
-    kernel_of,
-    lis_northeast,
     make_permutation,
-    order_feasible_cells,
     perm_from_str,
     shape_record,
 )
-from occ132.kernel import _feasible_cells, southwest_dominated_cells
+from occ132.kernel import _feasible_cells, _ordered_cells, analyze, southwest_dominated_cells
 from occ132.perms import lis_length, occurrences_132
 from occ132.shapes import iter_kernel_permutations
 
@@ -103,7 +99,7 @@ class TestOccurrenceGraph:
         comps = build_occurrence_graph(make_permutation([1, 3, 2]))
         assert len(comps) == 1
         assert comps[0].positions == (1, 2, 3)
-        assert comps[0].t3 == 1
+        assert comps[0].occurrences == 1
 
     def test_agrees_with_occurrence_listing(self):
         for n in range(1, 9):
@@ -116,27 +112,27 @@ class TestOccurrenceGraph:
 
 class TestKernelOf:
     def test_worked_example(self):
-        k = kernel_of(perm_from_str("57614283"))
+        k = analyze(perm_from_str("57614283")).kernel
         assert k.values == (1, 4, 2, 8, 3)
         assert k.shape == perm_from_str("14253")
         assert k.size == 5
         assert k.capacity == 4
 
     def test_second_example(self):
-        k = kernel_of(perm_from_str("67382451"))
+        k = analyze(perm_from_str("67382451")).kernel
         assert k.values == (3, 8, 4, 5)
         assert k.shape == perm_from_str("1423")
 
     def test_identity_kernel_is_max_entry(self):
         for n in range(1, 7):
-            k = kernel_of(Permutation(tuple(range(1, n + 1))))
+            k = analyze(Permutation(tuple(range(1, n + 1)))).kernel
             assert k.positions == (n,)
             assert k.shape == make_permutation([1])
             assert k.capacity == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            kernel_of(make_permutation([]))
+            analyze(make_permutation([]))
 
 
 class TestIsKernelPermutation:
@@ -152,38 +148,35 @@ class TestIsKernelPermutation:
         for n in range(1, 8):
             for vals in permutations(range(1, n + 1)):
                 pi = Permutation(vals)
-                kernel = kernel_of(pi)
+                kernel = analyze(pi).kernel
                 assert is_kernel_permutation(pi) == (kernel.shape == pi)
                 assert kernel.capacity == count_132(kernel.shape)
 
 
 class TestCellDecomposition:
     def test_unit_shape(self):
-        dec = cell_decomposition(make_permutation([1]))
-        assert dec.feasible == {(1, 1), (1, 2)}
+        assert set(shape_record(make_permutation([1])).cells) == {(1, 1), (1, 2)}
 
     def test_1423(self):
-        dec = cell_decomposition(perm_from_str("1423"))
-        assert dec.feasible == {(4, 1), (1, 3), (1, 4), (1, 5)}
+        assert set(shape_record(perm_from_str("1423")).cells) == {(4, 1), (1, 3), (1, 4), (1, 5)}
 
     def test_132(self):
-        dec = cell_decomposition(perm_from_str("132"))
-        assert dec.feasible == {(3, 1), (1, 3), (1, 4)}
+        assert set(shape_record(perm_from_str("132")).cells) == {(3, 1), (1, 3), (1, 4)}
 
     def test_non_kernel_rejected(self):
+        # raised on the second call too: the shape cache keeps no errors
         for word in ("12", "21", "1324", "2413", ""):
             rho = perm_from_str(word)
-            with pytest.raises(ValueError):
-                cell_decomposition(rho)
-            with pytest.raises(ValueError):
-                shape_record(rho)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    shape_record(rho)
 
     def test_grid_and_lis_agree_with_per_cell_oracle(self):
         shapes = iter_kernel_permutations(8)
         assert len(shapes) == 17639
         for rho in shapes:
-            assert _feasible_cells(rho.values) == feasible_cells_oracle(rho.values), rho
             rec = shape_record(rho)
+            assert set(rec.cells) == feasible_cells_oracle(rho.values), rho
             assert rec.capacity == count_132(rho), rho
             northeast = [[r for r in rho.values[l - 1 :] if r >= m] for m, l in rec.cells]
             assert rec.lis_ne == tuple(map(lis_length, northeast)), rho
@@ -198,46 +191,30 @@ class TestCellDecomposition:
 
 class TestCellOrder:
     def test_examples(self):
-        assert order_feasible_cells(cell_decomposition(perm_from_str("1423"))) == (
-            (4, 1),
-            (1, 3),
-            (1, 4),
-            (1, 5),
-        )
-        assert order_feasible_cells(cell_decomposition(make_permutation([1]))) == (
-            (1, 1),
-            (1, 2),
-        )
-        assert order_feasible_cells(cell_decomposition(perm_from_str("132"))) == (
-            (3, 1),
-            (1, 3),
-            (1, 4),
-        )
+        assert shape_record(perm_from_str("1423")).cells == ((4, 1), (1, 3), (1, 4), (1, 5))
+        assert shape_record(make_permutation([1])).cells == ((1, 1), (1, 2))
+        assert shape_record(perm_from_str("132")).cells == ((3, 1), (1, 3), (1, 4))
 
     def test_total_on_catalog(self, catalog3):
         for rec in catalog3.records:
-            order_feasible_cells(cell_decomposition(rec.shape))
+            assert _ordered_cells(rec.shape.values, _feasible_cells(rec.shape.values)) == rec.cells
 
     def test_incomparable_raises(self):
-        from occ132.kernel import CellDecomposition
-
-        fake = CellDecomposition(perm_from_str("132"), frozenset({(1, 1), (2, 2)}))
         with pytest.raises(CellOrderError):
-            order_feasible_cells(fake)
+            _ordered_cells((1, 3, 2), frozenset({(1, 1), (2, 2)}))
 
 
 class TestLisNortheast:
     def test_examples(self):
-        assert lis_northeast(perm_from_str("1423")) == [1, 2, 1, 0]
-        assert lis_northeast(make_permutation([1])) == [1, 0]
-        assert lis_northeast(perm_from_str("132")) == [1, 1, 0]
+        assert shape_record(perm_from_str("1423")).lis_ne == (1, 2, 1, 0)
+        assert shape_record(make_permutation([1])).lis_ne == (1, 0)
+        assert shape_record(perm_from_str("132")).lis_ne == (1, 1, 0)
 
 
 class TestOneSidedCriterion:
     def test_subsumed_by_pairwise_procedure(self, catalog3):
         for rec in catalog3.records:
-            dec = cell_decomposition(rec.shape)
-            assert not (southwest_dominated_cells(rec.shape) & dec.feasible), rec.shape
+            assert not southwest_dominated_cells(rec.shape).intersection(rec.cells), rec.shape
 
 
 class TestDecompose:
@@ -250,8 +227,7 @@ class TestDecompose:
         pi = perm_from_str("10,11,7,12,4,6,5,8,3,9,2,1")
         shape, contents = decompose(pi)
         assert shape == perm_from_str("1423")
-        cells = order_feasible_cells(cell_decomposition(shape))
-        by_cell = dict(zip(cells, contents))
+        by_cell = dict(zip(shape_record(shape).cells, contents))
         assert by_cell[(1, 3)] == perm_from_str("132")  # entries 4, 6, 5
         assert by_cell[(1, 4)] == perm_from_str("1")  # entry 3
         assert by_cell[(1, 5)] == perm_from_str("21")  # entries 2, 1

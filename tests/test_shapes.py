@@ -12,11 +12,11 @@ from occ132 import (
     enumerate_kernel_shapes,
     exceptional_shape,
     is_kernel_permutation,
-    kernel_of,
     load_catalog,
     perm_from_str,
     shape_record,
 )
+from occ132.kernel import analyze
 from occ132.perms import count_132_values
 from occ132.shapes import (
     CatalogError,
@@ -81,7 +81,7 @@ class TestEnumerate:
             found = set()
             for t in range(1, 2 * r + 2):
                 for vals in permutations(range(1, t + 1)):
-                    shape = kernel_of(Permutation(vals)).shape
+                    shape = analyze(Permutation(vals)).kernel.shape
                     if count_132(shape) <= r:
                         found.add(shape.values)
             cat = catalog if catalog is not None else enumerate_kernel_shapes(r)
