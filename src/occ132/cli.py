@@ -136,20 +136,30 @@ def _poly_latex(coeffs: list[int]) -> str:
     return " ".join(terms) if terms else "0"
 
 
+def _coefficients(coeffs) -> str:
+    """Exact coefficients as ``[1, -1/2, ...]``."""
+    return "[" + ", ".join(str(c) for c in coeffs) + "]"
+
+
 def _cmd_closed_form(args) -> int:
+    if args.occ == 0:
+        raise ValueError(
+            "level 0 is the Catalan function (1 - (1-4x)^(1/2))/(2x), whose split has "
+            "P = 1/x and Q = -1/x and is not polynomial; use gf --occ 0 for its series")
     catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
     form = extract_pq(Solver(catalog).occurrence_closed_form(args.occ), args.occ)
     if not form.polynomial:
         print(
             f"split of level {args.occ} is not polynomial: "
-            f"P = {form.P.num}/{form.P.den}, Q = {form.Q.num}/{form.Q.den}",
+            f"P = {_coefficients(form.P.num)}/{_coefficients(form.P.den)}, "
+            f"Q = {_coefficients(form.Q.num)}/{_coefficients(form.Q.den)}",
             file=sys.stderr,
         )
         return 1
     two_p, two_q = form.P.as_polynomial(), form.Q.as_polynomial()
     if any(c.denominator != 1 for c in two_p + two_q):
         print(f"split of level {args.occ} has non-integer coefficients: "
-              f"2P = {[str(c) for c in two_p]}, 2Q = {[str(c) for c in two_q]}", file=sys.stderr)
+              f"2P = {_coefficients(two_p)}, 2Q = {_coefficients(two_q)}", file=sys.stderr)
         return 1
     two_p, two_q = [int(c) for c in two_p], [int(c) for c in two_q]
     if args.format == "latex":

@@ -11,19 +11,39 @@ neighbouring permutations share their prefix and its counts.  Each
 prefix carries its occurrence count, its patience-sorting tails (whose
 length is the LIS length) and, for each unplaced value u, the number
 D[u] of placed pairs i < j with pi(i) < u < pi(j); the number of placed
-values below u is read off the sorted list of unplaced values.
-Appending w adds D[w] occurrences (w closes each such pair as a 2), adds
-to D[u] the placed values below u for every unplaced u < w, and moves w
-into the tails, so a node costs O(n).  The last two entries a < b are
-closed in O(1): (..., a, b) adds D[a] + D[b] and (..., b, a) adds the
-a - 1 placed values below a on top.
+values below u is read off the sorted list of unplaced values.  (This
+D vector is the state of Noonan and Zeilberger's functional-equation
+method.)  Appending w adds D[w] occurrences (w closes each such pair as
+a 2), adds to D[u] the placed values below u for every unplaced u < w,
+and moves w into the tails, so a node costs O(n).
+
+The last three unplaced values a < b < c are closed in one step.  With
+S = occ + D[a] + D[b] + D[c], pa = a - 1 and pb = b - 2 placed values
+below a and b, the six orders in lexicographic order add
+
+    abc: S            acb: S + pb + 1     bac: S + pa
+    bca: S + 2 pa     cab: S + pa + pb    cba: S + 2 pa + pb
+
+occurrences.  The longest increasing run of the prefix that ends below
+x has length ix = bisect_left(tails, x), for x = a, b, c.  The longest
+run ending at an appended x is one more than the largest of ix and the
+runs ending at the appended entries placed before x and below it; the
+LIS is the largest of these runs and len(tails).  Permutations of size
+up to 3 never have three unplaced values below the root, so they end at
+the empty leaf, one permutation at a time.
+
+A sweep tallies into one flat list of (C(n,3) + 1) * (n + 1) counts,
+indexed occ * (n + 1) + lis, which the parent sums and turns into the
+(occ, lis) table once per n.
 
 Every SPOT_CHECK_STRIDE-th permutation by lexicographic index is
 recounted independently, with the cubic listing scan and with
-``lis_length``; a disagreement raises :class:`OracleError`.
+``lis_length``; a disagreement raises :class:`OracleError`.  The stride
+is prime and coprime to 6, so the spot-checks fall on every position of
+the six-leaf blocks.
 
 Sweeps are partitioned by the leading entry, which makes them trivially
-data-parallel; partial tables merge by addition, so results do not
+data-parallel; partial tallies merge by addition, so results do not
 depend on the number of workers.  ``joint_tables`` sweeps several n as
 one batch of such jobs, through a single worker pool.
 """
@@ -41,9 +61,10 @@ from .perms import Permutation, lis_length, occurrences_132
 
 DEFAULT_GUARD = 10
 
-# Every 100th permutation (by lexicographic index) is re-counted with the
+# Every 97th permutation (by lexicographic index) is re-counted with the
 # cubic listing scan and patience sorting as a cross-check on the sweep.
-SPOT_CHECK_STRIDE = 100
+# 97 is coprime to 6, so every order of a closed three-entry leaf is checked.
+SPOT_CHECK_STRIDE = 97
 
 
 class OracleError(RuntimeError):
@@ -78,40 +99,61 @@ def _spot_check(values: tuple[int, ...], occ: int, lis: int) -> None:
         raise OracleError(f"sweep LIS disagrees with patience sorting on {values}: {lis} vs {longest}")
 
 
-def _sweep_class(n: int, first: int, start_index: int) -> Counter:
-    """Joint (occurrences, lis) table over permutations of S_n starting with `first`.
+def _tally_size(n: int) -> int:
+    """Length of the flat tally of S_n: occurrences 0..C(n,3), lis 0..n."""
+    return (math.comb(n, 3) + 1) * (n + 1)
 
-    Walks the lexicographic prefix tree depth first; `start_index` is the
-    lexicographic index of the first permutation, which places the
-    spot-checks.
+
+def _sweep_class(n: int, first: int, start_index: int) -> list[int]:
+    """Flat joint tally over the permutations of S_n starting with `first`.
+
+    Entry occ * (n + 1) + lis counts those with occ occurrences and LIS
+    length lis.  Walks the lexicographic prefix tree depth first;
+    `start_index` is the lexicographic index of the first permutation,
+    which places the spot-checks.
     """
-    table: Counter = Counter()
+    width = n + 1
+    tally = [0] * _tally_size(n)
     prefix = [first]
     index = start_index
+    next_check = -(-start_index // SPOT_CHECK_STRIDE) * SPOT_CHECK_STRIDE
 
     def walk(rest: list[int], between: list[int], occ: int, tails: list[int]) -> None:
         # rest: unplaced values, ascending; between[t]: placed pairs i < j
         # with pi(i) < rest[t] < pi(j).  rest[t] - 1 - t placed values lie
         # below rest[t].
-        nonlocal index
-        if len(rest) == 2:
-            a, b = rest
-            occ += between[0] + between[1]
-            lis_ba = max(len(tails), bisect_left(tails, b) + 1)
-            lis_ab = max(lis_ba, bisect_left(tails, a) + 2)
-            # b before a adds the a - 1 openers below a to the pair (b, a)
-            table[occ, lis_ab] += 1
-            table[occ + a - 1, lis_ba] += 1
-            if index % SPOT_CHECK_STRIDE == 0:
-                _spot_check((*prefix, a, b), occ, lis_ab)
-            if (index + 1) % SPOT_CHECK_STRIDE == 0:
-                _spot_check((*prefix, b, a), occ + a - 1, lis_ba)
-            index += 2
+        nonlocal index, next_check
+        if len(rest) == 3:
+            a, b, c = rest
+            row = (occ + between[0] + between[1] + between[2]) * width
+            # the a - 1 and b - 2 placed values below a and b, as row offsets
+            pa, pb = (a - 1) * width, (b - 2) * width
+            ia, ib = bisect_left(tails, a), bisect_left(tails, b)
+            lis_c = max(len(tails), bisect_left(tails, c) + 1)  # cba: no ascent
+            lis_a = max(lis_c, ia + 2)  # acb, cab: a before one larger entry
+            lis_b = max(lis_c, ib + 2)  # bac, bca: b before c
+            keys = (
+                row + max(lis_b, ia + 3),
+                row + pb + width + lis_a,
+                row + pa + lis_b,
+                row + 2 * pa + lis_b,
+                row + pa + pb + lis_a,
+                row + 2 * pa + pb + lis_c,
+            )
+            for key in keys:
+                tally[key] += 1
+            while next_check < index + 6:
+                k = next_check - index
+                order = ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))[k]
+                _spot_check((*prefix, *order), *divmod(keys[k], width))
+                next_check += SPOT_CHECK_STRIDE
+            index += 6
             return
         if not rest:
-            table[occ, len(tails)] += 1
-            if index % SPOT_CHECK_STRIDE == 0:
+            tally[occ * width + len(tails)] += 1
+            if index == next_check:
                 _spot_check(tuple(prefix), occ, len(tails))
+                next_check += SPOT_CHECK_STRIDE
             index += 1
             return
         for t, w in enumerate(rest):
@@ -132,10 +174,10 @@ def _sweep_class(n: int, first: int, start_index: int) -> Counter:
             prefix.pop()
 
     walk([v for v in range(1, n + 1) if v != first], [0] * (n - 1), 0, [first])
-    return table
+    return tally
 
 
-def _sweep_class_args(args) -> Counter:
+def _sweep_class_args(args) -> list[int]:
     return _sweep_class(*args)
 
 _joint_cache: dict[int, dict[tuple[int, int], int]] = {}
@@ -165,11 +207,14 @@ def joint_tables(
             parts = pool.map(_sweep_class_args, jobs, chunksize=1)
     else:
         parts = [_sweep_class(*job) for job in jobs]
-    merged = {n: Counter() for n in todo}
+    merged = {n: [0] * _tally_size(n) for n in todo}
     for (n, _, _), part in zip(jobs, parts):
-        merged[n].update(part)
-    for n, table in merged.items():
-        _joint_cache[n] = dict(sorted(table.items())) if n else {(0, 0): 1}
+        merged[n] = [x + y for x, y in zip(merged[n], part)]
+    for n, tally in merged.items():
+        _joint_cache[n] = (
+            {divmod(key, n + 1): count for key, count in enumerate(tally) if count}
+            if n else {(0, 0): 1}
+        )
     return {n: _joint_cache[n] for n in ns}
 
 

@@ -305,3 +305,29 @@ def test_closed_form_refuses_non_integer_coefficient(capsys, monkeypatch):
     code, out, err = run(capsys, "closed-form", "--occ", "1")
     assert code == 1 and out == ""
     assert "non-integer" in err
+
+
+def test_closed_form_refuses_level_0_before_any_catalog_work(capsys, monkeypatch):
+    def no_catalog(*args):
+        raise AssertionError("closed-form --occ 0 built a catalog")
+
+    monkeypatch.setattr(cli, "_obtain_catalog", no_catalog)
+    code, out, err = run(capsys, "closed-form", "--occ", "0")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Catalan" in err and "P = 1/x and Q = -1/x" in err and "not polynomial" in err
+
+
+def test_closed_form_prints_a_non_polynomial_split_exactly(capsys, monkeypatch):
+    import occ132.cli
+
+    def rational_q(af, r):
+        form = extract_pq(af, r)
+        return replace(form, Q=replace(form.Q, den=(Fraction(0), Fraction(1, 3))))
+
+    monkeypatch.setattr(occ132.cli, "extract_pq", rational_q)
+    code, out, err = run(capsys, "closed-form", "--occ", "1")
+    assert code == 1 and out == ""
+    assert "not polynomial" in err and "/[0, 1/3]" in err
+    assert "Fraction" not in err

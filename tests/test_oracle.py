@@ -115,6 +115,50 @@ def test_spot_check_visits_every_stride_th_permutation(monkeypatch):
         assert seen == list(permutations(range(1, n + 1)))[:: oracle.SPOT_CHECK_STRIDE], n
 
 
+def test_spot_checks_reach_every_order_of_the_closed_leaf(monkeypatch):
+    # the last three entries are closed in blocks of six; a stride coprime
+    # to 6 spot-checks each of their six relative orders
+    seen = []
+    monkeypatch.setattr(oracle, "_spot_check", lambda values, occ, lis: seen.append(values))
+    oracle._joint_cache.pop(7, None)
+    joint_table(7)
+    orders = {tuple(sorted(values[-3:]).index(v) for v in values[-3:]) for values in seen}
+    assert orders == set(permutations(range(3)))
+
+
+def hook_length_count(shape):
+    """f^shape, the number of standard Young tableaux, by the hook-length formula."""
+    conjugate = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = math.prod(
+        row - j + conjugate[j] - i - 1 for i, row in enumerate(shape) for j in range(row)
+    )
+    return math.factorial(sum(shape)) // hooks
+
+
+def partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+def test_lis_marginal_matches_robinson_schensted_at_n9():
+    # independent of the walk: by Robinson-Schensted, the permutations of
+    # S_n with LIS length k number the sum of (f^shape)^2 over the shapes
+    # of n with first row k
+    want = Counter()
+    for shape in partitions(9):
+        want[shape[0]] += hook_length_count(shape) ** 2
+    got = Counter()
+    for (_, lis), c in joint_table(9).items():
+        got[lis] += c
+    assert got == want
+    assert count_exact(9, 0) == 4862
+    assert count_exact(9, 1) == math.comb(15, 6) == 5005
+
+
 def test_spot_check_catches_a_wrong_count(monkeypatch):
     listing = oracle.occurrences_132
     monkeypatch.setattr(oracle, "occurrences_132", lambda pi: [*listing(pi), None])
