@@ -21,12 +21,7 @@ from .kernel import (
     is_kernel_permutation,
     shape_record,
 )
-from .oracle import (
-    DistributionTable,
-    count_exact,
-    count_exact_restricted,
-    distribution,
-)
+from .oracle import joint_tables, occurrence_counts
 from .perms import (
     Occurrence,
     Permutation,
@@ -64,7 +59,6 @@ __all__ = [
     "CellOrderError",
     "Census",
     "DecompositionError",
-    "DistributionTable",
     "Kernel",
     "KernelShapeRecord",
     "Occurrence",
@@ -82,18 +76,17 @@ __all__ = [
     "catalan_series",
     "census",
     "count_132",
-    "count_exact",
-    "count_exact_restricted",
     "decompose",
-    "distribution",
     "enumerate_kernel_shapes",
     "exceptional_shape",
     "extract_pq",
     "is_kernel_permutation",
+    "joint_tables",
     "lis_length",
     "load_catalog",
     "make_permutation",
     "occurrence_closed_form",
+    "occurrence_counts",
     "occurrence_series",
     "occurrences_132",
     "perm_from_str",

@@ -31,7 +31,7 @@ from .invariants import (
     one_sided_criterion_subsumed,
     structure_sweep,
 )
-from .oracle import DEFAULT_GUARD, OracleError, joint_tables
+from .oracle import SWEEP_GUARD, OracleError, joint_tables, occurrence_counts
 from .shapes import (
     CatalogError,
     ShapeCatalog,
@@ -196,10 +196,10 @@ def _cmd_restricted(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
-    if args.max_n > DEFAULT_GUARD:
-        raise OracleError(f"--max-n {args.max_n} exceeds the oracle's sweep guard {DEFAULT_GUARD}")
     if args.k is not None and args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
+    # every n in one sweep, and the oracle's guard before any catalog work
+    tables = joint_tables(range(args.max_n + 1), threads=args.threads)
     catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
     solver = Solver(catalog, args.max_n)
     if args.k is None:
@@ -208,13 +208,11 @@ def _cmd_verify(args) -> int:
     else:
         series = solver.restricted_series(args.occ, args.k)
         tag = f"occ={args.occ}, k={args.k}"
-    tables = joint_tables(range(args.max_n + 1), threads=args.threads)  # every n in one sweep
     print(f"{'n':>3} {'solver':>14} {'oracle':>14}  ({tag})")
     ok = True
     for n in range(args.max_n + 1):
         got = int(series[n])
-        want = sum(c for (occ, lis), c in tables[n].items()
-                   if occ == args.occ and (args.k is None or lis < args.k))
+        want = occurrence_counts(tables[n], args.k).get(args.occ, 0)
         mark = "" if got == want else "  MISMATCH"
         print(f"{n:>3} {got:>14} {want:>14}{mark}")
         ok = ok and got == want
@@ -224,8 +222,8 @@ def _cmd_verify(args) -> int:
 def _cmd_check_invariants(args) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
-    if args.max_n > DEFAULT_GUARD:
-        raise ValueError(f"--max-n {args.max_n} exceeds the sweep guard {DEFAULT_GUARD}")
+    if args.max_n > SWEEP_GUARD:
+        raise ValueError(f"--max-n {args.max_n} exceeds the sweep guard {SWEEP_GUARD}")
     ok = True
 
     def report(name: str, violations: list[str]) -> None:
@@ -342,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogError, OracleError, ValueError) as exc:
+    except (CatalogError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

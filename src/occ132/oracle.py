@@ -1,10 +1,15 @@
 """Brute-force ground truth over whole symmetric groups.
 
-One sweep of S_n records, for every permutation, its number of 132
-occurrences together with the length of its longest increasing
-subsequence.  Everything else (plain distributions, restricted counts)
-is a marginal of that joint table, so each n is enumerated at most once
-per process.
+``joint_tables(ns)`` sweeps each S_n once and returns its joint table:
+for every pair (occurrences of 132, length of the longest increasing
+subsequence), the number of permutations with that pair.  Tables are
+cached per process, so each n is enumerated at most once.  Every count
+the oracle answers is a marginal of one table, read by
+``occurrence_counts(table, k)``: permutations by number of occurrences,
+all of them or only those avoiding 12...k (LIS length < k).  With
+k <= 0 no permutation qualifies, as for ``avoids_monotone(pi, 0)``.
+The sweep guard SWEEP_GUARD = 10 is fixed: n above it (S_11 has about
+4e7 permutations) or below 0 raises :class:`OracleError`.
 
 A sweep is a depth-first walk of the lexicographic prefix tree, so
 neighbouring permutations share their prefix and its counts.  Each
@@ -52,14 +57,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterable
 
 from .perms import Permutation, lis_length, occurrences_132
 
-DEFAULT_GUARD = 10
+SWEEP_GUARD = 10
 
 # Every 97th permutation (by lexicographic index) is re-counted with the
 # cubic listing scan and patience sorting as a cross-check on the sweep.
@@ -71,22 +74,11 @@ class OracleError(RuntimeError):
     """A sweep guard was violated or a spot-check disagreed."""
 
 
-@dataclass(frozen=True)
-class DistributionTable:
-    """Occurrence-count distribution over S_n: counts[r] permutations have r."""
-
-    n: int
-    counts: dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def _check_guard(n: int, guard: int) -> None:
+def _check_guard(n: int) -> None:
     if n < 0:
         raise OracleError(f"n must be nonnegative, got {n}")
-    if n > guard:
-        raise OracleError(f"n={n} exceeds the sweep guard {guard}; raise `guard` to override")
+    if n > SWEEP_GUARD:
+        raise OracleError(f"n={n} exceeds the sweep guard {SWEEP_GUARD}")
 
 
 def _spot_check(values: tuple[int, ...], occ: int, lis: int) -> None:
@@ -183,9 +175,7 @@ def _sweep_class_args(args) -> list[int]:
 _joint_cache: dict[int, dict[tuple[int, int], int]] = {}
 
 
-def joint_tables(
-    ns: Iterable[int], *, guard: int = DEFAULT_GUARD, threads: int = 1
-) -> dict[int, dict[tuple[int, int], int]]:
+def joint_tables(ns: Iterable[int], *, threads: int = 1) -> dict[int, dict[tuple[int, int], int]]:
     """Map each n in `ns` to its joint table, (occurrences, lis length) ->
     number of permutations in S_n.
 
@@ -195,7 +185,7 @@ def joint_tables(
     """
     ns = sorted(set(ns), reverse=True)
     for n in ns:
-        _check_guard(n, guard)
+        _check_guard(n)
     todo = [n for n in ns if n not in _joint_cache]
     jobs = [
         (n, first, (first - 1) * math.factorial(n - 1))
@@ -218,34 +208,17 @@ def joint_tables(
     return {n: _joint_cache[n] for n in ns}
 
 
-def joint_table(n: int, *, guard: int = DEFAULT_GUARD, threads: int = 1) -> dict[tuple[int, int], int]:
-    """Map (occurrences, lis length) -> number of permutations in S_n."""
-    return joint_tables([n], guard=guard, threads=threads)[n]
+def occurrence_counts(table: dict[tuple[int, int], int], k: int | None = None) -> dict[int, int]:
+    """Permutations of one joint table by number of occurrences, sorted by
+    that number; with k, only those with LIS length < k (avoiding 12...k).
 
-
-def distribution(n: int, *, guard: int = DEFAULT_GUARD, threads: int = 1) -> DistributionTable:
-    """Full occurrence-count distribution of S_n.
-
-    distribution(4) is {0: 14, 1: 5, 2: 4, 3: 1}; the row always sums
-    to n!.
+    >>> occurrence_counts(joint_tables([4])[4])
+    {0: 14, 1: 5, 2: 4, 3: 1}
+    >>> occurrence_counts(joint_tables([4])[4], 3)
+    {0: 8, 1: 4, 2: 1, 3: 1}
     """
-    joint = joint_table(n, guard=guard, threads=threads)
-    counts: Counter = Counter()
-    for (r, _), c in joint.items():
-        counts[r] += c
-    return DistributionTable(n, dict(sorted(counts.items())))
-
-
-def count_exact(n: int, r: int, *, guard: int = DEFAULT_GUARD, threads: int = 1) -> int:
-    """Number of permutations in S_n with exactly r occurrences of 132."""
-    return distribution(n, guard=guard, threads=threads).counts.get(r, 0)
-
-
-def count_exact_restricted(
-    n: int, r: int, k: int, *, guard: int = DEFAULT_GUARD, threads: int = 1
-) -> int:
-    """Permutations in S_n with exactly r occurrences of 132 avoiding 12...k."""
-    if k < 1:
-        raise OracleError(f"k must be >= 1, got {k}")
-    joint = joint_table(n, guard=guard, threads=threads)
-    return sum(c for (occ, lis), c in joint.items() if occ == r and lis < k)
+    counts: dict[int, int] = {}
+    for (occ, lis), c in sorted(table.items()):
+        if k is None or lis < k:
+            counts[occ] = counts.get(occ, 0) + c
+    return counts

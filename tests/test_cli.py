@@ -7,7 +7,7 @@ import pytest
 
 from occ132 import cli, enumerate_kernel_shapes, extract_pq, load_catalog, oracle, save_catalog
 from occ132.cli import main
-from occ132.oracle import DEFAULT_GUARD
+from occ132.oracle import SWEEP_GUARD
 from occ132.shapes import CatalogError
 
 
@@ -233,10 +233,14 @@ def test_verify_rejects_negative_max_n(capsys):
     assert err.startswith("error:")
 
 
-def test_verify_refuses_beyond_oracle_guard(capsys):
-    code, out, err = run(capsys, "verify", "--occ", "1", "--max-n", str(DEFAULT_GUARD + 2))
+def test_verify_refuses_beyond_oracle_guard(capsys, monkeypatch):
+    def no_catalog(*args):
+        raise AssertionError("verify beyond the sweep guard built a catalog")
+
+    monkeypatch.setattr(cli, "_obtain_catalog", no_catalog)
+    code, out, err = run(capsys, "verify", "--occ", "1", "--max-n", str(SWEEP_GUARD + 1))
     assert code == 2 and out == ""
-    assert "sweep guard" in err
+    assert err.startswith("error:") and "sweep guard" in err
 
 
 def test_check_invariants_rejects_empty_range(capsys):
@@ -251,7 +255,7 @@ def test_check_invariants_refuses_beyond_sweep_guard(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "iter_kernel_permutations", no_sweep)
     monkeypatch.setattr(cli, "structure_sweep", no_sweep)
-    code, out, err = run(capsys, "check-invariants", "--max-n", str(DEFAULT_GUARD + 2))
+    code, out, err = run(capsys, "check-invariants", "--max-n", str(SWEEP_GUARD + 2))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "sweep guard" in err
 
@@ -331,3 +335,22 @@ def test_closed_form_prints_a_non_polynomial_split_exactly(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert "not polynomial" in err and "/[0, 1/3]" in err
     assert "Fraction" not in err
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_catalog_path_that_is_a_directory_is_an_error(capsys, tmp_path):
+    code, out, err = run(capsys, "gf", "--occ", "1", "--order", "4", "--catalog", str(tmp_path))
+    assert_one_error_line(code, out, err)
+
+
+def test_out_into_a_missing_directory_is_an_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "gf.json"
+    code, out, err = run(capsys, "gf", "--occ", "1", "--order", "4", "--out", str(target))
+    assert_one_error_line(code, out, err)
+    assert not target.parent.exists()

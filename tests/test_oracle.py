@@ -4,8 +4,15 @@ from itertools import permutations
 
 import pytest
 
-from occ132 import count_exact, count_exact_restricted, distribution, oracle
-from occ132.oracle import OracleError, joint_table, joint_tables
+from occ132 import (
+    Solver,
+    avoids_monotone,
+    joint_tables,
+    make_permutation,
+    occurrence_counts,
+    oracle,
+)
+from occ132.oracle import OracleError
 from occ132.perms import count_132_values, lis_length
 
 
@@ -18,71 +25,78 @@ def per_permutation_joint_table(n):
     return dict(sorted(table.items()))
 
 
+def counts(n, k=None):
+    return occurrence_counts(joint_tables([n])[n], k)
+
+
 def test_count_exact_examples():
-    assert count_exact(6, 0) == 132
-    assert count_exact(4, 1) == 5
-    assert count_exact(4, 2) == 4
+    assert counts(6).get(0, 0) == 132
+    assert counts(4).get(1, 0) == 5
+    assert counts(4).get(2, 0) == 4
 
 
 def test_distribution_examples():
-    assert distribution(3).counts == {0: 5, 1: 1}
-    assert distribution(4).counts == {0: 14, 1: 5, 2: 4, 3: 1}
-    assert distribution(0).counts == {0: 1}
+    assert counts(3) == {0: 5, 1: 1}
+    assert counts(4) == {0: 14, 1: 5, 2: 4, 3: 1}
+    assert counts(0) == {0: 1}
 
 
 def test_row_sums_are_factorials():
     for n in range(9):
-        assert distribution(n).total() == math.factorial(n)
+        assert sum(counts(n).values()) == math.factorial(n)
 
 
 def test_counts_vanish_beyond_triple_bound():
     for n in range(7):
         bound = math.comb(n, 3)
-        assert all(r <= bound for r in distribution(n).counts)
+        assert all(r <= bound for r in counts(n))
 
 
 def test_restricted_examples():
     for n in range(8):
-        assert count_exact_restricted(n, 0, 2) == 1
-    assert count_exact_restricted(5, 0, 3) == 16
-    assert count_exact_restricted(3, 1, 3) == 1
+        assert counts(n, 2).get(0, 0) == 1
+    assert counts(5, 3).get(0, 0) == 16
+    assert counts(3, 3).get(1, 0) == 1
 
 
 def test_restricted_sums():
     # over r: all avoiders of 12..k; with huge k: the full distribution
     for n in range(7):
-        joint = joint_table(n)
+        joint = joint_tables([n])[n]
         for k in range(1, n + 2):
-            total = sum(
-                count_exact_restricted(n, r, k) for r in range(math.comb(n, 3) + 1)
-            )
+            total = sum(counts(n, k).get(r, 0) for r in range(math.comb(n, 3) + 1))
             avoiders = sum(c for (_, lis), c in joint.items() if lis < k)
             assert total == avoiders
-        assert {
-            r: count_exact_restricted(n, r, n + 1)
-            for r in distribution(n).counts
-        } == distribution(n).counts
+        assert {r: counts(n, n + 1).get(r, 0) for r in counts(n)} == counts(n)
+
+
+def test_k_at_most_0_avoids_nothing(catalog2):
+    # the oracle, avoids_monotone and the solver agree that no permutation
+    # avoids 12...k for k <= 0; k = n + 1 restricts nothing
+    solver = Solver(catalog2, 6)
+    for n in range(7):
+        table = joint_tables([n])[n]
+        assert occurrence_counts(table, 0) == {}
+        assert occurrence_counts(table, n + 1) == occurrence_counts(table)
+        for values in permutations(range(1, n + 1)):
+            assert not avoids_monotone(make_permutation(values), 0)
+    for r in range(3):
+        assert solver.restricted_series(r, 0).integer_coeffs() == [0] * 7
 
 
 def test_guard():
+    with pytest.raises(OracleError, match="sweep guard 10"):
+        joint_tables([11])
     with pytest.raises(OracleError):
-        count_exact(11, 0)
-    with pytest.raises(OracleError):
-        count_exact(-1, 0)
-    with pytest.raises(OracleError):
-        count_exact_restricted(4, 0, 0)
-
-
-def test_guard_overridable():
-    assert count_exact(4, 0, guard=4) == 14
+        joint_tables([-1])
 
 
 def test_thread_count_does_not_change_results():
     # n = 8 gives 8 first-entry jobs for 2 workers, one job per task
     oracle._joint_cache.pop(8, None)
-    serial = joint_table(8, threads=1)
+    serial = joint_tables([8], threads=1)
     oracle._joint_cache.pop(8, None)
-    parallel = joint_table(8, threads=2)
+    parallel = joint_tables([8], threads=2)
     assert serial == parallel
 
 
@@ -92,7 +106,7 @@ def test_joint_tables_match_one_n_sweeps(monkeypatch):
     singles = {}
     for n in range(8):
         oracle._joint_cache.pop(n, None)
-        singles[n] = joint_table(n)
+        singles[n] = joint_tables([n])[n]
     for threads in (1, 2):
         monkeypatch.setattr(oracle, "_joint_cache", {})
         assert joint_tables(range(8), threads=threads) == singles
@@ -102,7 +116,7 @@ def test_joint_tables_match_one_n_sweeps(monkeypatch):
 
 def test_sweep_matches_per_permutation_count():
     for n in range(9):
-        assert joint_table(n) == per_permutation_joint_table(n), n
+        assert joint_tables([n])[n] == per_permutation_joint_table(n), n
 
 
 def test_spot_check_visits_every_stride_th_permutation(monkeypatch):
@@ -111,7 +125,7 @@ def test_spot_check_visits_every_stride_th_permutation(monkeypatch):
     for n in range(1, 8):
         seen.clear()
         oracle._joint_cache.pop(n, None)
-        joint_table(n)
+        joint_tables([n])
         assert seen == list(permutations(range(1, n + 1)))[:: oracle.SPOT_CHECK_STRIDE], n
 
 
@@ -121,7 +135,7 @@ def test_spot_checks_reach_every_order_of_the_closed_leaf(monkeypatch):
     seen = []
     monkeypatch.setattr(oracle, "_spot_check", lambda values, occ, lis: seen.append(values))
     oracle._joint_cache.pop(7, None)
-    joint_table(7)
+    joint_tables([7])
     orders = {tuple(sorted(values[-3:]).index(v) for v in values[-3:]) for values in seen}
     assert orders == set(permutations(range(3)))
 
@@ -152,11 +166,11 @@ def test_lis_marginal_matches_robinson_schensted_at_n9():
     for shape in partitions(9):
         want[shape[0]] += hook_length_count(shape) ** 2
     got = Counter()
-    for (_, lis), c in joint_table(9).items():
+    for (_, lis), c in joint_tables([9])[9].items():
         got[lis] += c
     assert got == want
-    assert count_exact(9, 0) == 4862
-    assert count_exact(9, 1) == math.comb(15, 6) == 5005
+    assert counts(9).get(0, 0) == 4862
+    assert counts(9).get(1, 0) == math.comb(15, 6) == 5005
 
 
 def test_spot_check_catches_a_wrong_count(monkeypatch):
@@ -164,11 +178,11 @@ def test_spot_check_catches_a_wrong_count(monkeypatch):
     monkeypatch.setattr(oracle, "occurrences_132", lambda pi: [*listing(pi), None])
     oracle._joint_cache.clear()
     with pytest.raises(OracleError, match="listing"):
-        joint_table(5)
+        joint_tables([5])
 
 
 def test_spot_check_catches_a_wrong_lis(monkeypatch):
     monkeypatch.setattr(oracle, "lis_length", lambda values: lis_length(values) + 1)
     oracle._joint_cache.clear()
     with pytest.raises(OracleError, match="LIS"):
-        joint_table(5)
+        joint_tables([5])
