@@ -25,7 +25,7 @@ FracPoly = tuple[Fraction, ...]
 ONE_MINUS_4X: IntPoly = (1, -4)
 
 
-def _trim(c: Sequence[int]) -> IntPoly:
+def _trim(c: Sequence) -> tuple:
     i = len(c)
     while i > 0 and c[i - 1] == 0:
         i -= 1
@@ -258,13 +258,6 @@ def af_to_series(a: AlgebraicFunction, order: int) -> PowerSeries:
 # -- the split form P, Q ---------------------------------------------------
 
 
-def _frac_trim(c: Sequence[Fraction]) -> FracPoly:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
 def _frac_divmod(a: FracPoly, b: FracPoly) -> tuple[FracPoly, FracPoly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -276,7 +269,7 @@ def _frac_divmod(a: FracPoly, b: FracPoly) -> tuple[FracPoly, FracPoly]:
         if factor:
             for j, bj in enumerate(b):
                 rem[i + j] -= factor * bj
-    return _frac_trim(quot), _frac_trim(rem)
+    return _trim(quot), _trim(rem)
 
 
 def _frac_gcd(a: FracPoly, b: FracPoly) -> FracPoly:

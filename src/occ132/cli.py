@@ -77,6 +77,9 @@ def _emit_series(series, args) -> None:
 
 def _obtain_catalog(max_occ: int, path: str | None, threads: int) -> ShapeCatalog:
     """Load a cached catalog when it is big enough, else build (and cache)."""
+    if path and not Path(path).parent.is_dir():
+        # fail before a search whose catalog could not be written
+        raise FileNotFoundError(f"--catalog {path}: its directory does not exist")
     if path and Path(path).exists():
         try:
             catalog = load_catalog(path)

@@ -15,15 +15,16 @@ vectors:
   connectivity (the kernel-permutation test) is a constant-size check
   at every node instead of a rebuild.
 
-With a budget, a second prune cuts every prefix that can no longer
-become connected.  The D[v] pairs that appending v closes form a
-connected bipartite graph (the first below-v entry pairs with every
-above-v entry that is in any pair), so they span at most D[v] + 1
-positions: an append lowers the component count q by at most D[v], and
-a silent one raises it by 1.  A prefix with q components therefore
+A second prune cuts every prefix that can no longer become connected.
+The D[v] pairs that appending v closes form a connected bipartite
+graph (the first below-v entry pairs with every above-v entry that is
+in any pair), so they span at most D[v] + 1 positions: an append
+lowers the component count q by at most D[v], and a silent one raises
+it by 1.  A prefix with q components therefore
 needs at least q - 1 more occurrences, and is cut when q - 1 exceeds
-the budget left.  The unbudgeted search (``max_occ=None``) never uses
-this prune.
+the budget left.  Every search has a budget: listing all kernel
+permutations of size <= s uses C(s, 3), which no pattern of that size
+exceeds.
 
 The search over sizes <= 2r plus the constructed maximal shape of size
 2r+1 yields exactly the catalog the generating-function solver consumes.
@@ -35,6 +36,7 @@ import gc
 import json
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -105,16 +107,15 @@ def _touched_labels(pat: tuple[int, ...], comp: tuple[int, ...], v: int) -> set[
     return touched
 
 
-def _children(state: _State, max_occ: int | None, final: bool):
+def _children(state: _State, max_occ: int, final: bool):
     """Yield (v, count, touched labels) for every child worth visiting.
 
     A child with q components needs at least q - 1 more occurrences to
     become connected (see the module docstring), so it is kept only if
     q - 1 <= room, the occurrences it may still gain: max_occ minus its
-    count, none at the last level, and with no budget k + 1, more than
-    any child can need.  Since an append touches at most min(D[v] + 1, q)
-    components, a child is skipped before its touched labels are
-    computed when even that many cannot bring it within room.
+    count, and none at the last level.  Since an append touches at most
+    min(D[v] + 1, q) components, a child is skipped before its touched
+    labels are computed when even that many cannot bring it within room.
     """
     pat, cnt, D, comp = state
     k = len(pat)
@@ -122,9 +123,7 @@ def _children(state: _State, max_occ: int | None, final: bool):
     for v in range(1, k + 2):
         d = D[v]
         ncnt = cnt + d
-        room = k + 1 if max_occ is None else max_occ - ncnt
-        if final:
-            room = min(room, 0)
+        room = min(max_occ - ncnt, 0) if final else max_occ - ncnt
         if d == 0:
             # A silent append leaves the new entry isolated: q + 1 components.
             if q <= room:
@@ -150,50 +149,50 @@ def _child(state: _State, v: int, ncnt: int, touched) -> _State:
     return (npat, ncnt, tuple(nD), ncomp)
 
 
-def _dfs(max_size: int, max_occ: int | None, roots: list[_State]) -> list[tuple[tuple[int, ...], int]]:
-    """Collect (pattern, count) for every connected pattern in the subtrees."""
+def _dfs(max_size: int, max_occ: int, roots: list[_State]) -> list[tuple[int, ...]]:
+    """Every connected pattern in the subtrees."""
     found = []
     stack = list(roots)
     while stack:
         state = stack.pop()
-        pat, cnt, _, comp = state
+        pat, _, _, comp = state
         k = len(pat)
         if len(set(comp)) == 1:
-            found.append((pat, cnt))
+            found.append(pat)
         if k >= max_size:
             continue
         final = k + 1 == max_size
         for v, ncnt, touched in _children(state, max_occ, final):
             if final:
                 # Every child kept at the last level is connected.
-                found.append((tuple(x if x < v else x + 1 for x in pat) + (v,), ncnt))
+                found.append(tuple(x if x < v else x + 1 for x in pat) + (v,))
             else:
                 stack.append(_child(state, v, ncnt, touched))
     return found
 
 
-def _frontier(depth: int, max_occ: int | None) -> tuple[list[tuple[tuple[int, ...], int]], list[_State]]:
+def _frontier(depth: int, max_occ: int) -> tuple[list[tuple[int, ...]], list[_State]]:
     """Connected patterns above `depth`, plus all surviving states at it."""
     found = []
     level = [_root_state()]
     for _ in range(1, depth):
         nxt = []
         for state in level:
-            pat, cnt, _, comp = state
+            pat, _, _, comp = state
             if len(set(comp)) == 1:
-                found.append((pat, cnt))
+                found.append(pat)
             for v, ncnt, touched in _children(state, max_occ, False):
                 nxt.append(_child(state, v, ncnt, touched))
         level = nxt
     return found, level
 
 
-def _dfs_job(args) -> list[tuple[tuple[int, ...], int]]:
-    max_size, max_occ, states = args
-    return _dfs(max_size, max_occ, states)
+def _dfs_job(args) -> list[tuple[int, ...]]:
+    return _dfs(*args)
 
 
-def _search(max_size: int, max_occ: int | None, threads: int = 1) -> list[tuple[tuple[int, ...], int]]:
+def _search(max_size: int, max_occ: int, threads: int = 1) -> list[tuple[int, ...]]:
+    """Every kernel pattern of size <= max_size with at most max_occ occurrences."""
     if threads <= 1 or max_size <= _SPLIT_DEPTH + 1:
         return _dfs(max_size, max_occ, [_root_state()])
     found, frontier = _frontier(_SPLIT_DEPTH, max_occ)
@@ -205,11 +204,11 @@ def _search(max_size: int, max_occ: int | None, threads: int = 1) -> list[tuple[
     return found
 
 
-def iter_kernel_permutations(max_size: int, max_occ: int | None = None, *, threads: int = 1) -> list[Permutation]:
-    """All kernel permutations of size <= max_size (optionally capacity-capped),
-    sorted by (size, one-line notation)."""
-    found = _search(max_size, max_occ, threads)
-    return [Permutation(pat) for pat, _ in sorted(found, key=lambda pc: (len(pc[0]), pc[0]))]
+def iter_kernel_permutations(max_size: int) -> list[Permutation]:
+    """All kernel permutations of size <= max_size, sorted by (size,
+    one-line notation)."""
+    found = _search(max_size, comb(max_size, 3))
+    return [Permutation(pat) for pat in sorted(found, key=lambda pat: (len(pat), pat))]
 
 
 def exceptional_shape(r: int) -> Permutation:
@@ -248,7 +247,7 @@ def enumerate_kernel_shapes(r: int, *, threads: int = 1) -> ShapeCatalog:
         raise ValueError(f"r must be >= 0, got {r}")
     max_size = max(2 * r, 1)
     found = _search(max_size, r, threads)
-    shapes = [Permutation(pat) for pat, _ in found]
+    shapes = [Permutation(pat) for pat in found]
     if r >= 1:
         shapes.append(exceptional_shape(r))
     shapes.sort(key=lambda p: (p.n, p.values))
@@ -292,7 +291,7 @@ def verify_exceptional_uniqueness(r: int, *, threads: int = 1) -> bool:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     found = _search(2 * r + 1, r, threads)
-    top = sorted(pat for pat, _ in found if len(pat) == 2 * r + 1)
+    top = sorted(pat for pat in found if len(pat) == 2 * r + 1)
     return top == [exceptional_shape(r).values]
 
 

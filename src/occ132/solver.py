@@ -10,16 +10,17 @@ through it, with coefficient 2x * (level-0 series); moving that term to
 the left turns each level into a division by 1 - 2x*S_0 (which equals
 sqrt(1-4x)).
 
-Budget splits are never enumerated: per shape, the family of
-lower-level solutions is treated as a polynomial in a formal budget
-marker, the f-fold product is taken with truncation, and the wanted
-coefficient is read off.  Shapes that contribute identically are folded
-into classes first.  Each ring keeps its marker products for the whole
-Solver, next to its levels, keyed by the cells' own monotone budgets
-(None when unrestricted): every level and every monotone budget reuses
-them, and a product grows from the product of its key's prefix.  A
-product is extended only to the marker degree a caller reads, which is
-r - c for a class of capacity c at level r.
+Budget splits are never enumerated: per shape, the family of lower-level
+solutions is treated as a polynomial in a formal budget marker, the
+f-fold product is taken with truncation, and the wanted coefficient is
+read off.  Shapes that contribute identically are folded into classes
+once, when the Solver is built; it keeps that one fold and each budget's
+maximal-shape cell count, not the catalog.  Each ring keeps its marker
+products for the whole Solver, next to its levels, keyed by the cells'
+own monotone budgets (None when unrestricted): every level and every
+monotone budget reuses them, and a product grows from the product of its
+key's prefix.  A product is extended only to the marker degree a caller
+reads, which is r - c for a class of capacity c at level r.
 
 The level step is written once and runs over truncated integer series
 and over closed forms in Q(x)[sqrt(1-4x)]; the two rings check each
@@ -94,7 +95,7 @@ class _Ring:
 
 
 class Solver:
-    """Memoized solutions at a fixed truncation order over one catalog.
+    """Memoized solutions at a fixed truncation order over one catalog's fold.
 
     Each ring keeps its own levels, seeded with the Catalan level 0, and
     its own marker products, shared by every level and monotone budget.
@@ -103,58 +104,44 @@ class Solver:
     def __init__(self, catalog: ShapeCatalog, order: int = 32):
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
-        self.catalog = catalog
         self.order = order
+        self.max_occ = catalog.max_occ
         self._series = _Ring(PowerSeries.one(order), catalan_series(order))
         # (1 - y) / 2x: the quadratic x*S^2 - S + 1 = 0 solved for y.
         self._closed = _Ring(
             AlgebraicFunction.from_poly((1,)), AlgebraicFunction((1,), (-1,), (0, 2))
         )
-        self._folds: dict[bool, Counter] = {}
+        # The one pass over the catalog.  The size-1 shape is left out of
+        # the fold (handled algebraically) but is level 0's maximal shape.
+        self._restricted_fold: Counter = Counter()
+        self._maximal_cells: dict[int, int] = {}
+        for rec in catalog.records:
+            if rec.size == 2 * rec.capacity + 1:
+                self._maximal_cells[rec.capacity] = rec.f
+            if rec.size > 1:
+                lis, runs = lis_length(rec.shape.values), tuple(sorted(rec.lis_ne))
+                self._restricted_fold[(rec.size, rec.capacity, lis, runs)] += 1
+        self._fold: Counter = Counter()
+        for (s, c, _, runs), mult in self._restricted_fold.items():
+            self._fold[(s, c, len(runs))] += mult
 
-    # -- catalog views ------------------------------------------------------
+    # -- the fold ---------------------------------------------------------------
 
     def _require(self, r: int) -> None:
         if r < 0:
             raise ValueError(f"r must be >= 0, got {r}")
-        if r > self.catalog.max_occ:
-            raise CatalogError(
-                f"catalog holds shapes for budgets <= {self.catalog.max_occ}, requested {r}"
-            )
+        if r > self.max_occ:
+            raise CatalogError(f"catalog holds shapes for budgets <= {self.max_occ}, requested {r}")
 
-    def _classes(self, r: int, restricted: bool = False) -> Counter:
-        """(size, capacity, shape lis, sorted northeast-run lengths)
-        multiplicities over capacity <= r, excluding the size-1 shape
-        (handled algebraically).
-
-        The shape's own longest increasing run rides along because a
-        shape contributes nothing to budgets k <= lis: its kernel alone
-        already contains the forbidden monotone pattern.  Unrestricted,
-        every cell sees the same family, so lis and runs are zeroed and
-        the classes are just (size, capacity, cell count).  The catalog
-        is folded once per Solver and variant; each level filters the
-        fold by capacity.
-        """
-        if restricted not in self._folds:
-            counts: Counter = Counter()
-            for rec in self.catalog.records:
-                if rec.size > 1:
-                    if restricted:
-                        lis, runs = lis_length(rec.shape.values), tuple(sorted(rec.lis_ne))
-                    else:
-                        lis, runs = 0, (0,) * rec.f
-                    counts[(rec.size, rec.capacity, lis, runs)] += 1
-            self._folds[restricted] = counts
-        return Counter({cls: m for cls, m in self._folds[restricted].items() if cls[1] <= r})
+    def _classes(self, r: int) -> Counter:
+        """Unrestricted classes (size, capacity, cell count) of capacity <= r."""
+        return Counter({cls: m for cls, m in self._fold.items() if cls[1] <= r})
 
     def _restricted_classes(self, r: int) -> Counter:
-        return self._classes(r, restricted=True)
-
-    def _maximal_record(self, r: int):
-        for rec in self.catalog.records:
-            if rec.size == 2 * r + 1 and rec.capacity == r:
-                return rec
-        raise CatalogError(f"catalog lacks the maximal shape for budget {r}")
+        """Restricted classes (size, capacity, shape lis, sorted northeast
+        runs) of capacity <= r.  The shape's lis rides along because the
+        shape contributes nothing to budgets k <= lis."""
+        return Counter({cls: m for cls, m in self._restricted_fold.items() if cls[1] <= r})
 
     # -- public levels ----------------------------------------------------------
 
@@ -197,11 +184,17 @@ class Solver:
             return levels[(i, k - drop)] if k - drop > 0 else zero
 
         total = one if r == 0 else zero  # the empty permutation; unrestricted level 0 is seeded
-        for (s, c, lis, runs), mult in sorted(self._classes(r, restricted=k is not None).items()):
-            if k is not None and lis >= k:
-                continue  # the kernel alone holds the forbidden increasing run
-            # lis >= every run, so each cell budget k - run is >= 1 here
-            key = (None,) * len(runs) if k is None else tuple(k - run for run in runs)
+        if k is None:
+            classes = [(s, c, (None,) * f, m) for (s, c, f), m in sorted(self._classes(r).items())]
+        else:
+            # the kernel alone holds the forbidden increasing run when lis >= k;
+            # otherwise lis >= every run, so each cell budget k - run is >= 1
+            classes = [
+                (s, c, tuple(k - run for run in runs), m)
+                for (s, c, lis, runs), m in sorted(self._restricted_classes(r).items())
+                if lis < k
+            ]
+        for s, c, key, mult in classes:
             total = total + (mult * ring.product(key, r - c)[r - c]).shifted(s)
         # Size-1 shape: its cells see budgets k-1 and k and split all of r.
         # A split end that holds the unknown level (r, k) moves into the
@@ -220,8 +213,9 @@ class Solver:
             raise SolverError("1 - 2x*S_0 did not reduce to sqrt(1-4x)")
         if k is None:
             # The maximal shape's term must equal x^(2r+1) * S_0^(r+2).
-            rec = self._maximal_record(r)
-            from_record = ring.product((None,) * rec.f, 0)[0].shifted(rec.size)
+            if r not in self._maximal_cells:
+                raise CatalogError(f"catalog lacks the maximal shape for budget {r}")
+            from_record = ring.product((None,) * self._maximal_cells[r], 0)[0].shifted(2 * r + 1)
             if from_record != (level(0) ** (r + 2)).shifted(2 * r + 1):
                 raise SolverError(f"maximal-shape contribution mismatch at level {r}")
         return result
@@ -232,9 +226,7 @@ class Solver:
 _default_solvers: dict[tuple[int, int], Solver] = {}
 
 
-def _solver_for(r: int, order: int, catalog: ShapeCatalog | None) -> Solver:
-    if catalog is not None:
-        return Solver(catalog, order)
+def _solver_for(r: int, order: int) -> Solver:
     for (max_occ, o), solver in _default_solvers.items():
         if max_occ >= r and o == order:
             return solver
@@ -243,18 +235,16 @@ def _solver_for(r: int, order: int, catalog: ShapeCatalog | None) -> Solver:
     return solver
 
 
-def occurrence_series(r: int, order: int = 32, catalog: ShapeCatalog | None = None) -> PowerSeries:
+def occurrence_series(r: int, order: int = 32) -> PowerSeries:
     """Series for permutations with exactly r occurrences of 132."""
-    return _solver_for(r, order, catalog).occurrence_series(r)
+    return _solver_for(r, order).occurrence_series(r)
 
 
-def occurrence_closed_form(r: int, catalog: ShapeCatalog | None = None) -> AlgebraicFunction:
+def occurrence_closed_form(r: int) -> AlgebraicFunction:
     """Closed form in Q(x)[sqrt(1-4x)] for the level-r series."""
-    return _solver_for(r, 32, catalog).occurrence_closed_form(r)
+    return _solver_for(r, 32).occurrence_closed_form(r)
 
 
-def restricted_series(
-    r: int, k: int, order: int = 32, catalog: ShapeCatalog | None = None
-) -> PowerSeries:
+def restricted_series(r: int, k: int, order: int = 32) -> PowerSeries:
     """Series for r occurrences of 132 while avoiding 12...k."""
-    return _solver_for(r, order, catalog).restricted_series(r, k)
+    return _solver_for(r, order).restricted_series(r, k)

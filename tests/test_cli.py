@@ -354,3 +354,14 @@ def test_out_into_a_missing_directory_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, "gf", "--occ", "1", "--order", "4", "--out", str(target))
     assert_one_error_line(code, out, err)
     assert not target.parent.exists()
+
+
+def test_catalog_in_a_missing_directory_fails_before_the_search(capsys, monkeypatch, tmp_path):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the shape search started")
+
+    monkeypatch.setattr(cli, "enumerate_kernel_shapes", no_search)
+    target = tmp_path / "missing" / "c.jsonl"
+    code, out, err = run(capsys, "gf", "--occ", "6", "--catalog", str(target))
+    assert_one_error_line(code, out, err)
+    assert not target.parent.exists()

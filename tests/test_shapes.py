@@ -89,8 +89,10 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_pruned_search_matches_unbudgeted_search(self, r):
-        # the unbudgeted search never uses the component-count prune, so
-        # this checks that the prune cuts no shape of capacity <= r
+        # iter_kernel_permutations searches at budget C(2r, 3), which no
+        # pattern of size 2r exceeds, so its prune cuts no kernel
+        # permutation; this checks that budget r's prune cuts no shape
+        # of capacity <= r
         want = {p.values for p in iter_kernel_permutations(2 * r) if count_132(p) <= r}
         got = {rec.shape.values for rec in enumerate_kernel_shapes(r).records if rec.size <= 2 * r}
         assert got == want

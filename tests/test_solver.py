@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from occ132 import (
     PowerSeries,
     Solver,
+    SolverError,
     af_to_series,
     catalan_series,
     joint_tables,
@@ -13,7 +15,7 @@ from occ132 import (
     occurrence_series,
     restricted_series,
 )
-from occ132.shapes import CatalogError
+from occ132.shapes import CatalogError, ShapeCatalog
 
 
 class TestUnrestrictedSeries:
@@ -51,6 +53,43 @@ class TestUnrestrictedSeries:
             high = sum(c for r, c in counts.items() if r > 3)
             low = sum(int(solver.occurrence_series(r)[n]) for r in range(4))
             assert low + high == math.factorial(n)
+
+
+class TestCatalogChecks:
+    def test_missing_maximal_shape_fails_at_its_level(self, catalog3):
+        records = tuple(rec for rec in catalog3.records if (rec.size, rec.capacity) != (7, 3))
+        solver = Solver(ShapeCatalog(3, records), 8)
+        solver.occurrence_series(2)
+        with pytest.raises(CatalogError, match="maximal shape for budget 3"):
+            solver.occurrence_series(3)
+
+    def test_maximal_shape_with_a_cell_missing(self, catalog3):
+        records = tuple(
+            replace(rec, cells=rec.cells[:-1], lis_ne=rec.lis_ne[:-1])
+            if (rec.size, rec.capacity) == (7, 3) else rec
+            for rec in catalog3.records
+        )
+        with pytest.raises(SolverError, match="maximal-shape contribution mismatch"):
+            Solver(ShapeCatalog(3, records), 8).occurrence_series(3)
+
+
+class _CountingRecords(tuple):
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_solver_reads_its_catalog_once(catalog6):
+    records = _CountingRecords(catalog6.records)
+    solver = Solver(ShapeCatalog(6, records), 32)
+    for r in range(7):
+        solver.occurrence_series(r)
+        solver.occurrence_closed_form(r)
+    solver.restricted_series(6, 6)
+    assert records.iterations == 1
+    assert (len(solver._classes(6)), len(solver._restricted_classes(6))) == (74, 295)
 
 
 class TestClosedForms:
