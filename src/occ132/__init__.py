@@ -39,9 +39,11 @@ from .shapes import (
     CatalogError,
     Census,
     ShapeCatalog,
+    ShapeFold,
     census,
     enumerate_kernel_shapes,
     exceptional_shape,
+    fold_catalog,
     load_catalog,
     save_catalog,
 )
@@ -67,6 +69,7 @@ __all__ = [
     "PoleAtOriginError",
     "PowerSeries",
     "ShapeCatalog",
+    "ShapeFold",
     "Solver",
     "SolverError",
     "af_to_series",
@@ -80,6 +83,7 @@ __all__ = [
     "enumerate_kernel_shapes",
     "exceptional_shape",
     "extract_pq",
+    "fold_catalog",
     "is_kernel_permutation",
     "joint_tables",
     "lis_length",

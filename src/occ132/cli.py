@@ -13,6 +13,15 @@ Subcommands:
 All numeric output is exact (integers or integer arrays); nothing is
 ever printed in floating point.  Identical arguments produce
 byte-identical output regardless of ``--threads``.
+
+A solver command with ``--catalog FILE`` reads the catalog's fold from
+the sidecar ``FILE.fold`` when the sidecar is sound and FILE's sha256 is
+the one it records; it parses no record then.  A missing or unsound
+sidecar costs a full load with every record check, after which the
+sidecar is written again.  A catalog that changed after its sidecar was
+written, or that fails its checks, is rebuilt by search, and both files
+are written anew.  Negative bounds, and a ``--catalog`` or ``--out`` in
+a missing directory, are refused before any work.
 """
 
 from __future__ import annotations
@@ -34,13 +43,17 @@ from .invariants import (
 from .oracle import SWEEP_GUARD, OracleError, joint_tables, occurrence_counts
 from .shapes import (
     CatalogError,
-    ShapeCatalog,
+    ShapeFold,
+    StaleFoldError,
     catalog_to_text,
     census,
     enumerate_kernel_shapes,
+    fold_catalog,
     iter_kernel_permutations,
     load_catalog,
+    load_fold,
     save_catalog,
+    save_fold,
     verify_exceptional_uniqueness,
 )
 from .solver import Solver
@@ -75,26 +88,52 @@ def _emit_series(series, args) -> None:
     _emit(text, args.out)
 
 
-def _obtain_catalog(max_occ: int, path: str | None, threads: int) -> ShapeCatalog:
-    """Load a cached catalog when it is big enough, else build (and cache)."""
-    if path and not Path(path).parent.is_dir():
-        # fail before a search whose catalog could not be written
-        raise FileNotFoundError(f"--catalog {path}: its directory does not exist")
+def _obtain_catalog(max_occ: int, path: str | None, threads: int) -> ShapeFold:
+    """The fold of a cached catalog when it is big enough, else of a new
+    catalog, which is cached with its fold when `path` is given."""
     if path and Path(path).exists():
-        try:
-            catalog = load_catalog(path)
-            if catalog.max_occ >= max_occ:
-                return catalog
-            print(
-                f"cached catalog at {path} only covers max-occ {catalog.max_occ}; rebuilding",
-                file=sys.stderr,
-            )
-        except CatalogError as exc:
-            print(f"ignoring cache: {exc}", file=sys.stderr)
+        fold = _cached_fold(path)
+        if fold is not None:
+            if fold.max_occ >= max_occ:
+                return fold
+            print(f"cached catalog at {path} only covers max-occ {fold.max_occ}; rebuilding",
+                  file=sys.stderr)
     catalog = enumerate_kernel_shapes(max_occ, threads=threads)
+    fold = fold_catalog(catalog)
     if path:
-        save_catalog(catalog, path)
-    return catalog
+        save_catalog(catalog, path, fold)
+    return fold
+
+
+def _cached_fold(path: str) -> ShapeFold | None:
+    """The fold of the catalog at `path`, or None when it is to be rebuilt.
+
+    The fold comes from the sidecar when that is sound and the catalog's
+    bytes are those it was written from.  A missing or unsound sidecar
+    costs a full load with every record check, after which the sidecar
+    is written anew; a changed catalog, or one that fails its checks, is
+    rebuilt.
+    """
+    try:
+        return load_fold(path)
+    except FileNotFoundError:
+        pass
+    except StaleFoldError as exc:
+        print(f"ignoring cache: {exc}", file=sys.stderr)
+        return None
+    except CatalogError as exc:
+        print(f"ignoring cache: {exc}", file=sys.stderr)
+    try:
+        fold = fold_catalog(load_catalog(path))
+    except CatalogError as exc:
+        print(f"ignoring cache: {exc}", file=sys.stderr)
+        return None
+    try:
+        save_fold(fold, path)
+    except OSError as exc:
+        # a catalog that can be read but not written beside still serves
+        print(f"not caching the fold: {exc}", file=sys.stderr)
+    return fold
 
 
 # -- subcommands ------------------------------------------------------------
@@ -117,8 +156,8 @@ def _cmd_shapes(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
-    _emit_series(Solver(catalog, args.order).occurrence_series(args.occ), args)
+    fold = _obtain_catalog(args.occ, args.catalog, args.threads)
+    _emit_series(Solver(fold, args.order).occurrence_series(args.occ), args)
     return 0
 
 
@@ -149,8 +188,8 @@ def _cmd_closed_form(args) -> int:
         raise ValueError(
             "level 0 is the Catalan function (1 - (1-4x)^(1/2))/(2x), whose split has "
             "P = 1/x and Q = -1/x and is not polynomial; use gf --occ 0 for its series")
-    catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
-    form = extract_pq(Solver(catalog).occurrence_closed_form(args.occ), args.occ)
+    fold = _obtain_catalog(args.occ, args.catalog, args.threads)
+    form = extract_pq(Solver(fold).occurrence_closed_form(args.occ), args.occ)
     if not form.polynomial:
         print(
             f"split of level {args.occ} is not polynomial: "
@@ -191,8 +230,8 @@ def _cmd_closed_form(args) -> int:
 def _cmd_restricted(args) -> int:
     if args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
-    catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
-    _emit_series(Solver(catalog, args.order).restricted_series(args.occ, args.k), args)
+    fold = _obtain_catalog(args.occ, args.catalog, args.threads)
+    _emit_series(Solver(fold, args.order).restricted_series(args.occ, args.k), args)
     return 0
 
 
@@ -203,8 +242,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     # every n in one sweep, and the oracle's guard before any catalog work
     tables = joint_tables(range(args.max_n + 1), threads=args.threads)
-    catalog = _obtain_catalog(args.occ, args.catalog, args.threads)
-    solver = Solver(catalog, args.max_n)
+    solver = Solver(_obtain_catalog(args.occ, args.catalog, args.threads), args.max_n)
     if args.k is None:
         series = solver.occurrence_series(args.occ)
         tag = f"occ={args.occ}"
@@ -247,16 +285,13 @@ def _cmd_check_invariants(args) -> int:
 
 
 def _cmd_conjectures(args) -> int:
-    catalog = _obtain_catalog(args.max_occ, args.catalog, args.threads)
-    bad = [
-        str(rec.shape)
-        for rec in catalog.records
-        if rec.size > 1 and rec.size < rec.f
-    ]
+    fold = _obtain_catalog(args.max_occ, args.catalog, args.threads)
+    # counterexamples as (size, cell count) classes
+    bad = sorted({(s, len(runs)) for s, _, _, runs in fold.classes if 1 < s < len(runs)})
     print(f"size >= feasible-cell count for every shape != 1: "
           f"{'holds' if not bad else 'counterexamples ' + repr(bad)} "
-          f"({len(catalog.records)} shapes)")
-    solver = Solver(catalog)
+          f"({sum(fold.classes.values())} shapes)")
+    solver = Solver(fold)
     for r in range(1, args.max_occ + 1):
         form = extract_pq(solver.occurrence_closed_form(r), r)
         if not form.polynomial:
@@ -339,9 +374,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_arguments(args) -> None:
+    """Refuse a negative budget or order, and a --catalog or --out in a
+    missing directory, before any search, sweep or solve."""
+    for name in ("occ", "max_occ", "order"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+    for name in ("catalog", "out"):
+        path = getattr(args, name, None)
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"--{name} {path}: its directory does not exist")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_arguments(args)
         return args.func(args)
     except (CatalogError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

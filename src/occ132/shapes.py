@@ -28,6 +28,17 @@ exceeds.
 
 The search over sizes <= 2r plus the constructed maximal shape of size
 2r+1 yields exactly the catalog the generating-function solver consumes.
+
+A catalog file holds one JSON line per record, but the solver reads only
+the catalog's fold (:func:`fold_catalog`): shapes counted by (size,
+capacity, lis of the shape, sorted northeast runs), 296 classes for the
+3 214 records of budget 6.  :func:`save_catalog` writes the fold beside
+the catalog as the sidecar ``<file>.fold``, a small JSON file bound to
+the sha256 of the catalog's bytes.  :func:`load_fold` hashes the catalog
+and reads the sidecar instead of parsing the records.  It runs the
+maximal-shape and census checks of :func:`load_catalog` on the fold.
+A catalog edited after its sidecar was written no longer matches the
+digest, which raises :class:`StaleFoldError`.
 """
 
 from __future__ import annotations
@@ -41,14 +52,27 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from .kernel import KernelShapeRecord, shape_record
-from .perms import Permutation
+from .perms import Permutation, lis_length
+
+# CPython's own sha256 for the catalog digest: hashlib's loads OpenSSL,
+# which adds about 3.5 MiB to the resident set of every warm run, while
+# the built-in one hashes a budget-6 catalog in about 2 ms.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 CATALOG_FORMAT_VERSION = 1
+FOLD_FORMAT_VERSION = 1
 
 # Number of kernel shapes of each capacity 0..6, maximal shapes included.
 KNOWN_CAPACITY_CENSUS = (1, 1, 5, 21, 105, 504, 2577)
 
 _RECORD_KEYS = ("shape", "size", "capacity", "cells", "lis_ne")
+_FOLD_KEYS = {"format_version", "max_occ", "catalog_sha256", "classes"}
 
 # Depth at which the search tree is split into parallel jobs.
 _SPLIT_DEPTH = 5
@@ -60,12 +84,34 @@ class CatalogError(RuntimeError):
     """A catalog file is malformed or too small for the request."""
 
 
+class StaleFoldError(CatalogError):
+    """A catalog's bytes differ from those its fold sidecar was written from."""
+
+
 @dataclass(frozen=True)
 class ShapeCatalog:
     """All kernel shapes usable up to a given occurrence budget."""
 
     max_occ: int
     records: tuple[KernelShapeRecord, ...]
+
+
+# A fold class: (size, capacity, lis of the shape, sorted northeast runs).
+FoldClass = tuple[int, int, int, tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class ShapeFold:
+    """All a solver reads of a catalog: its budget and the number of
+    shapes in each class.  A class's cell count is its number of runs."""
+
+    max_occ: int
+    classes: dict[FoldClass, int]
+
+    @property
+    def maximal_cells(self) -> dict[int, int]:
+        """Cell count of each budget r's maximal shape, the class of size 2r+1."""
+        return {c: len(runs) for s, c, _, runs in self.classes if s == 2 * c + 1}
 
 
 @dataclass(frozen=True)
@@ -315,8 +361,100 @@ def catalog_to_text(catalog: ShapeCatalog) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_catalog(catalog: ShapeCatalog, path: str | Path) -> None:
+def fold_catalog(catalog: ShapeCatalog) -> ShapeFold:
+    """The one pass over a catalog's records: shapes counted by class."""
+    classes = Counter(
+        (rec.size, rec.capacity, lis_length(rec.shape.values), tuple(sorted(rec.lis_ne)))
+        for rec in catalog.records
+    )
+    return ShapeFold(catalog.max_occ, dict(classes))
+
+
+def save_catalog(catalog: ShapeCatalog, path: str | Path, fold: ShapeFold | None = None) -> None:
+    """Write the catalog, then its fold (``fold_catalog(catalog)`` when not
+    given) beside it with :func:`save_fold`."""
     Path(path).write_text(catalog_to_text(catalog))
+    save_fold(fold if fold is not None else fold_catalog(catalog), path)
+
+
+def fold_path(path: str | Path) -> Path:
+    """The fold sidecar of the catalog at `path`: ``<path>.fold``."""
+    return Path(f"{path}.fold")
+
+
+def _catalog_digest(path: str | Path) -> str:
+    """The sha256 of the catalog's bytes, read in blocks (a budget-8 catalog
+    is 12 MB)."""
+    digest = sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def save_fold(fold: ShapeFold, path: str | Path) -> None:
+    """Write `fold` as the sidecar of the catalog at `path`, bound to the
+    sha256 of that catalog's bytes as they are now."""
+    digest = _catalog_digest(path)
+    rows = [[s, c, lis, list(runs), m] for (s, c, lis, runs), m in sorted(fold.classes.items())]
+    sidecar = {"format_version": FOLD_FORMAT_VERSION, "max_occ": fold.max_occ,
+               "catalog_sha256": digest, "classes": rows}
+    fold_path(path).write_text(json.dumps(sidecar, separators=(",", ":")) + "\n")
+
+
+def _fold_row(row) -> bool:
+    """A row [size, capacity, lis, runs, shapes] of the right types and ranges."""
+    if not (isinstance(row, list) and len(row) == 5):
+        return False
+    size, capacity, lis, runs, shapes = row
+    return (
+        _int_list([size, capacity, lis, shapes])
+        and _int_list(runs)
+        and 1 <= lis <= size
+        and capacity >= 0
+        and shapes >= 1
+        and all(0 <= run <= lis for run in runs)
+    )
+
+
+def load_fold(path: str | Path) -> ShapeFold:
+    """The fold of the catalog at `path`, read from its sidecar without
+    parsing a record.
+
+    Raises FileNotFoundError when either file is missing, StaleFoldError
+    when the catalog's sha256 is not the one in the sidecar, and
+    CatalogError when the sidecar is malformed or its fold fails the
+    maximal-shape and census checks of :func:`load_catalog`.
+    """
+    digest = _catalog_digest(path)
+    where = fold_path(path)
+    try:
+        obj = json.loads(where.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CatalogError(f"{where}: bad JSON ({exc})") from None
+    if not isinstance(obj, dict) or set(obj) != _FOLD_KEYS:
+        raise CatalogError(f"{where}: not a fold sidecar")
+    if obj["format_version"] != FOLD_FORMAT_VERSION:
+        raise CatalogError(f"{where}: unsupported format_version {obj['format_version']!r}")
+    max_occ, rows = obj["max_occ"], obj["classes"]
+    if not (
+        type(max_occ) is int
+        and max_occ >= 0
+        and isinstance(obj["catalog_sha256"], str)
+        and isinstance(rows, list)
+        and all(_fold_row(row) for row in rows)
+    ):
+        raise CatalogError(f"{where}: field of the wrong type or out of range")
+    if obj["catalog_sha256"] != digest:
+        raise StaleFoldError(f"{path}: its bytes changed after {where} was written")
+    classes = {(s, c, lis, tuple(runs)): m for s, c, lis, runs, m in rows}
+    if len(classes) != len(rows):
+        raise CatalogError(f"{where}: duplicated class")
+    counts: Counter = Counter()
+    for (s, c, _, _), m in classes.items():
+        counts[(s, c)] += m
+    _check_counts(where, max_occ, counts)
+    return ShapeFold(max_occ, classes)
 
 
 def _int_list(value) -> bool:
@@ -386,12 +524,20 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
     keys = [(rec.size, rec.shape.values) for rec in records]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CatalogError(f"{path}: records are duplicated or not sorted by (size, shape)")
-    present = {(rec.size, rec.capacity) for rec in records}
+    _check_counts(path, max_occ, Counter((rec.size, rec.capacity) for rec in records))
+    return ShapeCatalog(max_occ, tuple(records))
+
+
+def _check_counts(where, max_occ: int, counts: Counter) -> None:
+    """The checks a catalog and a fold share, on shapes counted by (size,
+    capacity): every budget has its maximal shape, and the counts per
+    capacity agree with the known census."""
     for r in range(1, max_occ + 1):
-        if (2 * r + 1, r) not in present:
-            raise CatalogError(f"{path}: no maximal shape for budget {r}")
-    by_capacity = Counter(rec.capacity for rec in records)
+        if not counts[(2 * r + 1, r)]:
+            raise CatalogError(f"{where}: no maximal shape for budget {r}")
+    by_capacity: Counter = Counter()
+    for (_, capacity), m in counts.items():
+        by_capacity[capacity] += m
     got = tuple(by_capacity[c] for c in range(min(max_occ + 1, len(KNOWN_CAPACITY_CENSUS))))
     if got != KNOWN_CAPACITY_CENSUS[: len(got)]:
-        raise CatalogError(f"{path}: shapes per capacity {got} differ from the census")
-    return ShapeCatalog(max_occ, tuple(records))
+        raise CatalogError(f"{where}: shapes per capacity {got} differ from the census")

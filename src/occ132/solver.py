@@ -14,13 +14,16 @@ Budget splits are never enumerated: per shape, the family of lower-level
 solutions is treated as a polynomial in a formal budget marker, the
 f-fold product is taken with truncation, and the wanted coefficient is
 read off.  Shapes that contribute identically are folded into classes
-once, when the Solver is built; it keeps that one fold and each budget's
-maximal-shape cell count, not the catalog.  Each ring keeps its marker
-products for the whole Solver, next to its levels, keyed by the cells'
-own monotone budgets (None when unrestricted): every level and every
-monotone budget reuses them, and a product grows from the product of its
-key's prefix.  A product is extended only to the marker degree a caller
-reads, which is r - c for a class of capacity c at level r.
+once, by ``shapes.fold_catalog``: (size, capacity, shape lis, sorted
+northeast runs) with a multiplicity.  A Solver is built from that fold,
+read from a catalog's sidecar or made from its records, and keeps it and
+each budget's maximal-shape cell count, never the records.  Each ring
+keeps its marker products for the whole Solver, next to its levels,
+keyed by the cells' own monotone budgets (None when unrestricted): every
+level and every monotone budget reuses them, and a product grows from
+the product of its key's prefix.  A product is extended only to the
+marker degree a caller reads, which is r - c for a class of capacity c
+at level r.
 
 The level step is written once and runs over truncated integer series
 and over closed forms in Q(x)[sqrt(1-4x)]; the two rings check each
@@ -44,9 +47,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .algebraic import AlgebraicFunction
-from .perms import lis_length
 from .series import PowerSeries, catalan_series
-from .shapes import CatalogError, ShapeCatalog, enumerate_kernel_shapes
+from .shapes import CatalogError, ShapeCatalog, ShapeFold, enumerate_kernel_shapes, fold_catalog
 
 
 class SolverError(RuntimeError):
@@ -101,26 +103,21 @@ class Solver:
     its own marker products, shared by every level and monotone budget.
     """
 
-    def __init__(self, catalog: ShapeCatalog, order: int = 32):
+    def __init__(self, catalog: ShapeFold | ShapeCatalog, order: int = 32):
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
+        fold = catalog if isinstance(catalog, ShapeFold) else fold_catalog(catalog)
         self.order = order
-        self.max_occ = catalog.max_occ
+        self.max_occ = fold.max_occ
         self._series = _Ring(PowerSeries.one(order), catalan_series(order))
         # (1 - y) / 2x: the quadratic x*S^2 - S + 1 = 0 solved for y.
         self._closed = _Ring(
             AlgebraicFunction.from_poly((1,)), AlgebraicFunction((1,), (-1,), (0, 2))
         )
-        # The one pass over the catalog.  The size-1 shape is left out of
-        # the fold (handled algebraically) but is level 0's maximal shape.
-        self._restricted_fold: Counter = Counter()
-        self._maximal_cells: dict[int, int] = {}
-        for rec in catalog.records:
-            if rec.size == 2 * rec.capacity + 1:
-                self._maximal_cells[rec.capacity] = rec.f
-            if rec.size > 1:
-                lis, runs = lis_length(rec.shape.values), tuple(sorted(rec.lis_ne))
-                self._restricted_fold[(rec.size, rec.capacity, lis, runs)] += 1
+        # The size-1 shape is handled algebraically, so the classes leave it
+        # out, but it is level 0's maximal shape.
+        self._restricted_fold = Counter({cls: m for cls, m in fold.classes.items() if cls[0] > 1})
+        self._maximal_cells = fold.maximal_cells
         self._fold: Counter = Counter()
         for (s, c, _, runs), mult in self._restricted_fold.items():
             self._fold[(s, c, len(runs))] += mult

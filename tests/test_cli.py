@@ -8,7 +8,7 @@ import pytest
 from occ132 import cli, enumerate_kernel_shapes, extract_pq, load_catalog, oracle, save_catalog
 from occ132.cli import main
 from occ132.oracle import SWEEP_GUARD
-from occ132.shapes import CatalogError
+from occ132.shapes import CatalogError, fold_path, load_fold
 
 
 def run(capsys, *argv):
@@ -220,11 +220,149 @@ def test_malformed_catalog_is_rebuilt(capsys, tmp_path, case):
     path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(CatalogError, match=message):
         load_catalog(path)
+    # without a sidecar the CLI loads the records, so it meets the same check
+    fold_path(path).unlink()
     code, out, err = run(capsys, "gf", "--occ", "3", "--order", "7", "--catalog", str(path))
     assert code == 0
     assert "ignoring cache" in err
+    assert message in err
     assert json.loads(out)[7] == 410
     load_catalog(path)  # the rebuilt cache is sound
+    load_fold(path)
+
+
+def _fail(what):
+    def stub(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+
+    return stub
+
+
+GF3 = ("gf", "--occ", "3", "--order", "9", "--threads", "1")
+
+
+@pytest.mark.parametrize("field", ["cells", "lis_ne"])
+def test_edited_catalog_is_rebuilt_by_search(capsys, tmp_path, field):
+    path = tmp_path / "cat.jsonl"
+    code, clean, _ = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0
+    fresh, fresh_fold = path.read_bytes(), fold_path(path).read_bytes()
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[-1])  # the maximal shape: every entry has one digit
+    if field == "cells":
+        rec["cells"][0][0] += 1
+    else:
+        rec["lis_ne"][0] += 1
+    edited = json.dumps(rec, separators=(",", ":"))
+    assert sum(a != b for a, b in zip(edited, lines[-1])) == 1
+    path.write_text("\n".join(lines[:-1] + [edited]) + "\n")
+    load_catalog(path)  # the record checks pass: only the digest sees the edit
+    code, out, err = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0 and out == clean
+    assert "ignoring cache" in err and "changed after" in err
+    assert path.read_bytes() == fresh
+    assert fold_path(path).read_bytes() == fresh_fold
+
+
+def _sidecar_wrong_type(obj):
+    obj["max_occ"] = "3"
+
+
+def _sidecar_negative_count(obj):
+    obj["classes"][0][4] = -1
+
+
+def _sidecar_extra_shape(obj):
+    obj["classes"][1][4] += 1  # a second shape in the capacity-1 maximal class
+
+
+def _sidecar_no_maximal_shape(obj):
+    obj["classes"].pop()  # classes are sorted, so the budget-3 maximal one is last
+
+
+# defect of the sidecar -> (edit of its JSON object, or of its text, expected message)
+SIDECAR_DEFECTS = {
+    "bad_json": (lambda text: text[:40], "bad JSON"),
+    "wrong_type": (_sidecar_wrong_type, "wrong type"),
+    "negative_count": (_sidecar_negative_count, "out of range"),
+    "census_mismatch": (_sidecar_extra_shape, "census"),
+    "no_maximal_shape": (_sidecar_no_maximal_shape, "no maximal shape for budget 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_DEFECTS))
+def test_unsound_sidecar_is_ignored_and_rewritten(capsys, monkeypatch, tmp_path, case):
+    edit, message = SIDECAR_DEFECTS[case]
+    path = tmp_path / "cat.jsonl"
+    code, clean, _ = run(capsys, *GF3, "--catalog", str(path))
+    sidecar = fold_path(path)
+    sound = sidecar.read_text()
+    if case == "bad_json":
+        sidecar.write_text(edit(sound))
+    else:
+        obj = json.loads(sound)
+        edit(obj)
+        sidecar.write_text(json.dumps(obj))
+    with pytest.raises(CatalogError, match=message):
+        load_fold(path)
+    # the catalog itself is sound: it is loaded, not searched again
+    monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
+    code, out, err = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0 and out == clean
+    assert "ignoring cache" in err and message in err
+    assert sidecar.read_text() == sound
+
+
+def test_catalog_without_sidecar_is_loaded_and_gains_one(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cat.jsonl"
+    code, _, _ = run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(path))
+    assert code == 0 and not fold_path(path).exists()
+    _, clean, _ = run(capsys, *GF3)
+    loads = []
+    real_load = cli.load_catalog
+
+    def counting_load(where):
+        loads.append(where)
+        return real_load(where)
+
+    monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
+    monkeypatch.setattr(cli, "load_catalog", counting_load)
+    code, out, err = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0 and err == "" and out == clean
+    assert loads == [str(path)]
+    assert load_fold(path).max_occ == 3
+    # the next run reads the sidecar alone
+    code, again, _ = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0 and again == out and len(loads) == 1
+
+
+def test_warm_run_reads_the_sidecar_only(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cat.jsonl"
+    code, clean, _ = run(capsys, *GF3, "--catalog", str(path))
+    monkeypatch.setattr(cli, "load_catalog", _fail("load_catalog"))
+    monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
+    for argv in (GF3, ("closed-form", "--occ", "3"), ("restricted", "--occ", "3", "--k", "4"),
+                 ("verify", "--occ", "3", "--max-n", "7", "--threads", "1"),
+                 ("conjectures", "--max-occ", "3")):
+        code, out, err = run(capsys, *argv, "--catalog", str(path))
+        assert code == 0 and err == "", argv
+    code, out, _ = run(capsys, *GF3, "--catalog", str(path))
+    assert out == clean
+
+
+def test_unwritable_sidecar_still_serves(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cat.jsonl"
+    run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(path))
+    _, clean, _ = run(capsys, *GF3)
+
+    def read_only(fold, where):
+        raise PermissionError(f"{where}.fold: read-only")
+
+    monkeypatch.setattr(cli, "save_fold", read_only)
+    code, out, err = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0 and out == clean
+    assert "not caching the fold" in err and "read-only" in err
+    assert not fold_path(path).exists()
 
 
 def test_verify_rejects_negative_max_n(capsys):
@@ -365,3 +503,38 @@ def test_catalog_in_a_missing_directory_fails_before_the_search(capsys, monkeypa
     code, out, err = run(capsys, "gf", "--occ", "6", "--catalog", str(target))
     assert_one_error_line(code, out, err)
     assert not target.parent.exists()
+
+
+def test_out_in_a_missing_directory_fails_before_the_search(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
+    target = tmp_path / "missing" / "gf.json"
+    code, out, err = run(capsys, "gf", "--occ", "6", "--threads", "1", "--out", str(target))
+    assert_one_error_line(code, out, err)
+    assert "--out" in err
+    assert not target.parent.exists()
+
+
+NEGATIVE_BOUNDS = {
+    "gf_order": ("gf", "--occ", "6", "--order", "-1"),
+    "gf_occ": ("gf", "--occ", "-1"),
+    "closed_form_occ": ("closed-form", "--occ", "-2"),
+    "restricted_occ": ("restricted", "--occ", "-1", "--k", "3"),
+    "restricted_order": ("restricted", "--occ", "6", "--k", "3", "--order", "-5"),
+    "verify_occ": ("verify", "--occ", "-1", "--max-n", "10"),
+    "conjectures_max_occ": ("conjectures", "--max-occ", "-1"),
+    "shapes_max_occ": ("shapes", "--max-occ", "-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_BOUNDS))
+def test_negative_bounds_are_refused_before_any_work(capsys, monkeypatch, tmp_path, case):
+    for name in ("_obtain_catalog", "enumerate_kernel_shapes", "joint_tables"):
+        monkeypatch.setattr(cli, name, _fail(name))
+    catalog = tmp_path / "c.jsonl"
+    argv = NEGATIVE_BOUNDS[case]
+    if argv[0] != "shapes":
+        argv += ("--catalog", str(catalog))
+    code, out, err = run(capsys, *argv, "--threads", "1")
+    assert_one_error_line(code, out, err)
+    assert "must be >= 0" in err
+    assert not catalog.exists()

@@ -20,8 +20,12 @@ from occ132.kernel import analyze
 from occ132.perms import count_132_values
 from occ132.shapes import (
     CatalogError,
+    StaleFoldError,
     catalog_to_text,
+    fold_catalog,
+    fold_path,
     iter_kernel_permutations,
+    load_fold,
     save_catalog,
     verify_exceptional_uniqueness,
 )
@@ -159,6 +163,33 @@ class TestCatalogIO:
         path.write_text("")
         with pytest.raises(CatalogError):
             load_catalog(path)
+
+    def test_fold_sidecar_roundtrip(self, tmp_path, catalog3):
+        path = tmp_path / "cat.jsonl"
+        save_catalog(catalog3, path)
+        assert fold_path(path) == tmp_path / "cat.jsonl.fold"
+        assert load_fold(path) == fold_catalog(catalog3)
+
+    def test_sidecar_of_other_bytes_is_stale(self, tmp_path, catalog2):
+        path = tmp_path / "cat.jsonl"
+        save_catalog(catalog2, path)
+        path.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(StaleFoldError, match="changed after"):
+            load_fold(path)
+
+    def test_missing_sidecar(self, tmp_path, catalog2):
+        path = tmp_path / "cat.jsonl"
+        path.write_text(catalog_to_text(catalog2))
+        with pytest.raises(FileNotFoundError):
+            load_fold(path)
+
+
+def test_budget6_fold(catalog6):
+    fold = fold_catalog(catalog6)
+    assert sum(fold.classes.values()) == len(catalog6.records) == 3214
+    # the size-1 shape is a class of its own next to the 295 the recursion sums over
+    assert len(fold.classes) == 296
+    assert fold.maximal_cells == {r: r + 2 for r in range(7)}
 
 
 class TestSearchSoundness:

@@ -15,7 +15,7 @@ from occ132 import (
     occurrence_series,
     restricted_series,
 )
-from occ132.shapes import CatalogError, ShapeCatalog
+from occ132.shapes import CatalogError, ShapeCatalog, fold_catalog
 
 
 class TestUnrestrictedSeries:
@@ -79,6 +79,14 @@ class _CountingRecords(tuple):
     def __iter__(self):
         self.iterations += 1
         return super().__iter__()
+
+
+def test_solver_from_fold_equals_solver_from_catalog(catalog3):
+    from_fold, from_catalog = Solver(fold_catalog(catalog3), 12), Solver(catalog3, 12)
+    for r in range(4):
+        assert from_fold.occurrence_series(r) == from_catalog.occurrence_series(r)
+        assert from_fold.restricted_series(r, 4) == from_catalog.restricted_series(r, 4)
+    assert from_fold.occurrence_closed_form(3) == from_catalog.occurrence_closed_form(3)
 
 
 def test_solver_reads_its_catalog_once(catalog6):
