@@ -54,7 +54,6 @@ from .shapes import (
     load_fold,
     save_catalog,
     save_fold,
-    verify_exceptional_uniqueness,
 )
 from .solver import Solver
 
@@ -141,13 +140,6 @@ def _cached_fold(path: str) -> ShapeFold | None:
 
 def _cmd_shapes(args) -> int:
     catalog = enumerate_kernel_shapes(args.max_occ, threads=args.threads)
-    if args.verify_exceptional:
-        for r in range(1, min(args.max_occ, 2) + 1):
-            ok = verify_exceptional_uniqueness(r, threads=args.threads)
-            print(f"maximal shape unique at capacity {r}: {'confirmed' if ok else 'FAILED'}",
-                  file=sys.stderr)
-            if not ok:
-                return 1
     c = census(catalog)
     print(f"shapes by size: {c.by_size}", file=sys.stderr)
     print(f"new non-maximal shapes by budget: {c.new_nonexceptional}", file=sys.stderr)
@@ -331,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shapes", help="enumerate kernel shapes into a catalog")
     p.add_argument("--max-occ", type=int, required=True, help="capacity budget R")
-    p.add_argument("--verify-exceptional", action="store_true",
-                   help="exhaustively confirm maximal-shape uniqueness for budgets <= 2")
     add_common(p, catalog=False)
     p.set_defaults(func=_cmd_shapes)
 

@@ -1,4 +1,4 @@
-"""Search for kernel permutations, the maximal shape, catalogs and census.
+"""Search for kernel permutations, catalogs and census.
 
 The search walks the prefix-pattern tree: the node for a permutation of
 S_k has one child per value v in 1..k+1, obtained by appending v on the
@@ -26,19 +26,23 @@ the budget left.  Every search has a budget: listing all kernel
 permutations of size <= s uses C(s, 3), which no pattern of that size
 exceeds.
 
-The search over sizes <= 2r plus the constructed maximal shape of size
-2r+1 yields exactly the catalog the generating-function solver consumes.
+The catalog the generating-function solver consumes for budget r is
+one search over sizes <= 2r+1.  It finds the maximal shape of size 2r+1
+too, and its count check proves that shape unique at every budget it
+builds.  The last level costs little: it keeps only the children that
+close into one component, and lists their patterns without building
+their states or expanding them.
 
 A catalog file holds one JSON line per record, but the solver reads only
 the catalog's fold (:func:`fold_catalog`): shapes counted by (size,
 capacity, lis of the shape, sorted northeast runs), 296 classes for the
 3 214 records of budget 6.  :func:`save_catalog` writes the fold beside
-the catalog as the sidecar ``<file>.fold``, a small JSON file bound to
-the sha256 of the catalog's bytes.  :func:`load_fold` hashes the catalog
-and reads the sidecar instead of parsing the records.  It runs the
-maximal-shape and census checks of :func:`load_catalog` on the fold.
-A catalog edited after its sidecar was written no longer matches the
-digest, which raises :class:`StaleFoldError`.
+the catalog as the sidecar ``<file>.fold``, a small JSON file holding
+the sha256 of the catalog's bytes and a second sha256 over that digest,
+the budget and the class rows.  :func:`load_fold` hashes the catalog,
+reads the sidecar instead of parsing the records and runs the count
+checks of :func:`load_catalog` on the fold.  A changed catalog fails
+the first digest (:class:`StaleFoldError`), an edited row the second.
 """
 
 from __future__ import annotations
@@ -66,13 +70,13 @@ except ImportError:
         from hashlib import sha256
 
 CATALOG_FORMAT_VERSION = 1
-FOLD_FORMAT_VERSION = 1
+FOLD_FORMAT_VERSION = 2
 
 # Number of kernel shapes of each capacity 0..6, maximal shapes included.
 KNOWN_CAPACITY_CENSUS = (1, 1, 5, 21, 105, 504, 2577)
 
 _RECORD_KEYS = ("shape", "size", "capacity", "cells", "lis_ne")
-_FOLD_KEYS = {"format_version", "max_occ", "catalog_sha256", "classes"}
+_FOLD_KEYS = {"format_version", "max_occ", "catalog_sha256", "fold_sha256", "classes"}
 
 # Depth at which the search tree is split into parallel jobs.
 _SPLIT_DEPTH = 5
@@ -239,7 +243,8 @@ def _dfs_job(args) -> list[tuple[int, ...]]:
 
 def _search(max_size: int, max_occ: int, threads: int = 1) -> list[tuple[int, ...]]:
     """Every kernel pattern of size <= max_size with at most max_occ occurrences."""
-    if threads <= 1 or max_size <= _SPLIT_DEPTH + 1:
+    # Up to size 9 (budget 4) one process is faster than a pool: 6 ms against 15.
+    if threads <= 1 or max_size <= 9:
         return _dfs(max_size, max_occ, [_root_state()])
     found, frontier = _frontier(_SPLIT_DEPTH, max_occ)
     chunks = [frontier[i :: 4 * threads] for i in range(4 * threads)]
@@ -260,9 +265,9 @@ def iter_kernel_permutations(max_size: int) -> list[Permutation]:
 def exceptional_shape(r: int) -> Permutation:
     """The unique kernel permutation of capacity r with maximal size 2r+1.
 
-    Built in closed form as 2r-1, 2r+1, 2r-3, 2r, ..., 1, 4, 2 rather
-    than searched for; the constructor re-derives size, capacity and the
-    feasible cells as a postcondition.
+    Built in closed form as 2r-1, 2r+1, 2r-3, 2r, ..., 1, 4, 2, the
+    reference for the shape the search finds; the constructor re-derives
+    size, capacity and the feasible cells as a postcondition.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -284,28 +289,27 @@ def exceptional_shape(r: int) -> Permutation:
 
 
 def enumerate_kernel_shapes(r: int, *, threads: int = 1) -> ShapeCatalog:
-    """Catalog of every kernel shape with capacity <= r.
+    """Catalog of every kernel shape with capacity <= r, found by one
+    pruned search over sizes <= 2r+1.
 
-    Sizes 1..2r come from the pruned search; the single size-(2r+1)
-    shape is constructed directly, which avoids walking S_{2r+1}.
+    Raises CatalogError when the shapes found fail the count checks of
+    :func:`load_catalog`, such as a budget without exactly one maximal
+    shape.
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    max_size = max(2 * r, 1)
-    found = _search(max_size, r, threads)
-    shapes = [Permutation(pat) for pat in found]
-    if r >= 1:
-        shapes.append(exceptional_shape(r))
-    shapes.sort(key=lambda p: (p.n, p.values))
+    found = sorted(_search(2 * r + 1, r, threads), key=lambda pat: (len(pat), pat))
     # The records hold no reference cycles, so the cyclic collector would
     # only rescan them as they pile up: about a tenth of the time at budget 8.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        records = tuple(shape_record(rho) for rho in shapes)
+        records = tuple(shape_record(Permutation(pat)) for pat in found)
     finally:
         if collecting:
             gc.enable()
+    _check_counts(f"the search for budget {r}", r,
+                  Counter((rec.size, rec.capacity) for rec in records))
     return ShapeCatalog(r, records)
 
 
@@ -314,9 +318,8 @@ def census(catalog: ShapeCatalog) -> Census:
     non-maximal shapes per budget.
 
     A shape first enters the recursion at budget r = capacity; exactly
-    one capacity-r shape (the constructed maximal one) lies beyond the
-    S_2r search horizon, so the count of new shapes the search itself
-    must reveal is #{capacity == r} - 1.
+    one capacity-r shape, the maximal one, has size 2r+1, so the count
+    of new shapes of size <= 2r is #{capacity == r} - 1.
     """
     by_size = Counter(rec.size for rec in catalog.records)
     by_capacity = Counter(rec.capacity for rec in catalog.records)
@@ -328,17 +331,6 @@ def census(catalog: ShapeCatalog) -> Census:
         dict(sorted(by_capacity.items())),
         new_nonexceptional,
     )
-
-
-def verify_exceptional_uniqueness(r: int, *, threads: int = 1) -> bool:
-    """Exhaustively confirm that the only kernel permutation of capacity
-    <= r and size 2r+1 is the constructed maximal shape.  Meant for
-    small r; the search space is S_{2r+1}."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    found = _search(2 * r + 1, r, threads)
-    top = sorted(pat for pat in found if len(pat) == 2 * r + 1)
-    return top == [exceptional_shape(r).values]
 
 
 def catalog_to_text(catalog: ShapeCatalog) -> str:
@@ -392,13 +384,20 @@ def _catalog_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _fold_digest(catalog_sha256: str, max_occ: int, rows: list) -> str:
+    """The sha256 binding a sidecar's budget and class rows to its catalog's digest."""
+    text = json.dumps([catalog_sha256, max_occ, rows], separators=(",", ":"))
+    return sha256(text.encode()).hexdigest()
+
+
 def save_fold(fold: ShapeFold, path: str | Path) -> None:
     """Write `fold` as the sidecar of the catalog at `path`, bound to the
     sha256 of that catalog's bytes as they are now."""
     digest = _catalog_digest(path)
     rows = [[s, c, lis, list(runs), m] for (s, c, lis, runs), m in sorted(fold.classes.items())]
     sidecar = {"format_version": FOLD_FORMAT_VERSION, "max_occ": fold.max_occ,
-               "catalog_sha256": digest, "classes": rows}
+               "catalog_sha256": digest, "fold_sha256": _fold_digest(digest, fold.max_occ, rows),
+               "classes": rows}
     fold_path(path).write_text(json.dumps(sidecar, separators=(",", ":")) + "\n")
 
 
@@ -423,8 +422,9 @@ def load_fold(path: str | Path) -> ShapeFold:
 
     Raises FileNotFoundError when either file is missing, StaleFoldError
     when the catalog's sha256 is not the one in the sidecar, and
-    CatalogError when the sidecar is malformed or its fold fails the
-    maximal-shape and census checks of :func:`load_catalog`.
+    CatalogError when the sidecar is malformed, its fold fails the count
+    checks of :func:`load_catalog`, or its budget and class rows are not
+    those its own digest was taken of.
     """
     digest = _catalog_digest(path)
     where = fold_path(path)
@@ -441,6 +441,7 @@ def load_fold(path: str | Path) -> ShapeFold:
         type(max_occ) is int
         and max_occ >= 0
         and isinstance(obj["catalog_sha256"], str)
+        and isinstance(obj["fold_sha256"], str)
         and isinstance(rows, list)
         and all(_fold_row(row) for row in rows)
     ):
@@ -454,6 +455,8 @@ def load_fold(path: str | Path) -> ShapeFold:
     for (s, c, _, _), m in classes.items():
         counts[(s, c)] += m
     _check_counts(where, max_occ, counts)
+    if obj["fold_sha256"] != _fold_digest(digest, max_occ, rows):
+        raise CatalogError(f"{where}: its budget or class rows differ from those it was written with")
     return ShapeFold(max_occ, classes)
 
 
@@ -495,8 +498,8 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
     """Read a catalog written by :func:`save_catalog`.
 
     Raises CatalogError on any malformed line, on records that are
-    duplicated or out of order, on a budget without its maximal shape
-    and on per-capacity counts that differ from the known census.
+    duplicated or out of order, on per-capacity counts that differ from
+    the known census and on a budget without exactly one maximal shape.
     """
     try:
         text = Path(path).read_text().splitlines()
@@ -529,9 +532,10 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
 
 
 def _check_counts(where, max_occ: int, counts: Counter) -> None:
-    """The checks a catalog and a fold share, on shapes counted by (size,
-    capacity): every budget has its maximal shape, and the counts per
-    capacity agree with the known census."""
+    """The checks a search, a catalog and a fold share, on shapes counted
+    by (size, capacity): every budget has its maximal shape, the counts
+    per capacity agree with the known census, and no budget has two
+    maximal shapes.  Past the census, the last is the only check."""
     for r in range(1, max_occ + 1):
         if not counts[(2 * r + 1, r)]:
             raise CatalogError(f"{where}: no maximal shape for budget {r}")
@@ -541,3 +545,6 @@ def _check_counts(where, max_occ: int, counts: Counter) -> None:
     got = tuple(by_capacity[c] for c in range(min(max_occ + 1, len(KNOWN_CAPACITY_CENSUS))))
     if got != KNOWN_CAPACITY_CENSUS[: len(got)]:
         raise CatalogError(f"{where}: shapes per capacity {got} differ from the census")
+    for r in range(1, max_occ + 1):
+        if counts[(2 * r + 1, r)] != 1:
+            raise CatalogError(f"{where}: {counts[(2 * r + 1, r)]} maximal shapes for budget {r}")

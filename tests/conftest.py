@@ -1,6 +1,6 @@
 import pytest
 
-from occ132 import enumerate_kernel_shapes
+from occ132 import enumerate_kernel_shapes, shapes
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,14 @@ def catalog3():
 @pytest.fixture(scope="session")
 def catalog6():
     return enumerate_kernel_shapes(6)
+
+
+@pytest.fixture
+def search_without_maximal_shape(monkeypatch):
+    """A shape search that loses every pattern of its largest size."""
+    real = shapes._search
+
+    def lossy(max_size, max_occ, threads=1):
+        return [pat for pat in real(max_size, max_occ, threads) if len(pat) < max_size]
+
+    monkeypatch.setattr(shapes, "_search", lossy)

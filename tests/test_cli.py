@@ -40,12 +40,6 @@ def test_shapes_catalog(capsys, tmp_path):
     assert "new non-maximal shapes by budget: {2: 4}" in err
 
 
-def test_shapes_verify_exceptional(capsys):
-    code, out, err = run(capsys, "shapes", "--max-occ", "2", "--verify-exceptional")
-    assert code == 0
-    assert "confirmed" in err
-
-
 def test_closed_form_json(capsys):
     code, out, _ = run(capsys, "closed-form", "--occ", "1")
     assert code == 0
@@ -280,6 +274,16 @@ def _sidecar_no_maximal_shape(obj):
     obj["classes"].pop()  # classes are sorted, so the budget-3 maximal one is last
 
 
+def _sidecar_edited_row(obj):
+    # a value still in range and a census still met: only the digest sees it
+    row = next(row for row in obj["classes"] if row[3] == [0, 1, 1])
+    row[3] = [1, 1, 1]
+
+
+def _sidecar_old_format(obj):
+    obj["format_version"] = 1
+
+
 # defect of the sidecar -> (edit of its JSON object, or of its text, expected message)
 SIDECAR_DEFECTS = {
     "bad_json": (lambda text: text[:40], "bad JSON"),
@@ -287,6 +291,8 @@ SIDECAR_DEFECTS = {
     "negative_count": (_sidecar_negative_count, "out of range"),
     "census_mismatch": (_sidecar_extra_shape, "census"),
     "no_maximal_shape": (_sidecar_no_maximal_shape, "no maximal shape for budget 3"),
+    "edited_row": (_sidecar_edited_row, "differ from those it was written with"),
+    "old_format": (_sidecar_old_format, "unsupported format_version 1"),
 }
 
 
@@ -311,6 +317,15 @@ def test_unsound_sidecar_is_ignored_and_rewritten(capsys, monkeypatch, tmp_path,
     assert code == 0 and out == clean
     assert "ignoring cache" in err and message in err
     assert sidecar.read_text() == sound
+
+
+def test_search_that_loses_the_maximal_shape_fails_the_build(
+        capsys, tmp_path, search_without_maximal_shape):
+    path = tmp_path / "cat.jsonl"
+    code, out, err = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "no maximal shape for budget 3" in err
+    assert not path.exists() and not fold_path(path).exists()
 
 
 def test_catalog_without_sidecar_is_loaded_and_gains_one(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -19,15 +20,16 @@ from occ132 import (
 from occ132.kernel import analyze
 from occ132.perms import count_132_values
 from occ132.shapes import (
+    KNOWN_CAPACITY_CENSUS,
     CatalogError,
     StaleFoldError,
+    _check_counts,
     catalog_to_text,
     fold_catalog,
     fold_path,
     iter_kernel_permutations,
     load_fold,
     save_catalog,
-    verify_exceptional_uniqueness,
 )
 from test_kernel import feasible_cells_oracle
 
@@ -102,7 +104,7 @@ class TestEnumerate:
         assert got == want
 
     def test_threads_give_identical_catalog(self):
-        # budget 5 searches sizes up to 10, deep enough to start the pool
+        # budget 5 searches sizes up to 11, deep enough to start the pool
         a = enumerate_kernel_shapes(5, threads=1)
         b = enumerate_kernel_shapes(5, threads=2)
         assert catalog_to_text(a) == catalog_to_text(b)
@@ -126,9 +128,26 @@ class TestExceptionalShape:
         with pytest.raises(ValueError):
             exceptional_shape(0)
 
-    def test_uniqueness_by_exhaustion(self):
-        assert verify_exceptional_uniqueness(1)
-        assert verify_exceptional_uniqueness(2)
+    def test_search_finds_exactly_the_maximal_shape(self, catalog6):
+        for r in range(1, 7):
+            maximal = [rec.shape for rec in catalog6.records
+                       if rec.size == 2 * r + 1 and rec.capacity == r]
+            assert maximal == [exceptional_shape(r)], r
+
+    def test_second_maximal_shape_past_the_census_is_rejected(self):
+        counts = Counter({(1, 0): 1})
+        for c in range(1, len(KNOWN_CAPACITY_CENSUS)):
+            counts[(2 * c + 1, c)] = 1
+            counts[(2 * c, c)] = KNOWN_CAPACITY_CENSUS[c] - 1
+        counts[(15, 7)] = 1
+        _check_counts("counts", 7, counts)  # the census prefix holds
+        counts[(15, 7)] = 2
+        with pytest.raises(CatalogError, match="counts: 2 maximal shapes for budget 7"):
+            _check_counts("counts", 7, counts)
+
+    def test_search_that_loses_the_maximal_shape_fails(self, search_without_maximal_shape):
+        with pytest.raises(CatalogError, match="no maximal shape for budget 3"):
+            enumerate_kernel_shapes(3)
 
 
 class TestCensus:
