@@ -12,10 +12,9 @@ the empty tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .series import PoleAtOriginError, PowerSeries, poly_series, sqrt_one_minus_4x
 
@@ -282,8 +281,7 @@ def _frac_gcd(a: FracPoly, b: FracPoly) -> FracPoly:
     return a
 
 
-@dataclass(frozen=True)
-class RationalPoly:
+class RationalPoly(NamedTuple):
     """num/den with Fraction coefficients, den monic, gcd-reduced."""
 
     num: FracPoly
@@ -312,8 +310,7 @@ def _reduce_rational(num: FracPoly, den: FracPoly) -> RationalPoly:
     return RationalPoly(num, den)
 
 
-@dataclass(frozen=True)
-class PQForm:
+class PQForm(NamedTuple):
     """Split of an algebraic function as (P + Q*(1-4x)^(1/2-r)) / 2.
 
     P and Q come out as rational functions; ``polynomial`` records

@@ -22,6 +22,11 @@ sidecar is written again.  A catalog that changed after its sidecar was
 written, or that fails its checks, is rebuilt by search, and both files
 are written anew.  Negative bounds, and a ``--catalog`` or ``--out`` in
 a missing directory, are refused before any work.
+
+The oracle and the structure checks are imported by ``verify`` and
+``check-invariants``, the commands that run them, so a solver command
+loads only this module, ``shapes``, ``solver``, ``series`` and
+``algebraic``.
 """
 
 from __future__ import annotations
@@ -34,13 +39,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebraic import extract_pq, poly_eval
-from .invariants import (
-    STRUCTURE_CHECKS,
-    cell_order_totality,
-    one_sided_criterion_subsumed,
-    structure_sweep,
-)
-from .oracle import SWEEP_GUARD, OracleError, joint_tables, occurrence_counts
 from .shapes import (
     CatalogError,
     ShapeFold,
@@ -228,6 +226,8 @@ def _cmd_restricted(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import joint_tables, occurrence_counts
+
     if args.max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
     if args.k is not None and args.k < 1:
@@ -253,6 +253,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_invariants(args) -> int:
+    from .invariants import (
+        STRUCTURE_CHECKS,
+        cell_order_totality,
+        one_sided_criterion_subsumed,
+        structure_sweep,
+    )
+    from .oracle import SWEEP_GUARD
+
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     if args.max_n > SWEEP_GUARD:
@@ -278,11 +286,16 @@ def _cmd_check_invariants(args) -> int:
 
 def _cmd_conjectures(args) -> int:
     fold = _obtain_catalog(args.max_occ, args.catalog, args.threads)
-    # counterexamples as (size, cell count) classes
-    bad = sorted({(s, len(runs)) for s, _, _, runs in fold.classes if 1 < s < len(runs)})
-    print(f"size >= feasible-cell count for every shape != 1: "
-          f"{'holds' if not bad else 'counterexamples ' + repr(bad)} "
-          f"({sum(fold.classes.values())} shapes)")
+    # shapes of size > 1 within the budget, whatever a cached catalog holds
+    # beyond it; counterexamples as (size, cell count) classes
+    classes = {cls: m for cls, m in fold.classes.items() if cls[0] > 1 and cls[1] <= args.max_occ}
+    checked = sum(classes.values())
+    bad = sorted({(s, len(runs)) for s, _, _, runs in classes if s < len(runs)})
+    if not checked:
+        verdict = f"nothing to check (no shape of size > 1 at --max-occ {args.max_occ})"
+    else:
+        verdict = f"{'holds' if not bad else 'counterexamples ' + repr(bad)} ({checked} shapes)"
+    print(f"size >= feasible-cell count for every shape != 1: {verdict}")
     solver = Solver(fold)
     for r in range(1, args.max_occ + 1):
         form = extract_pq(solver.occurrence_closed_form(r), r)
@@ -377,12 +390,20 @@ def _check_arguments(args) -> None:
             raise FileNotFoundError(f"--{name} {path}: its directory does not exist")
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors main reports as one ``error:`` line.  OracleError is
+    among them once the oracle is loaded; before that nothing raises it."""
+    errors = (CatalogError, OSError, ValueError)
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    return errors if oracle is None else (*errors, oracle.OracleError)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_arguments(args)
         return args.func(args)
-    except (CatalogError, OracleError, OSError, ValueError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,6 @@ nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -29,17 +28,17 @@ def _coeff(value) -> int | Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
 class PowerSeries:
     """Coefficients of x^0..x^order, exact rationals."""
 
-    coeffs: tuple[int | Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int | Fraction, ...]):
+        if not coeffs:
             raise ValueError("a series carries at least the constant coefficient")
-        if not all(type(c) is int for c in self.coeffs):
-            object.__setattr__(self, "coeffs", tuple(_coeff(c) for c in self.coeffs))
+        if not all(type(c) is int for c in coeffs):
+            coeffs = tuple(_coeff(c) for c in coeffs)
+        self.coeffs = coeffs
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int | Fraction], order: int | None = None) -> PowerSeries:

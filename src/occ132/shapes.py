@@ -50,13 +50,16 @@ from __future__ import annotations
 import gc
 import json
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
-from multiprocessing import Pool
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
-from .kernel import KernelShapeRecord, shape_record
-from .perms import Permutation, lis_length
+# kernel, perms and multiprocessing are imported by the functions that
+# search, build, fold or parse records, so a solve from a fold sidecar
+# loads none of them.
+if TYPE_CHECKING:
+    from .kernel import KernelShapeRecord
+    from .perms import Permutation
 
 # CPython's own sha256 for the catalog digest: hashlib's loads OpenSSL,
 # which adds about 3.5 MiB to the resident set of every warm run, while
@@ -92,8 +95,7 @@ class StaleFoldError(CatalogError):
     """A catalog's bytes differ from those its fold sidecar was written from."""
 
 
-@dataclass(frozen=True)
-class ShapeCatalog:
+class ShapeCatalog(NamedTuple):
     """All kernel shapes usable up to a given occurrence budget."""
 
     max_occ: int
@@ -104,8 +106,7 @@ class ShapeCatalog:
 FoldClass = tuple[int, int, int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class ShapeFold:
+class ShapeFold(NamedTuple):
     """All a solver reads of a catalog: its budget and the number of
     shapes in each class.  A class's cell count is its number of runs."""
 
@@ -118,8 +119,7 @@ class ShapeFold:
         return {c: len(runs) for s, c, _, runs in self.classes if s == 2 * c + 1}
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Shape counts by size and by capacity, plus per-budget counts of
     newly usable shapes: those of capacity exactly r, minus the single
     maximal one of size 2r+1."""
@@ -246,6 +246,8 @@ def _search(max_size: int, max_occ: int, threads: int = 1) -> list[tuple[int, ..
     # Up to size 9 (budget 4) one process is faster than a pool: 6 ms against 15.
     if threads <= 1 or max_size <= 9:
         return _dfs(max_size, max_occ, [_root_state()])
+    from multiprocessing import Pool
+
     found, frontier = _frontier(_SPLIT_DEPTH, max_occ)
     chunks = [frontier[i :: 4 * threads] for i in range(4 * threads)]
     jobs = [(max_size, max_occ, chunk) for chunk in chunks if chunk]
@@ -258,6 +260,8 @@ def _search(max_size: int, max_occ: int, threads: int = 1) -> list[tuple[int, ..
 def iter_kernel_permutations(max_size: int) -> list[Permutation]:
     """All kernel permutations of size <= max_size, sorted by (size,
     one-line notation)."""
+    from .perms import Permutation
+
     found = _search(max_size, comb(max_size, 3))
     return [Permutation(pat) for pat in sorted(found, key=lambda pat: (len(pat), pat))]
 
@@ -269,6 +273,9 @@ def exceptional_shape(r: int) -> Permutation:
     reference for the shape the search finds; the constructor re-derives
     size, capacity and the feasible cells as a postcondition.
     """
+    from .kernel import shape_record
+    from .perms import Permutation
+
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     vals = [2 * r - 1, 2 * r + 1]
@@ -296,6 +303,9 @@ def enumerate_kernel_shapes(r: int, *, threads: int = 1) -> ShapeCatalog:
     :func:`load_catalog`, such as a budget without exactly one maximal
     shape.
     """
+    from .kernel import shape_record
+    from .perms import Permutation
+
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     found = sorted(_search(2 * r + 1, r, threads), key=lambda pat: (len(pat), pat))
@@ -355,6 +365,8 @@ def catalog_to_text(catalog: ShapeCatalog) -> str:
 
 def fold_catalog(catalog: ShapeCatalog) -> ShapeFold:
     """The one pass over a catalog's records: shapes counted by class."""
+    from .perms import lis_length
+
     classes = Counter(
         (rec.size, rec.capacity, lis_length(rec.shape.values), tuple(sorted(rec.lis_ne)))
         for rec in catalog.records
@@ -464,8 +476,10 @@ def _int_list(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)
 
 
-def _parse_record(line: str) -> KernelShapeRecord:
-    """One record line; raises CatalogError on bad JSON, a missing key or a wrong type."""
+def _record_fields(line: str) -> tuple:
+    """The fields of one record line as tuples: shape, size, capacity,
+    cells, lis_ne.  Raises CatalogError on bad JSON, a missing key or a
+    wrong type."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -487,11 +501,7 @@ def _parse_record(line: str) -> KernelShapeRecord:
         raise CatalogError("record field of the wrong type")
     if size != len(shape) or len(lis_ne) != len(cells):
         raise CatalogError("record sizes disagree")
-    try:
-        perm = Permutation(tuple(shape))
-    except ValueError as exc:
-        raise CatalogError(str(exc)) from None
-    return KernelShapeRecord(perm, size, capacity, tuple(map(tuple, cells)), tuple(lis_ne))
+    return tuple(shape), size, capacity, tuple(map(tuple, cells)), tuple(lis_ne)
 
 
 def load_catalog(path: str | Path) -> ShapeCatalog:
@@ -501,6 +511,9 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
     duplicated or out of order, on per-capacity counts that differ from
     the known census and on a budget without exactly one maximal shape.
     """
+    from .kernel import KernelShapeRecord
+    from .perms import Permutation
+
     try:
         text = Path(path).read_text().splitlines()
     except UnicodeDecodeError as exc:
@@ -521,8 +534,10 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
         if not line.strip():
             continue
         try:
-            records.append(_parse_record(line))
-        except CatalogError as exc:
+            shape, *fields = _record_fields(line)
+            records.append(KernelShapeRecord(Permutation(shape), *fields))
+        except (CatalogError, ValueError) as exc:
+            # Permutation raises ValueError on a shape that is not one
             raise CatalogError(f"{path}:{lineno}: {exc}") from None
     keys = [(rec.size, rec.shape.values) for rec in records]
     if any(a >= b for a, b in zip(keys, keys[1:])):

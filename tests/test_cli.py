@@ -1,11 +1,22 @@
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from occ132 import cli, enumerate_kernel_shapes, extract_pq, load_catalog, oracle, save_catalog
+import occ132
+from occ132 import (
+    cli,
+    enumerate_kernel_shapes,
+    extract_pq,
+    invariants,
+    load_catalog,
+    oracle,
+    save_catalog,
+)
 from occ132.cli import main
 from occ132.oracle import SWEEP_GUARD
 from occ132.shapes import CatalogError, fold_path, load_fold
@@ -135,6 +146,23 @@ def test_conjectures(capsys):
     assert code == 0
     assert "holds" in out
     assert "occ 2: split polynomial" in out
+
+
+def test_conjectures_counts_only_the_shapes_it_checks(capsys, tmp_path):
+    # 28 shapes have capacity <= 3; the size-1 shape is exempt from the check
+    code, out, _ = run(capsys, "conjectures", "--max-occ", "3", "--threads", "1")
+    assert code == 0
+    assert out.splitlines()[0].endswith(": holds (27 shapes)")
+    # a cached catalog of a larger budget leaves the count as it is
+    catalog = tmp_path / "c4.jsonl"
+    save_catalog(enumerate_kernel_shapes(4), catalog)
+    code, cached, _ = run(capsys, "conjectures", "--max-occ", "3", "--catalog", str(catalog))
+    assert code == 0 and cached == out
+    # budget 0 has the size-1 shape only: nothing is checked, and nothing holds
+    code, out, _ = run(capsys, "conjectures", "--max-occ", "0", "--threads", "1")
+    assert code == 0
+    assert out == ("size >= feasible-cell count for every shape != 1: "
+                   "nothing to check (no shape of size > 1 at --max-occ 0)\n")
 
 
 def test_unknown_flag_is_usage_error():
@@ -365,6 +393,43 @@ def test_warm_run_reads_the_sidecar_only(capsys, monkeypatch, tmp_path):
     assert out == clean
 
 
+WARM_SOLVES = (
+    ("gf", "--occ", "3", "--order", "12"),
+    ("closed-form", "--occ", "3"),
+    ("restricted", "--occ", "3", "--k", "3", "--order", "12"),
+)
+# Modules a solve from a sound sidecar never runs, so never imports.
+OFF_THE_SOLVER_PATH = ("dataclasses", "multiprocessing", "occ132.kernel", "occ132.perms",
+                       "occ132.oracle", "occ132.invariants")
+# Runs the CLI on argv[2:], then writes which of the comma-separated
+# modules in argv[1] it loaded to stderr as a JSON list.
+LOADED_PROBE = """
+import json, sys
+from occ132.cli import main
+code = main(sys.argv[2:])
+print(json.dumps([name for name in sys.argv[1].split(",") if name in sys.modules]), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_warm_solves_import_only_the_solver_path(capsys, tmp_path):
+    catalog = tmp_path / "c3.jsonl"
+    save_catalog(enumerate_kernel_shapes(3), catalog)
+    assert fold_path(catalog).exists()
+    src = str(Path(occ132.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv in WARM_SOLVES:
+        code, cold, _ = run(capsys, *argv, "--threads", "1")
+        assert code == 0
+        warm = subprocess.run(
+            [sys.executable, "-c", LOADED_PROBE, ",".join(OFF_THE_SOLVER_PATH), *argv,
+             "--threads", "2", "--catalog", str(catalog)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert warm.returncode == 0, warm.stderr
+        assert warm.stdout == cold, argv
+        assert warm.stderr.splitlines() == ["[]"], argv
+
+
 def test_unwritable_sidecar_still_serves(capsys, monkeypatch, tmp_path):
     path = tmp_path / "cat.jsonl"
     run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(path))
@@ -407,7 +472,7 @@ def test_check_invariants_refuses_beyond_sweep_guard(capsys, monkeypatch):
         raise AssertionError("a sweep started")
 
     monkeypatch.setattr(cli, "iter_kernel_permutations", no_sweep)
-    monkeypatch.setattr(cli, "structure_sweep", no_sweep)
+    monkeypatch.setattr(invariants, "structure_sweep", no_sweep)
     code, out, err = run(capsys, "check-invariants", "--max-n", str(SWEEP_GUARD + 2))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "sweep guard" in err
@@ -456,7 +521,7 @@ def test_closed_form_refuses_non_integer_coefficient(capsys, monkeypatch):
     def half_integer_p(af, r):
         form = extract_pq(af, r)
         half = (Fraction(1, 2), *form.P.num[1:])
-        return replace(form, P=replace(form.P, num=half))
+        return form._replace(P=form.P._replace(num=half))
 
     monkeypatch.setattr(occ132.cli, "extract_pq", half_integer_p)
     code, out, err = run(capsys, "closed-form", "--occ", "1")
@@ -481,7 +546,7 @@ def test_closed_form_prints_a_non_polynomial_split_exactly(capsys, monkeypatch):
 
     def rational_q(af, r):
         form = extract_pq(af, r)
-        return replace(form, Q=replace(form.Q, den=(Fraction(0), Fraction(1, 3))))
+        return form._replace(Q=form.Q._replace(den=(Fraction(0), Fraction(1, 3))))
 
     monkeypatch.setattr(occ132.cli, "extract_pq", rational_q)
     code, out, err = run(capsys, "closed-form", "--occ", "1")
@@ -543,8 +608,9 @@ NEGATIVE_BOUNDS = {
 
 @pytest.mark.parametrize("case", sorted(NEGATIVE_BOUNDS))
 def test_negative_bounds_are_refused_before_any_work(capsys, monkeypatch, tmp_path, case):
-    for name in ("_obtain_catalog", "enumerate_kernel_shapes", "joint_tables"):
+    for name in ("_obtain_catalog", "enumerate_kernel_shapes"):
         monkeypatch.setattr(cli, name, _fail(name))
+    monkeypatch.setattr(oracle, "joint_tables", _fail("joint_tables"))
     catalog = tmp_path / "c.jsonl"
     argv = NEGATIVE_BOUNDS[case]
     if argv[0] != "shapes":
