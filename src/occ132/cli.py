@@ -21,7 +21,13 @@ sidecar costs a full load with every record check, after which the
 sidecar is written again.  A catalog that changed after its sidecar was
 written, or that fails its checks, is rebuilt by search, and both files
 are written anew.  Negative bounds, and a ``--catalog`` or ``--out`` in
-a missing directory, are refused before any work.
+a missing directory, are refused before any work.  A closed stdout (as
+under ``occ132 ... | head -1``) ends a command with exit 1 and no
+message.
+
+``verify --occ R`` sweeps the brute-force oracle with the occurrence
+budget R, so it visits only the permutations that can have at most R
+occurrences.
 
 The oracle and the structure checks are imported by ``verify`` and
 ``check-invariants``, the commands that run them, so a solver command
@@ -233,7 +239,7 @@ def _cmd_verify(args) -> int:
     if args.k is not None and args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     # every n in one sweep, and the oracle's guard before any catalog work
-    tables = joint_tables(range(args.max_n + 1), threads=args.threads)
+    tables = joint_tables(range(args.max_n + 1), threads=args.threads, max_occ=args.occ)
     solver = Solver(_obtain_catalog(args.occ, args.catalog, args.threads), args.max_n)
     if args.k is None:
         series = solver.occurrence_series(args.occ)
@@ -402,7 +408,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_arguments(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early, as by ``occ132 ... | head -1``: not an
+        # error of the run.  The rest of the output goes to devnull, so
+        # that the flush at interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,13 +3,14 @@
 ``joint_tables(ns)`` sweeps each S_n once and returns its joint table:
 for every pair (occurrences of 132, length of the longest increasing
 subsequence), the number of permutations with that pair.  Tables are
-cached per process, so each n is enumerated at most once.  Every count
-the oracle answers is a marginal of one table, read by
-``occurrence_counts(table, k)``: permutations by number of occurrences,
-all of them or only those avoiding 12...k (LIS length < k).  With
-k <= 0 no permutation qualifies, as for ``avoids_monotone(pi, 0)``.
-The sweep guard SWEEP_GUARD = 10 is fixed: n above it (S_11 has about
-4e7 permutations) or below 0 raises :class:`OracleError`.
+cached per process, so each n is swept again only for a larger
+budget.  Every count the oracle answers is a marginal of one table,
+read by ``occurrence_counts(table, k)``: permutations by number of
+occurrences, all of them or only those avoiding 12...k (LIS length
+< k).  With k <= 0 no permutation qualifies, as for
+``avoids_monotone(pi, 0)``.  The sweep guard SWEEP_GUARD = 10 is fixed:
+n above it (S_11 has about 4e7 permutations) or below 0 raises
+:class:`OracleError`.
 
 A sweep is a depth-first walk of the lexicographic prefix tree, so
 neighbouring permutations share their prefix and its counts.  Each
@@ -21,6 +22,22 @@ D vector is the state of Noonan and Zeilberger's functional-equation
 method.)  Appending w adds D[w] occurrences (w closes each such pair as
 a 2), adds to D[u] the placed values below u for every unplaced u < w,
 and moves w into the tails, so a node costs O(n).
+
+``joint_tables(ns, max_occ=b)`` sweeps with the occurrence budget b and
+returns only the rows with at most b occurrences, each of them
+complete; without a budget it is C(n, 3), which no permutation of S_n
+exceeds.  The walk skips every prefix whose occurrences plus the sum of
+D[u] over its unplaced u exceed the budget, because that sum is a lower
+bound on the occurrences of every completion: wherever u is appended
+later, each placed pair i < j with pi(i) < u < pi(j) forms an occurrence
+with u as its 2; these occurrences are distinct for distinct u, and
+D[u] never shrinks as values are appended.  The child that appends the
+t-th smallest unplaced value has the bound of its parent plus the
+placed values below each of the t smaller unplaced values (their D
+gains them, and the appended D[w] moves into occ), so the bound grows
+with t: once one child is skipped, so are all later ones.  A cached
+table serves every request whose budget is at most its own, filtered
+to that budget; a larger request sweeps again and replaces it.
 
 The last three unplaced values a < b < c are closed in one step.  With
 S = occ + D[a] + D[b] + D[c], pa = a - 1 and pb = b - 2 placed values
@@ -35,7 +52,8 @@ run ending at an appended x is one more than the largest of ix and the
 runs ending at the appended entries placed before x and below it; the
 LIS is the largest of these runs and len(tails).  Permutations of size
 up to 3 never have three unplaced values below the root, so they end at
-the empty leaf, one permutation at a time.
+the empty leaf, one permutation at a time.  A closed block may tally
+orders above the budget; those rows are incomplete and are dropped.
 
 A sweep tallies into one flat list of (C(n,3) + 1) * (n + 1) counts,
 indexed occ * (n + 1) + lis, which the parent sums and turns into the
@@ -45,7 +63,12 @@ Every SPOT_CHECK_STRIDE-th permutation by lexicographic index is
 recounted independently, with the cubic listing scan and with
 ``lis_length``; a disagreement raises :class:`OracleError`.  The stride
 is prime and coprime to 6, so the spot-checks fall on every position of
-the six-leaf blocks.
+the six-leaf blocks.  The lexicographic index runs over skipped
+subtrees too, so a budgeted sweep spot-checks each visited permutation
+at the index an unbudgeted one would.  A skipped subtree that holds one
+or more stride indices has the permutation at its first such index
+recounted with the listing scan, and :class:`OracleError` is raised
+unless it exceeds the budget: the skip is checked, not trusted.
 
 Sweeps are partitioned by the leading entry, which makes them trivially
 data-parallel; partial tallies merge by addition, so results do not
@@ -57,7 +80,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from multiprocessing import Pool
 from typing import Iterable
 
 from .perms import Permutation, lis_length, occurrences_132
@@ -91,18 +113,38 @@ def _spot_check(values: tuple[int, ...], occ: int, lis: int) -> None:
         raise OracleError(f"sweep LIS disagrees with patience sorting on {values}: {lis} vs {longest}")
 
 
+def _check_skipped(values: tuple[int, ...], budget: int) -> None:
+    """Recount one permutation of a skipped subtree with the cubic listing
+    scan; it must have more occurrences than the budget."""
+    listed = len(occurrences_132(Permutation(values)))
+    if listed <= budget:
+        raise OracleError(
+            f"sweep skipped {values}, which has {listed} occurrences, within the budget {budget}")
+
+
+def _nth_permutation(values: list[int], k: int) -> tuple[int, ...]:
+    """The permutation of the ascending `values` at lexicographic index `k`."""
+    values = values.copy()
+    out = []
+    for i in range(len(values) - 1, -1, -1):
+        q, k = divmod(k, math.factorial(i))
+        out.append(values.pop(q))
+    return tuple(out)
+
+
 def _tally_size(n: int) -> int:
     """Length of the flat tally of S_n: occurrences 0..C(n,3), lis 0..n."""
     return (math.comb(n, 3) + 1) * (n + 1)
 
 
-def _sweep_class(n: int, first: int, start_index: int) -> list[int]:
+def _sweep_class(n: int, first: int, start_index: int, budget: int) -> list[int]:
     """Flat joint tally over the permutations of S_n starting with `first`.
 
     Entry occ * (n + 1) + lis counts those with occ occurrences and LIS
-    length lis.  Walks the lexicographic prefix tree depth first;
-    `start_index` is the lexicographic index of the first permutation,
-    which places the spot-checks.
+    length lis; entries with occ <= `budget` are complete.  Walks the
+    lexicographic prefix tree depth first, skipping the prefixes whose
+    completions all exceed the budget; `start_index` is the lexicographic
+    index of the first permutation, which places the spot-checks.
     """
     width = n + 1
     tally = [0] * _tally_size(n)
@@ -110,10 +152,11 @@ def _sweep_class(n: int, first: int, start_index: int) -> list[int]:
     index = start_index
     next_check = -(-start_index // SPOT_CHECK_STRIDE) * SPOT_CHECK_STRIDE
 
-    def walk(rest: list[int], between: list[int], occ: int, tails: list[int]) -> None:
+    def walk(rest: list[int], between: list[int], occ: int, tails: list[int], bound: int) -> None:
         # rest: unplaced values, ascending; between[t]: placed pairs i < j
         # with pi(i) < rest[t] < pi(j).  rest[t] - 1 - t placed values lie
-        # below rest[t].
+        # below rest[t].  bound = occ + sum(between), at most the budget;
+        # in the loop, the bound of child t.
         nonlocal index, next_check
         if len(rest) == 3:
             a, b, c = rest
@@ -149,6 +192,18 @@ def _sweep_class(n: int, first: int, start_index: int) -> list[int]:
             index += 1
             return
         for t, w in enumerate(rest):
+            if bound > budget:
+                # skip this child and the later ones, recounting each
+                # subtree's first stride index, if it has one
+                size = math.factorial(len(rest) - 1)
+                for u, skipped in enumerate(rest[t:], t):
+                    end = index + size
+                    if next_check < end:
+                        tail = _nth_permutation(rest[:u] + rest[u + 1 :], next_check - index)
+                        _check_skipped((*prefix, skipped, *tail), budget)
+                        next_check += -(-(end - next_check) // SPOT_CHECK_STRIDE) * SPOT_CHECK_STRIDE
+                    index = end
+                return
             child_tails = tails.copy()
             i = bisect_left(tails, w)
             if i == len(tails):
@@ -162,55 +217,78 @@ def _sweep_class(n: int, first: int, start_index: int) -> list[int]:
                 + between[t + 1 :],
                 occ + between[t],
                 child_tails,
+                bound,
             )
             prefix.pop()
+            # the later children add the w - 1 - t placed values below w to D[w]
+            bound += w - 1 - t
 
-    walk([v for v in range(1, n + 1) if v != first], [0] * (n - 1), 0, [first])
+    walk([v for v in range(1, n + 1) if v != first], [0] * (n - 1), 0, [first], 0)
     return tally
 
 
 def _sweep_class_args(args) -> list[int]:
     return _sweep_class(*args)
 
-_joint_cache: dict[int, dict[tuple[int, int], int]] = {}
+
+# n -> (budget, joint table of S_n restricted to occurrences <= budget)
+_joint_cache: dict[int, tuple[int, dict[tuple[int, int], int]]] = {}
 
 
-def joint_tables(ns: Iterable[int], *, threads: int = 1) -> dict[int, dict[tuple[int, int], int]]:
+def joint_tables(
+    ns: Iterable[int], *, threads: int = 1, max_occ: int | None = None
+) -> dict[int, dict[tuple[int, int], int]]:
     """Map each n in `ns` to its joint table, (occurrences, lis length) ->
-    number of permutations in S_n.
+    number of permutations in S_n; with `max_occ`, only the rows with at
+    most that many occurrences.
 
-    Every uncached n is swept in one pass: its first-entry classes are
-    jobs, largest n first so the longest jobs start first, and with
-    threads > 1 they all go through one worker pool.
+    Every n whose cached table has a smaller budget, or none, is swept in
+    one pass: its first-entry classes are jobs, largest n first so the
+    longest jobs start first, and with threads > 1 they all go through
+    one worker pool.
     """
+    if max_occ is not None and max_occ < 0:
+        raise OracleError(f"max_occ must be nonnegative, got {max_occ}")
     ns = sorted(set(ns), reverse=True)
     for n in ns:
         _check_guard(n)
-    todo = [n for n in ns if n not in _joint_cache]
+    budgets = {n: math.comb(n, 3) if max_occ is None else min(max_occ, math.comb(n, 3)) for n in ns}
+    todo = [n for n in ns if n not in _joint_cache or _joint_cache[n][0] < budgets[n]]
     jobs = [
-        (n, first, (first - 1) * math.factorial(n - 1))
+        (n, first, (first - 1) * math.factorial(n - 1), budgets[n])
         for n in todo
         for first in range(1, n + 1)
     ]
     if threads > 1 and jobs:
+        from multiprocessing import Pool
+
         with Pool(threads) as pool:
             parts = pool.map(_sweep_class_args, jobs, chunksize=1)
     else:
         parts = [_sweep_class(*job) for job in jobs]
     merged = {n: [0] * _tally_size(n) for n in todo}
-    for (n, _, _), part in zip(jobs, parts):
+    for (n, *_), part in zip(jobs, parts):
         merged[n] = [x + y for x, y in zip(merged[n], part)]
     for n, tally in merged.items():
-        _joint_cache[n] = (
-            {divmod(key, n + 1): count for key, count in enumerate(tally) if count}
+        complete = tally[: (budgets[n] + 1) * (n + 1)]
+        _joint_cache[n] = budgets[n], (
+            {divmod(key, n + 1): count for key, count in enumerate(complete) if count}
             if n else {(0, 0): 1}
         )
-    return {n: _joint_cache[n] for n in ns}
+    tables = {}
+    for n in ns:
+        budget, table = _joint_cache[n]
+        if budget > budgets[n]:
+            table = {key: count for key, count in table.items() if key[0] <= budgets[n]}
+        tables[n] = table
+    return tables
 
 
 def occurrence_counts(table: dict[tuple[int, int], int], k: int | None = None) -> dict[int, int]:
     """Permutations of one joint table by number of occurrences, sorted by
     that number; with k, only those with LIS length < k (avoiding 12...k).
+    A table swept with a budget has the rows with at most that many
+    occurrences only, so the counts above the budget are missing, not 0.
 
     >>> occurrence_counts(joint_tables([4])[4])
     {0: 14, 1: 5, 2: 4, 3: 1}

@@ -20,6 +20,7 @@ from occ132 import (
     extract_pq,
     joint_tables,
     occurrence_counts,
+    oracle,
 )
 from occ132.algebraic import poly_eval
 from occ132.cli import main
@@ -28,6 +29,7 @@ from occ132.invariants import (
     one_sided_criterion_subsumed,
     structure_sweep,
 )
+from occ132.oracle import SWEEP_GUARD
 from occ132.series import PowerSeries
 from occ132.shapes import catalog_to_text, save_catalog
 
@@ -200,6 +202,17 @@ def test_criterion_07_oracle_agreement(solver):
         for r in range(7):
             ok = ok and solver.occurrence_series(r)[n] == counts.get(r, 0)
     report(7, ok, "series coefficients equal brute-force counts for r <= 6, n <= 9")
+
+
+def test_brute_force_at_the_sweep_guard(solver):
+    # criterion 07 stops at n = 9; a sweep with budget 6 visits only the
+    # permutations of S_10 that can have at most 6 occurrences
+    oracle._joint_cache.pop(SWEEP_GUARD, None)
+    table = joint_tables([SWEEP_GUARD], max_occ=6, threads=2)[SWEEP_GUARD]
+    assert max(occ for occ, _ in table) == 6
+    counts = occurrence_counts(table)
+    for r in range(7):
+        assert solver.occurrence_series(r)[SWEEP_GUARD] == counts[r], r
 
 
 def test_criterion_08_structure_suites(catalog6):

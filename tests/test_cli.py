@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -110,7 +111,7 @@ def test_verify_matches_benchmark_reference(capsys, reference, threads):
 
 def test_verify_sweeps_every_n_in_one_pool(capsys, monkeypatch):
     pools = []
-    real_pool = oracle.Pool
+    real_pool = multiprocessing.Pool
 
     def counting_pool(*args, **kwargs):
         pools.append(args)
@@ -118,11 +119,23 @@ def test_verify_sweeps_every_n_in_one_pool(capsys, monkeypatch):
 
     # an empty cache, so every n is swept; the shared cache comes back after
     monkeypatch.setattr(oracle, "_joint_cache", {})
-    monkeypatch.setattr(oracle, "Pool", counting_pool)
+    # the oracle imports Pool when it sweeps with workers
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     code, out, _ = run(capsys, *VERIFY_REFERENCES["verify2"], "--threads", "2")
     assert code == 0
     assert len(pools) == 1
     assert sorted(oracle._joint_cache) == list(range(10))
+
+
+def test_verify_levels_in_one_process(capsys, monkeypatch):
+    # each run sweeps with its own budget; the budget-0 tables cached by
+    # the first lack the rows the second reads
+    monkeypatch.setattr(oracle, "_joint_cache", {})
+    columns = {"0": [1, 1, 2, 5, 14, 42, 132, 429], "1": [0, 0, 0, 1, 5, 21, 84, 330]}
+    for occ, want in columns.items():
+        code, out, _ = run(capsys, "verify", "--occ", occ, "--max-n", "7", "--threads", "1")
+        assert code == 0 and "MISMATCH" not in out
+        assert [int(line.split()[2]) for line in out.splitlines()[1:]] == want, occ
 
 
 def test_check_invariants(capsys):
@@ -412,12 +425,17 @@ sys.exit(code)
 """
 
 
+def cli_env():
+    """The environment of a CLI subprocess that imports this package."""
+    src = str(Path(occ132.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_warm_solves_import_only_the_solver_path(capsys, tmp_path):
     catalog = tmp_path / "c3.jsonl"
     save_catalog(enumerate_kernel_shapes(3), catalog)
     assert fold_path(catalog).exists()
-    src = str(Path(occ132.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = cli_env()
     for argv in WARM_SOLVES:
         code, cold, _ = run(capsys, *argv, "--threads", "1")
         assert code == 0
@@ -428,6 +446,32 @@ def test_warm_solves_import_only_the_solver_path(capsys, tmp_path):
         assert warm.returncode == 0, warm.stderr
         assert warm.stdout == cold, argv
         assert warm.stderr.splitlines() == ["[]"], argv
+
+
+def test_check_invariants_does_not_load_multiprocessing():
+    # the command reads the oracle's sweep guard but never sweeps
+    probe = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, "multiprocessing,occ132.invariants",
+         "check-invariants", "--max-n", "3"],
+        capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stderr.splitlines() == ['["occ132.invariants"]']
+
+
+def test_closed_stdout_is_not_reported_as_an_error():
+    # stdout is a pipe whose read end is closed before the command starts,
+    # so its first write fails, as under ``occ132 ... | head -1``
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from occ132.cli import main; sys.exit(main())",
+             "gf", "--occ", "1", "--order", "6", "--threads", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_unwritable_sidecar_still_serves(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import Counter
 from itertools import permutations
@@ -27,6 +28,11 @@ def per_permutation_joint_table(n):
 
 def counts(n, k=None):
     return occurrence_counts(joint_tables([n])[n], k)
+
+
+def cut(table, budget):
+    """The rows of a joint table with at most `budget` occurrences."""
+    return {key: c for key, c in table.items() if budget is None or key[0] <= budget}
 
 
 def test_count_exact_examples():
@@ -138,6 +144,83 @@ def test_spot_checks_reach_every_order_of_the_closed_leaf(monkeypatch):
     joint_tables([7])
     orders = {tuple(sorted(values[-3:]).index(v) for v in values[-3:]) for values in seen}
     assert orders == set(permutations(range(3)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_budgeted_tables_are_the_full_tables_cut_at_the_budget(monkeypatch, threads):
+    monkeypatch.setattr(oracle, "_joint_cache", {})
+    full = joint_tables(range(9))
+    for budget in range(math.comb(8, 3) + 2):
+        # each n up to one past its largest budget C(n, 3), in one batch
+        ns = [n for n in range(9) if budget <= math.comb(n, 3) + 1]
+        monkeypatch.setattr(oracle, "_joint_cache", {})
+        got = joint_tables(ns, threads=threads, max_occ=budget)
+        assert got == {n: cut(full[n], budget) for n in ns}, budget
+
+
+def test_cache_answers_only_budgets_up_to_its_own(monkeypatch):
+    full = per_permutation_joint_table(6)
+    for small in (0, 1):
+        for larger in (small + 1, 5, None):
+            monkeypatch.setattr(oracle, "_joint_cache", {})
+            assert joint_tables([6], max_occ=small)[6] == cut(full, small)
+            assert joint_tables([6], max_occ=larger)[6] == cut(full, larger), (small, larger)
+    assert sorted(oracle._joint_cache) == [6]
+
+    # the full table now cached answers every budget without a sweep
+    def no_sweep(*args):
+        raise AssertionError("a cached full table was swept again")
+
+    monkeypatch.setattr(oracle, "_sweep_class", no_sweep)
+    for budget in range(math.comb(6, 3) + 2):
+        assert joint_tables([6], max_occ=budget)[6] == cut(full, budget), budget
+    assert joint_tables([6])[6] == full
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(OracleError, match="max_occ"):
+        joint_tables([5], max_occ=-1)
+
+
+def test_budgeted_spot_checks_keep_the_stride(monkeypatch):
+    # a budgeted sweep spot-checks its visited permutations at the stride
+    # indices of the full sweep, and recounts one permutation of each
+    # skipped subtree that holds a stride index
+    visited, skipped = [], []
+    monkeypatch.setattr(oracle, "_spot_check", lambda values, occ, lis: visited.append(values))
+    monkeypatch.setattr(oracle, "_check_skipped", lambda values, budget: skipped.append(values))
+    strided = list(permutations(range(1, 8)))[:: oracle.SPOT_CHECK_STRIDE]
+    for budget in (0, 2, 5):
+        visited.clear()
+        skipped.clear()
+        monkeypatch.setattr(oracle, "_joint_cache", {})
+        joint_tables([7], max_occ=budget)
+        assert skipped, budget
+        assert sorted(visited + skipped) == sorted(set(visited + skipped))
+        assert set(visited + skipped) <= set(strided)
+        # every stride permutation within the budget lies in a visited leaf
+        within = {v for v in strided if count_132_values(v) <= budget}
+        assert within <= set(visited), budget
+        assert all(count_132_values(v) > budget for v in skipped), budget
+
+
+def test_off_by_one_skip_is_caught_by_the_recount():
+    # the module compiled again with the skip test ">=" for ">": it skips
+    # prefixes whose every completion may still have exactly the budget
+    source = inspect.getsource(oracle)
+    assert source.count("if bound > budget:") == 1
+
+    def compiled(text):
+        namespace = {"__name__": "occ132._oracle_copy", "__package__": "occ132"}
+        exec(compile(text, "occ132/_oracle_copy.py", "exec"), namespace)
+        return namespace
+
+    for budget in range(4):
+        intact = compiled(source)
+        assert intact["joint_tables"]([8], max_occ=budget)[8] == cut(joint_tables([8])[8], budget)
+        planted = compiled(source.replace("if bound > budget:", "if bound >= budget:"))
+        with pytest.raises(planted["OracleError"], match="skipped"):
+            planted["joint_tables"]([8], max_occ=budget)
 
 
 def hook_length_count(shape):
