@@ -404,22 +404,52 @@ def _reported_errors() -> tuple[type[Exception], ...]:
     return errors if oracle is None else (*errors, oracle.OracleError)
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away, as under ``occ132 ... | head -1``."""
+
+
+class _GuardedStdout:
+    """sys.stdout while a command runs.  A write or flush that fails with
+    a broken pipe raises _StdoutClosed, so that main tells a closed stdout
+    apart from a broken pipe elsewhere (an ``--out`` FIFO, a worker pipe)."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError as exc:
+            raise _StdoutClosed from exc
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except BrokenPipeError as exc:
+            raise _StdoutClosed from exc
+
+    def __getattr__(self, name: str):
+        return getattr(self.stream, name)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    stdout, sys.stdout = sys.stdout, _GuardedStdout(sys.stdout)
     try:
         _check_arguments(args)
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # stdout was closed early, as by ``occ132 ... | head -1``: not an
-        # error of the run.  The rest of the output goes to devnull, so
-        # that the flush at interpreter exit does not fail a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except _StdoutClosed:
+        # not an error of the run.  The rest of the output goes to devnull,
+        # so that the flush at interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
         return 1
     except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

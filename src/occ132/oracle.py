@@ -67,7 +67,8 @@ the six-leaf blocks.  The lexicographic index runs over skipped
 subtrees too, so a budgeted sweep spot-checks each visited permutation
 at the index an unbudgeted one would.  A skipped subtree that holds one
 or more stride indices has the permutation at its first such index
-recounted with the listing scan, and :class:`OracleError` is raised
+recounted with the quadratic ``count_132_values``, which shares nothing
+with the walk's D vector, and :class:`OracleError` is raised
 unless it exceeds the budget: the skip is checked, not trusted.
 
 Sweeps are partitioned by the leading entry, which makes them trivially
@@ -82,7 +83,7 @@ import math
 from bisect import bisect_left
 from typing import Iterable
 
-from .perms import Permutation, lis_length, occurrences_132
+from .perms import Permutation, count_132_values, lis_length, occurrences_132
 
 SWEEP_GUARD = 10
 
@@ -114,12 +115,12 @@ def _spot_check(values: tuple[int, ...], occ: int, lis: int) -> None:
 
 
 def _check_skipped(values: tuple[int, ...], budget: int) -> None:
-    """Recount one permutation of a skipped subtree with the cubic listing
-    scan; it must have more occurrences than the budget."""
-    listed = len(occurrences_132(Permutation(values)))
-    if listed <= budget:
+    """Recount one permutation of a skipped subtree with the quadratic
+    count; it must have more occurrences than the budget."""
+    counted = count_132_values(values)
+    if counted <= budget:
         raise OracleError(
-            f"sweep skipped {values}, which has {listed} occurrences, within the budget {budget}")
+            f"sweep skipped {values}, which has {counted} occurrences, within the budget {budget}")
 
 
 def _nth_permutation(values: list[int], k: int) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 import os
@@ -472,6 +473,25 @@ def test_closed_stdout_is_not_reported_as_an_error():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_broken_pipe_outside_stdout_is_an_error(capsys, monkeypatch, tmp_path):
+    # an --out whose reader went away (a FIFO, say) fails the write with
+    # EPIPE; that is a failed run, not a closed stdout
+    target = tmp_path / "gf.json"
+    write_text = Path.write_text
+
+    def broken(self, *args, **kwargs):
+        if self == target:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", broken)
+    stdout = sys.stdout
+    code, out, err = run(capsys, "gf", "--occ", "1", "--order", "6", "--threads", "1",
+                         "--out", str(target))
+    assert (code, out, err) == (2, "", "error: [Errno 32] Broken pipe\n")
+    assert sys.stdout is stdout
 
 
 def test_unwritable_sidecar_still_serves(capsys, monkeypatch, tmp_path):
