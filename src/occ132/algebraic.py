@@ -6,6 +6,11 @@ common integer content, cancelling shared powers of x and of (1 - 4x),
 and making d's leading coefficient positive; equality is then decided
 by cross-multiplication, so no canonical-form argument is needed.
 
+The paper's split of level r, (P + Q*(1-4x)^(1/2-r)) / 2, is a
+:class:`PQForm` holding the integer polynomials 2P and 2Q.
+:func:`extract_pq` finds them by exact division in Z[x] and refuses a
+level whose split is not an integer polynomial.
+
 Polynomials are ascending coefficient tuples; the zero polynomial is
 the empty tuple.
 """
@@ -13,13 +18,12 @@ the empty tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .series import PoleAtOriginError, PowerSeries, poly_series, sqrt_one_minus_4x
 
 IntPoly = tuple[int, ...]
-FracPoly = tuple[Fraction, ...]
 
 ONE_MINUS_4X: IntPoly = (1, -4)
 
@@ -257,99 +261,53 @@ def af_to_series(a: AlgebraicFunction, order: int) -> PowerSeries:
 # -- the split form P, Q ---------------------------------------------------
 
 
-def _frac_divmod(a: FracPoly, b: FracPoly) -> tuple[FracPoly, FracPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(rem) - len(b), -1, -1):
-        factor = rem[i + len(b) - 1] / b[-1]
-        quot[i] = factor
-        if factor:
-            for j, bj in enumerate(b):
-                rem[i + j] -= factor * bj
-    return _trim(quot), _trim(rem)
+def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> IntPoly | None:
+    """num / den in Z[x], or None when den does not divide num there.
 
-
-def _frac_gcd(a: FracPoly, b: FracPoly) -> FracPoly:
-    while b:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
-
-
-class RationalPoly(NamedTuple):
-    """num/den with Fraction coefficients, den monic, gcd-reduced."""
-
-    num: FracPoly
-    den: FracPoly
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == (Fraction(1),)
-
-    def as_polynomial(self) -> FracPoly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
-
-def _reduce_rational(num: FracPoly, den: FracPoly) -> RationalPoly:
-    if not num:
-        return RationalPoly((), (Fraction(1),))
-    g = _frac_gcd(num, den)
-    if len(g) > 1:
-        num, _ = _frac_divmod(num, g)
-        den, _ = _frac_divmod(den, g)
-    lead = den[-1]
-    num = tuple(c / lead for c in num)
-    den = tuple(c / lead for c in den)
-    return RationalPoly(num, den)
+    Long division from the top.  A step that den's leading coefficient
+    does not divide leaves its remainder in place, so the division is
+    exact when no remainder is left.  The quotient of two polynomials
+    does not depend on how they are written, so no gcd is needed.
+    """
+    rem = list(num)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(den) - 1] // den[-1]
+        quot[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                rem[i + j] -= c * dj
+    return None if any(rem) else _trim(quot)
 
 
 class PQForm(NamedTuple):
-    """Split of an algebraic function as (P + Q*(1-4x)^(1/2-r)) / 2.
-
-    P and Q come out as rational functions; ``polynomial`` records
-    whether both divisions were exact.
-    """
+    """Split of an algebraic function as (P + Q*(1-4x)^(1/2-r)) / 2,
+    held as the integer polynomials 2P and 2Q."""
 
     r: int
-    P: RationalPoly
-    Q: RationalPoly
-
-    @property
-    def polynomial(self) -> bool:
-        return self.P.is_polynomial and self.Q.is_polynomial
+    two_P: IntPoly
+    two_Q: IntPoly
 
 
 def extract_pq(a: AlgebraicFunction, r: int) -> PQForm:
-    """Write a = (P + Q*(1-4x)^(1/2-r))/2, i.e. P = 2p/d and
-    Q = 2q*(1-4x)^r / d, reducing whatever does not divide exactly."""
+    """Write a = (P + Q*(1-4x)^(1/2-r))/2, i.e. 2P = 2p/d and
+    2Q = 2q*(1-4x)^r / d.
+
+    Raises ValueError when either quotient is not in Z[x].
+    """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    p2 = tuple(Fraction(2 * c) for c in a.p)
-    q2 = tuple(Fraction(2 * c) for c in poly_mul(a.q, poly_pow(ONE_MINUS_4X, r)))
-    den = tuple(Fraction(c) for c in a.d)
-    return PQForm(r, _reduce_rational(p2, den), _reduce_rational(q2, den))
-
-
-def _rational_to_af(rp: RationalPoly) -> AlgebraicFunction:
-    scale = lcm(*(c.denominator for c in rp.num + rp.den)) if (rp.num or rp.den) else 1
-    num = tuple(int(c * scale) for c in rp.num)
-    den = tuple(int(c * scale) for c in rp.den)
-    return AlgebraicFunction(num, (), den)
+    p2 = tuple(2 * c for c in a.p)
+    q2 = tuple(2 * c for c in poly_mul(a.q, poly_pow(ONE_MINUS_4X, r)))
+    two_p, two_q = _exact_quotient(p2, a.d), _exact_quotient(q2, a.d)
+    if two_p is None or two_q is None:
+        raise ValueError(
+            f"split of level {r} is not an integer polynomial: 2p = {list(p2)}, "
+            f"2q*(1-4x)^{r} = {list(q2)}, d = {list(a.d)}")
+    return PQForm(r, two_p, two_q)
 
 
 def reassemble_pq(form: PQForm) -> AlgebraicFunction:
-    """Inverse of :func:`extract_pq`: rebuild (P + Q*y*(1-4x)^-r)/2."""
-    p_part = _rational_to_af(form.P)
-    q_part = (
-        _rational_to_af(form.Q)
-        * AlgebraicFunction.y()
-        * AlgebraicFunction.from_poly(poly_pow(ONE_MINUS_4X, form.r)).inverse()
-    )
-    return AlgebraicFunction.constant(Fraction(1, 2)) * (p_part + q_part)
+    """Inverse of :func:`extract_pq`: rebuild (2P*(1-4x)^r + 2Q*y) / (2*(1-4x)^r)."""
+    scale = poly_pow(ONE_MINUS_4X, form.r)
+    return AlgebraicFunction(poly_mul(form.two_P, scale), form.two_Q, poly_mul((2,), scale))

@@ -41,10 +41,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .algebraic import extract_pq, poly_eval
+from .algebraic import IntPoly, extract_pq, poly_eval
 from .shapes import (
     CatalogError,
     ShapeFold,
@@ -157,7 +156,7 @@ def _cmd_gf(args) -> int:
     return 0
 
 
-def _poly_latex(coeffs: list[int]) -> str:
+def _poly_latex(coeffs: IntPoly) -> str:
     terms = []
     for e in range(len(coeffs) - 1, -1, -1):
         c = coeffs[e]
@@ -174,45 +173,31 @@ def _poly_latex(coeffs: list[int]) -> str:
     return " ".join(terms) if terms else "0"
 
 
-def _coefficients(coeffs) -> str:
-    """Exact coefficients as ``[1, -1/2, ...]``."""
-    return "[" + ", ".join(str(c) for c in coeffs) + "]"
-
-
 def _cmd_closed_form(args) -> int:
     if args.occ == 0:
         raise ValueError(
             "level 0 is the Catalan function (1 - (1-4x)^(1/2))/(2x), whose split has "
             "P = 1/x and Q = -1/x and is not polynomial; use gf --occ 0 for its series")
     fold = _obtain_catalog(args.occ, args.catalog, args.threads)
-    form = extract_pq(Solver(fold).occurrence_closed_form(args.occ), args.occ)
-    if not form.polynomial:
-        print(
-            f"split of level {args.occ} is not polynomial: "
-            f"P = {_coefficients(form.P.num)}/{_coefficients(form.P.den)}, "
-            f"Q = {_coefficients(form.Q.num)}/{_coefficients(form.Q.den)}",
-            file=sys.stderr,
-        )
+    closed_form = Solver(fold).occurrence_closed_form(args.occ)
+    try:
+        form = extract_pq(closed_form, args.occ)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 1
-    two_p, two_q = form.P.as_polynomial(), form.Q.as_polynomial()
-    if any(c.denominator != 1 for c in two_p + two_q):
-        print(f"split of level {args.occ} has non-integer coefficients: "
-              f"2P = {_coefficients(two_p)}, 2Q = {_coefficients(two_q)}", file=sys.stderr)
-        return 1
-    two_p, two_q = [int(c) for c in two_p], [int(c) for c in two_q]
     if args.format == "latex":
-        exp = Fraction(1 - 2 * args.occ, 2)
+        # 1 - 2r is odd, so (1 - 2r)/2 is already reduced
         text = (
-            r"\frac{1}{2}\left(" + _poly_latex(two_p)
-            + r" + \left(" + _poly_latex(two_q) + r"\right)"
-            + rf"(1-4x)^{{{exp.numerator}/{exp.denominator}}}\right)" + "\n"
+            r"\frac{1}{2}\left(" + _poly_latex(form.two_P)
+            + r" + \left(" + _poly_latex(form.two_Q) + r"\right)"
+            + rf"(1-4x)^{{{1 - 2 * args.occ}/2}}\right)" + "\n"
         )
     else:
         text = (
             json.dumps(
                 {
-                    "two_P": two_p,
-                    "two_Q": two_q,
+                    "two_P": form.two_P,
+                    "two_Q": form.two_Q,
                     "exponent_num": 1 - 2 * args.occ,
                     "exponent_den": 2,
                 }
@@ -304,16 +289,16 @@ def _cmd_conjectures(args) -> int:
     print(f"size >= feasible-cell count for every shape != 1: {verdict}")
     solver = Solver(fold)
     for r in range(1, args.max_occ + 1):
-        form = extract_pq(solver.occurrence_closed_form(r), r)
-        if not form.polynomial:
-            print(f"occ {r}: split NOT polynomial")
+        closed_form = solver.occurrence_closed_form(r)
+        try:
+            form = extract_pq(closed_form, r)
+        except ValueError:
+            print(f"occ {r}: split NOT an integer polynomial")
             continue
-        two_p, two_q = form.P.as_polynomial(), form.Q.as_polynomial()
-        integral = all(c.denominator == 1 for c in two_p + two_q)
-        q_at_quarter = poly_eval(two_q, Fraction(1, 4))
+        # 4^deg * Q(1/4), in integers
+        q_at_quarter = poly_eval(form.two_Q[::-1], 4)
         print(
-            f"occ {r}: split polynomial; half-integer halves "
-            f"{'hold' if integral else 'FAIL'}; (1-4x) divides Q: "
+            f"occ {r}: split polynomial; half-integer halves hold; (1-4x) divides Q: "
             f"{'no' if q_at_quarter != 0 else 'YES (unexpected)'}"
         )
     return 0

@@ -246,7 +246,7 @@ def joint_tables(
     Every n whose cached table has a smaller budget, or none, is swept in
     one pass: its first-entry classes are jobs, largest n first so the
     longest jobs start first, and with threads > 1 they all go through
-    one worker pool.
+    one worker pool of at most one process per job.
     """
     if max_occ is not None and max_occ < 0:
         raise OracleError(f"max_occ must be nonnegative, got {max_occ}")
@@ -263,7 +263,7 @@ def joint_tables(
     if threads > 1 and jobs:
         from multiprocessing import Pool
 
-        with Pool(threads) as pool:
+        with Pool(min(threads, len(jobs))) as pool:
             parts = pool.map(_sweep_class_args, jobs, chunksize=1)
     else:
         parts = [_sweep_class(*job) for job in jobs]

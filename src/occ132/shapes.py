@@ -251,7 +251,7 @@ def _search(max_size: int, max_occ: int, threads: int = 1) -> list[tuple[int, ..
     found, frontier = _frontier(_SPLIT_DEPTH, max_occ)
     chunks = [frontier[i :: 4 * threads] for i in range(4 * threads)]
     jobs = [(max_size, max_occ, chunk) for chunk in chunks if chunk]
-    with Pool(threads) as pool:
+    with Pool(min(threads, len(jobs))) as pool:
         for part in pool.map(_dfs_job, jobs):
             found.extend(part)
     return found

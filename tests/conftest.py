@@ -32,3 +32,29 @@ def search_without_maximal_shape(monkeypatch):
         return [pat for pat in real(max_size, max_occ, threads) if len(pat) < max_size]
 
     monkeypatch.setattr(shapes, "_search", lossy)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """multiprocessing.Pool replaced by one that starts no process: it
+    records the process count it was asked for and maps in this process.
+    Returns the list of recorded counts."""
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs, chunksize=None):
+            return [func(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return sizes

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,12 +6,14 @@ from occ132 import (
     AlgebraicFunction,
     PoleAtOriginError,
     PowerSeries,
+    PQForm,
+    Solver,
     af_to_series,
     catalan_series,
     extract_pq,
     reassemble_pq,
 )
-from occ132.algebraic import poly_mul
+from occ132.algebraic import _trim, poly_mul
 
 CATALAN = AlgebraicFunction((1,), (-1,), (0, 2))  # (1 - y) / 2x
 ONE = AlgebraicFunction.from_poly((1,))
@@ -91,16 +91,32 @@ def test_af_to_series_pole():
 
 
 def test_extract_pq_catalan_not_polynomial():
-    form = extract_pq(CATALAN, 0)
-    assert not form.polynomial
-    assert form.P.num == (Fraction(1),)
-    assert form.P.den == (Fraction(0), Fraction(1))  # 1/x
+    # P = 1/x and Q = -1/x
+    with pytest.raises(ValueError, match=r"level 0 .* 2p = \[2\], .* d = \[0, 2\]"):
+        extract_pq(CATALAN, 0)
 
 
-def test_extract_reassemble_roundtrip():
-    a = (ONE - Y) * (ONE + 2 * X * Y) / (ONE + X)
+@pytest.mark.parametrize("a", [
+    (ONE - Y) * (ONE + 2 * X * Y) / (ONE + X),  # 1/(1+x) in P and Q
+    AlgebraicFunction((1, 3), (), (6,)),  # 2P = 1/3 + x
+])
+def test_extract_pq_refuses_a_split_that_is_not_an_integer_polynomial(a):
     for r in range(4):
-        assert reassemble_pq(extract_pq(a, r)) == a
+        with pytest.raises(ValueError, match="not an integer polynomial"):
+            extract_pq(a, r)
+
+
+@given(small_poly, small_poly, st.integers(0, 3))
+def test_extract_reassemble_roundtrip(two_p, two_q, r):
+    form = PQForm(r, _trim(two_p), _trim(two_q))
+    assert extract_pq(reassemble_pq(form), r) == form
+
+
+def test_solver_splits_reassemble(catalog6):
+    solver = Solver(catalog6)
+    for r in range(1, 7):
+        cf = solver.occurrence_closed_form(r)
+        assert reassemble_pq(extract_pq(cf, r)) == cf
 
 
 @given(small_af, small_af)

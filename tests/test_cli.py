@@ -11,9 +11,10 @@ import pytest
 
 import occ132
 from occ132 import (
+    AlgebraicFunction,
+    Solver,
     cli,
     enumerate_kernel_shapes,
-    extract_pq,
     invariants,
     load_catalog,
     oracle,
@@ -155,11 +156,42 @@ def test_check_invariants_matches_benchmark_reference(capsys):
     assert out.encode() == path.read_bytes()
 
 
+# the closed form of level 1 times a factor that breaks its integer split
+SPLIT_BREAKERS = {
+    "non-integer": AlgebraicFunction.constant(Fraction(1, 3)),
+    "non-polynomial": AlgebraicFunction.from_poly((1, 1)).inverse(),
+}
+
+
+def break_the_split(monkeypatch, breaker):
+    real = Solver.occurrence_closed_form
+    monkeypatch.setattr(Solver, "occurrence_closed_form",
+                        lambda self, r: real(self, r) * SPLIT_BREAKERS[breaker])
+
+
 def test_conjectures(capsys):
     code, out, _ = run(capsys, "conjectures", "--max-occ", "2")
     assert code == 0
     assert "holds" in out
     assert "occ 2: split polynomial" in out
+
+
+def test_conjectures_output(capsys):
+    code, out, _ = run(capsys, "conjectures", "--max-occ", "3", "--threads", "1")
+    assert code == 0
+    assert out == (
+        "size >= feasible-cell count for every shape != 1: holds (27 shapes)\n"
+        "occ 1: split polynomial; half-integer halves hold; (1-4x) divides Q: no\n"
+        "occ 2: split polynomial; half-integer halves hold; (1-4x) divides Q: no\n"
+        "occ 3: split polynomial; half-integer halves hold; (1-4x) divides Q: no\n"
+    )
+
+
+def test_conjectures_reports_a_split_that_is_not_an_integer_polynomial(capsys, monkeypatch):
+    break_the_split(monkeypatch, "non-integer")
+    code, out, _ = run(capsys, "conjectures", "--max-occ", "1", "--threads", "1")
+    assert code == 0
+    assert out.splitlines()[1:] == ["occ 1: split NOT an integer polynomial"]
 
 
 def test_conjectures_counts_only_the_shapes_it_checks(capsys, tmp_path):
@@ -579,20 +611,6 @@ def test_bad_threads_env_rejected_only_where_threads_apply(capsys, monkeypatch):
     assert exc.value.code == 0
 
 
-def test_closed_form_refuses_non_integer_coefficient(capsys, monkeypatch):
-    import occ132.cli
-
-    def half_integer_p(af, r):
-        form = extract_pq(af, r)
-        half = (Fraction(1, 2), *form.P.num[1:])
-        return form._replace(P=form.P._replace(num=half))
-
-    monkeypatch.setattr(occ132.cli, "extract_pq", half_integer_p)
-    code, out, err = run(capsys, "closed-form", "--occ", "1")
-    assert code == 1 and out == ""
-    assert "non-integer" in err
-
-
 def test_closed_form_refuses_level_0_before_any_catalog_work(capsys, monkeypatch):
     def no_catalog(*args):
         raise AssertionError("closed-form --occ 0 built a catalog")
@@ -605,17 +623,12 @@ def test_closed_form_refuses_level_0_before_any_catalog_work(capsys, monkeypatch
     assert "Catalan" in err and "P = 1/x and Q = -1/x" in err and "not polynomial" in err
 
 
-def test_closed_form_prints_a_non_polynomial_split_exactly(capsys, monkeypatch):
-    import occ132.cli
-
-    def rational_q(af, r):
-        form = extract_pq(af, r)
-        return form._replace(Q=form.Q._replace(den=(Fraction(0), Fraction(1, 3))))
-
-    monkeypatch.setattr(occ132.cli, "extract_pq", rational_q)
+@pytest.mark.parametrize("breaker", sorted(SPLIT_BREAKERS))
+def test_closed_form_refuses_a_split_that_is_not_an_integer_polynomial(capsys, monkeypatch, breaker):
+    break_the_split(monkeypatch, breaker)
     code, out, err = run(capsys, "closed-form", "--occ", "1")
     assert code == 1 and out == ""
-    assert "not polynomial" in err and "/[0, 1/3]" in err
+    assert "split of level 1 is not an integer polynomial" in err
     assert "Fraction" not in err
 
 

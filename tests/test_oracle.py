@@ -35,6 +35,15 @@ def cut(table, budget):
     return {key: c for key, c in table.items() if budget is None or key[0] <= budget}
 
 
+def test_pool_has_no_more_workers_than_jobs(serial_pool, monkeypatch):
+    # S_1..S_7 make 1 + 2 + ... + 7 = 28 first-entry jobs
+    monkeypatch.setattr(oracle, "_joint_cache", {})
+    pooled = joint_tables(range(8), threads=500)
+    assert serial_pool == [28]
+    monkeypatch.setattr(oracle, "_joint_cache", {})
+    assert pooled == joint_tables(range(8))
+
+
 def test_count_exact_examples():
     assert counts(6).get(0, 0) == 132
     assert counts(4).get(1, 0) == 5

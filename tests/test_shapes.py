@@ -16,6 +16,7 @@ from occ132 import (
     load_catalog,
     perm_from_str,
     shape_record,
+    shapes,
 )
 from occ132.kernel import analyze
 from occ132.perms import count_132_values
@@ -108,6 +109,14 @@ class TestEnumerate:
         a = enumerate_kernel_shapes(5, threads=1)
         b = enumerate_kernel_shapes(5, threads=2)
         assert catalog_to_text(a) == catalog_to_text(b)
+
+    def test_pool_has_no_more_workers_than_jobs(self, serial_pool):
+        # budget 4 at size 10 is the smallest search that takes the pool;
+        # its depth-5 frontier is far smaller than 500
+        jobs = len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])
+        found = shapes._search(10, 4, threads=500)
+        assert serial_pool == [jobs] and jobs < 500
+        assert sorted(found) == sorted(shapes._search(10, 4))
 
 
 class TestExceptionalShape:

@@ -114,17 +114,19 @@ class TestClosedForms:
         from occ132 import extract_pq
 
         form = extract_pq(Solver(catalog2).occurrence_closed_form(2), 2)
-        assert form.polynomial
-        assert [int(c) for c in form.P.as_polynomial()] == [-2, 3, 1]
-        assert [int(c) for c in form.Q.as_polynomial()] == [2, -15, 29, -4, 2]
+        assert form.two_P == (-2, 3, 1)
+        assert form.two_Q == (2, -15, 29, -4, 2)
 
     def test_split_reassembles_exactly(self, catalog3):
         from occ132 import extract_pq, reassemble_pq
 
         solver = Solver(catalog3)
-        for r in range(4):
+        for r in range(1, 4):
             cf = solver.occurrence_closed_form(r)
             assert reassemble_pq(extract_pq(cf, r)) == cf
+        # the Catalan level splits with P = 1/x and Q = -1/x
+        with pytest.raises(ValueError, match="not an integer polynomial"):
+            extract_pq(solver.occurrence_closed_form(0), 0)
 
 
 class TestRestricted:
