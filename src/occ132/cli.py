@@ -16,14 +16,13 @@ byte-identical output regardless of ``--threads``.
 
 A solver command with ``--catalog FILE`` reads the catalog's fold from
 the sidecar ``FILE.fold`` when the sidecar is sound and FILE's sha256 is
-the one it records; it parses no record then.  A missing or unsound
-sidecar costs a full load with every record check, after which the
-sidecar is written again.  A catalog that changed after its sidecar was
-written, or that fails its checks, is rebuilt by search, and both files
-are written anew.  Negative bounds, and a ``--catalog`` or ``--out`` in
-a missing directory, are refused before any work.  A closed stdout (as
-under ``occ132 ... | head -1``) ends a command with exit 1 and no
-message.
+the one it records; it parses no record then.  Otherwise FILE is loaded,
+each record rebuilt from its shape and compared with its line, and the
+sidecar is written again.  A catalog that fails that load is rebuilt by
+search, and both files are written anew.  Negative bounds, and a
+``--catalog`` or ``--out`` in a missing directory, are refused before
+any work.  A closed stdout (as under ``occ132 ... | head -1``) ends a
+command with exit 1 and no message.
 
 ``verify --occ R`` sweeps the brute-force oracle with the occurrence
 budget R, so it visits only the permutations that can have at most R
@@ -47,7 +46,6 @@ from .algebraic import IntPoly, extract_pq, poly_eval
 from .shapes import (
     CatalogError,
     ShapeFold,
-    StaleFoldError,
     catalog_to_text,
     census,
     enumerate_kernel_shapes,
@@ -111,18 +109,14 @@ def _cached_fold(path: str) -> ShapeFold | None:
     """The fold of the catalog at `path`, or None when it is to be rebuilt.
 
     The fold comes from the sidecar when that is sound and the catalog's
-    bytes are those it was written from.  A missing or unsound sidecar
-    costs a full load with every record check, after which the sidecar
-    is written anew; a changed catalog, or one that fails its checks, is
-    rebuilt.
+    bytes are those it was written from.  Otherwise the catalog is loaded,
+    every record rebuilt from its shape, and the sidecar written anew; a
+    catalog that fails that load is rebuilt.
     """
     try:
         return load_fold(path)
     except FileNotFoundError:
         pass
-    except StaleFoldError as exc:
-        print(f"ignoring cache: {exc}", file=sys.stderr)
-        return None
     except CatalogError as exc:
         print(f"ignoring cache: {exc}", file=sys.stderr)
     try:

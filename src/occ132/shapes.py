@@ -33,16 +33,19 @@ builds.  The last level costs little: it keeps only the children that
 close into one component, and lists their patterns without building
 their states or expanding them.
 
-A catalog file holds one JSON line per record, but the solver reads only
-the catalog's fold (:func:`fold_catalog`): shapes counted by (size,
-capacity, lis of the shape, sorted northeast runs), 296 classes for the
-3 214 records of budget 6.  :func:`save_catalog` writes the fold beside
-the catalog as the sidecar ``<file>.fold``, a small JSON file holding
-the sha256 of the catalog's bytes and a second sha256 over that digest,
-the budget and the class rows.  :func:`load_fold` hashes the catalog,
+A catalog file holds one JSON line per record.  Every field but the
+shape is derived from it, so :func:`load_catalog` rebuilds each record
+from its shape and accepts only the line :func:`catalog_to_text` writes
+for it.  The solver reads only the catalog's fold (:func:`fold_catalog`):
+shapes counted by (size, capacity, lis of the shape, sorted northeast
+runs), 296 classes for the 3 214 records of budget 6.
+:func:`save_catalog` writes the fold beside the catalog as the sidecar
+``<file>.fold``, a small JSON file holding the sha256 of the catalog's
+bytes and a second sha256 over that digest, the budget and the class
+rows.  :func:`load_fold` hashes the catalog,
 reads the sidecar instead of parsing the records and runs the count
 checks of :func:`load_catalog` on the fold.  A changed catalog fails
-the first digest (:class:`StaleFoldError`), an edited row the second.
+the first digest, an edited row the second.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ FOLD_FORMAT_VERSION = 2
 # Number of kernel shapes of each capacity 0..6, maximal shapes included.
 KNOWN_CAPACITY_CENSUS = (1, 1, 5, 21, 105, 504, 2577)
 
-_RECORD_KEYS = ("shape", "size", "capacity", "cells", "lis_ne")
 _FOLD_KEYS = {"format_version", "max_occ", "catalog_sha256", "fold_sha256", "classes"}
 
 # Depth at which the search tree is split into parallel jobs.
@@ -89,10 +91,6 @@ _State = tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]
 
 class CatalogError(RuntimeError):
     """A catalog file is malformed or too small for the request."""
-
-
-class StaleFoldError(CatalogError):
-    """A catalog's bytes differ from those its fold sidecar was written from."""
 
 
 class ShapeCatalog(NamedTuple):
@@ -347,20 +345,23 @@ def catalog_to_text(catalog: ShapeCatalog) -> str:
     """JSON lines: a header, then one record per line, sorted by
     (size, one-line notation)."""
     lines = [json.dumps({"format_version": CATALOG_FORMAT_VERSION, "max_occ": catalog.max_occ})]
-    for rec in catalog.records:
-        lines.append(
-            json.dumps(
-                {
-                    "shape": list(rec.shape.values),
-                    "size": rec.size,
-                    "capacity": rec.capacity,
-                    "cells": [list(cell) for cell in rec.cells],
-                    "lis_ne": list(rec.lis_ne),
-                },
-                separators=(",", ":"),
-            )
-        )
+    lines.extend(_record_line(rec) for rec in catalog.records)
     return "\n".join(lines) + "\n"
+
+
+def _record_line(rec: KernelShapeRecord) -> str:
+    """The catalog line of one record, the only form :func:`load_catalog`
+    accepts."""
+    return json.dumps(
+        {
+            "shape": list(rec.shape.values),
+            "size": rec.size,
+            "capacity": rec.capacity,
+            "cells": [list(cell) for cell in rec.cells],
+            "lis_ne": list(rec.lis_ne),
+        },
+        separators=(",", ":"),
+    )
 
 
 def fold_catalog(catalog: ShapeCatalog) -> ShapeFold:
@@ -432,17 +433,17 @@ def load_fold(path: str | Path) -> ShapeFold:
     """The fold of the catalog at `path`, read from its sidecar without
     parsing a record.
 
-    Raises FileNotFoundError when either file is missing, StaleFoldError
-    when the catalog's sha256 is not the one in the sidecar, and
-    CatalogError when the sidecar is malformed, its fold fails the count
-    checks of :func:`load_catalog`, or its budget and class rows are not
-    those its own digest was taken of.
+    Raises FileNotFoundError when either file is missing, and
+    CatalogError when the catalog's sha256 is not the one in the sidecar,
+    the sidecar is malformed, its fold fails the count checks of
+    :func:`load_catalog`, or its budget and class rows are not those its
+    own digest was taken of.
     """
     digest = _catalog_digest(path)
     where = fold_path(path)
     try:
         obj = json.loads(where.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise CatalogError(f"{where}: bad JSON ({exc})") from None
     if not isinstance(obj, dict) or set(obj) != _FOLD_KEYS:
         raise CatalogError(f"{where}: not a fold sidecar")
@@ -459,7 +460,7 @@ def load_fold(path: str | Path) -> ShapeFold:
     ):
         raise CatalogError(f"{where}: field of the wrong type or out of range")
     if obj["catalog_sha256"] != digest:
-        raise StaleFoldError(f"{path}: its bytes changed after {where} was written")
+        raise CatalogError(f"{path}: its bytes changed after {where} was written")
     classes = {(s, c, lis, tuple(runs)): m for s, c, lis, runs, m in rows}
     if len(classes) != len(rows):
         raise CatalogError(f"{where}: duplicated class")
@@ -476,42 +477,18 @@ def _int_list(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)
 
 
-def _record_fields(line: str) -> tuple:
-    """The fields of one record line as tuples: shape, size, capacity,
-    cells, lis_ne.  Raises CatalogError on bad JSON, a missing key or a
-    wrong type."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"bad JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise CatalogError("record is not a JSON object")
-    missing = [key for key in _RECORD_KEYS if key not in obj]
-    if missing:
-        raise CatalogError(f"record lacks {', '.join(missing)}")
-    shape, size, capacity, cells, lis_ne = (obj[key] for key in _RECORD_KEYS)
-    if not (
-        _int_list(shape)
-        and type(size) is int
-        and type(capacity) is int
-        and isinstance(cells, list)
-        and all(_int_list(cell) and len(cell) == 2 for cell in cells)
-        and _int_list(lis_ne)
-    ):
-        raise CatalogError("record field of the wrong type")
-    if size != len(shape) or len(lis_ne) != len(cells):
-        raise CatalogError("record sizes disagree")
-    return tuple(shape), size, capacity, tuple(map(tuple, cells)), tuple(lis_ne)
-
-
 def load_catalog(path: str | Path) -> ShapeCatalog:
     """Read a catalog written by :func:`save_catalog`.
 
-    Raises CatalogError on any malformed line, on records that are
-    duplicated or out of order, on per-capacity counts that differ from
-    the known census and on a budget without exactly one maximal shape.
+    Each record is rebuilt with :func:`~occ132.kernel.shape_record` from
+    the shape on its line.  Raises CatalogError on a line that is not
+    exactly the one :func:`catalog_to_text` writes for that record (a
+    blank line included), on a shape that is not a kernel permutation,
+    on records that are duplicated or out of order, on per-capacity
+    counts that differ from the known census and on a budget without
+    exactly one maximal shape.
     """
-    from .kernel import KernelShapeRecord
+    from .kernel import shape_record
     from .perms import Permutation
 
     try:
@@ -522,7 +499,7 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
         raise CatalogError(f"{path}: empty catalog file")
     try:
         header = json.loads(text[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CatalogError(f"{path}:1: bad JSON ({exc})") from None
     if not isinstance(header, dict) or header.get("format_version") != CATALOG_FORMAT_VERSION:
         raise CatalogError(f"{path}: unsupported header {text[0]!r}")
@@ -531,14 +508,20 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
         raise CatalogError(f"{path}: bad max_occ {max_occ!r}")
     records = []
     for lineno, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
         try:
-            shape, *fields = _record_fields(line)
-            records.append(KernelShapeRecord(Permutation(shape), *fields))
-        except (CatalogError, ValueError) as exc:
-            # Permutation raises ValueError on a shape that is not one
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise CatalogError(f"{path}:{lineno}: bad JSON ({exc})") from None
+        if not (isinstance(obj, dict) and _int_list(obj.get("shape"))):
+            raise CatalogError(f"{path}:{lineno}: record has no shape")
+        try:
+            rec = shape_record(Permutation(tuple(obj["shape"])))
+        except ValueError as exc:
+            # not a permutation, or not a kernel one
             raise CatalogError(f"{path}:{lineno}: {exc}") from None
+        if _record_line(rec) != line:
+            raise CatalogError(f"{path}:{lineno}: record differs from the one its shape gives")
+        records.append(rec)
     keys = [(rec.size, rec.shape.values) for rec in records]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CatalogError(f"{path}: records are duplicated or not sorted by (size, shape)")

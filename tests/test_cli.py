@@ -22,7 +22,7 @@ from occ132 import (
 )
 from occ132.cli import main
 from occ132.oracle import SWEEP_GUARD
-from occ132.shapes import CatalogError, fold_path, load_fold
+from occ132.shapes import CatalogError, fold_catalog, fold_path, load_fold
 
 
 def run(capsys, *argv):
@@ -271,9 +271,9 @@ def _wrong_type(lines):
 # case -> (edit of the catalog lines, expected error); line 0 is the
 # header, records are sorted by size, and the last is the maximal shape.
 MALFORMED = {
-    "missing_key": (_drop_key, "lacks lis_ne"),
+    "missing_key": (_drop_key, "differs from the one its shape gives"),
     "truncated_line": (lambda lines: lines[:5] + [lines[5][:20]] + lines[6:], "bad JSON"),
-    "wrong_type": (_wrong_type, "wrong type"),
+    "wrong_type": (_wrong_type, "differs from the one its shape gives"),
     "duplicate_record": (lambda lines: lines[:6] + [lines[5]] + lines[6:], "duplicated"),
     "unsorted_records": (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:], "sorted"),
     "no_maximal_shape": (lambda lines: lines[:-1], "no maximal shape for budget 3"),
@@ -309,14 +309,11 @@ def _fail(what):
 GF3 = ("gf", "--occ", "3", "--order", "9", "--threads", "1")
 
 
-@pytest.mark.parametrize("field", ["cells", "lis_ne"])
-def test_edited_catalog_is_rebuilt_by_search(capsys, tmp_path, field):
-    path = tmp_path / "cat.jsonl"
-    code, clean, _ = run(capsys, *GF3, "--catalog", str(path))
-    assert code == 0
-    fresh, fresh_fold = path.read_bytes(), fold_path(path).read_bytes()
+def _edit_maximal_record(path, field):
+    """Add 1 to the first entry of `field` in the catalog's last record,
+    the maximal shape, whose entries all have one digit."""
     lines = path.read_text().splitlines()
-    rec = json.loads(lines[-1])  # the maximal shape: every entry has one digit
+    rec = json.loads(lines[-1])
     if field == "cells":
         rec["cells"][0][0] += 1
     else:
@@ -324,12 +321,52 @@ def test_edited_catalog_is_rebuilt_by_search(capsys, tmp_path, field):
     edited = json.dumps(rec, separators=(",", ":"))
     assert sum(a != b for a, b in zip(edited, lines[-1])) == 1
     path.write_text("\n".join(lines[:-1] + [edited]) + "\n")
-    load_catalog(path)  # the record checks pass: only the digest sees the edit
+    return len(lines)
+
+
+@pytest.mark.parametrize("field", ["cells", "lis_ne"])
+def test_edited_catalog_is_rebuilt_by_search(capsys, tmp_path, field):
+    path = tmp_path / "cat.jsonl"
+    code, clean, _ = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0
+    fresh, fresh_fold = path.read_bytes(), fold_path(path).read_bytes()
+    _edit_maximal_record(path, field)
+    with pytest.raises(CatalogError, match="differs from the one its shape gives"):
+        load_catalog(path)
     code, out, err = run(capsys, *GF3, "--catalog", str(path))
     assert code == 0 and out == clean
     assert "ignoring cache" in err and "changed after" in err
     assert path.read_bytes() == fresh
     assert fold_path(path).read_bytes() == fresh_fold
+
+
+# command on a budget-3 catalog -> edited field of its maximal record
+POISONED = {
+    "restricted": (("restricted", "--occ", "3", "--k", "4", "--order", "10", "--threads", "1"),
+                   "lis_ne"),
+    "gf": (GF3, "cells"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POISONED))
+def test_edited_catalog_without_sidecar_does_not_poison_the_cache(capsys, tmp_path, case):
+    argv, field = POISONED[case]
+    path, fresh = tmp_path / "cat.jsonl", tmp_path / "fresh.jsonl"
+    for where in (path, fresh):
+        code, _, _ = run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(where))
+        assert code == 0
+    _, clean, _ = run(capsys, *argv)
+    if case == "restricted":
+        assert json.loads(clean)[-2:] == [3651, 12971]
+    lines = _edit_maximal_record(path, field)
+    code, out, err = run(capsys, *argv, "--catalog", str(path))
+    assert code == 0 and out == clean
+    assert "ignoring cache" in err and f":{lines}: record differs" in err
+    assert path.read_bytes() == fresh.read_bytes()
+    assert load_fold(path) == fold_catalog(enumerate_kernel_shapes(3))
+    # the sidecar written by the rebuild serves the next run
+    code, again, err = run(capsys, *argv, "--catalog", str(path))
+    assert code == 0 and again == clean and err == ""
 
 
 def _sidecar_wrong_type(obj):

@@ -1,4 +1,6 @@
 import gc
+import json
+import re
 from collections import Counter
 from itertools import permutations
 
@@ -23,7 +25,6 @@ from occ132.perms import count_132_values
 from occ132.shapes import (
     KNOWN_CAPACITY_CENSUS,
     CatalogError,
-    StaleFoldError,
     _check_counts,
     catalog_to_text,
     fold_catalog,
@@ -202,7 +203,7 @@ class TestCatalogIO:
         path = tmp_path / "cat.jsonl"
         save_catalog(catalog2, path)
         path.write_bytes(path.read_bytes() + b"\n")
-        with pytest.raises(StaleFoldError, match="changed after"):
+        with pytest.raises(CatalogError, match="changed after"):
             load_fold(path)
 
     def test_missing_sidecar(self, tmp_path, catalog2):
@@ -210,6 +211,45 @@ class TestCatalogIO:
         path.write_text(catalog_to_text(catalog2))
         with pytest.raises(FileNotFoundError):
             load_fold(path)
+
+
+def _edit_field(key, change):
+    def edit(line):
+        rec = json.loads(line)
+        rec[key] = change(rec[key])
+        return json.dumps(rec, separators=(",", ":"))
+
+    return edit
+
+
+# edit of one record line -> what the loader reports for it
+EDITED_LINES = {
+    "size": (_edit_field("size", lambda v: v + 1), "differs"),
+    "capacity": (_edit_field("capacity", lambda v: v + 1), "differs"),
+    "cells": (_edit_field("cells", lambda v: [[v[0][0] - 1, v[0][1]]] + v[1:]), "differs"),
+    "lis_ne": (_edit_field("lis_ne", lambda v: [v[0] + 1] + v[1:]), "differs"),
+    "keys_reordered": (
+        lambda line: json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")),
+        "differs",
+    ),
+    "space_added": (lambda line: line.replace(",", ", ", 1), "differs"),
+    "blank_line": (lambda line: "\n" + line, "bad JSON"),
+    "nested_too_deep": (lambda line: "[" * 100_000 + "]" * 100_000, "bad JSON"),
+    "not_a_kernel": (_edit_field("shape", lambda v: sorted(v)), "not a kernel permutation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDITED_LINES))
+def test_load_catalog_refuses_a_line_its_shape_does_not_give(tmp_path, catalog2, case):
+    edit, message = EDITED_LINES[case]
+    path = tmp_path / "cat.jsonl"
+    lines = catalog_to_text(catalog2).splitlines()
+    assert json.loads(lines[4])["shape"] == [1, 3, 4, 2]
+    lines[4] = edit(lines[4])
+    path.write_text("\n".join(lines) + "\n")
+    # line 5 of the file, counting the header as line 1
+    with pytest.raises(CatalogError, match=re.escape(f"{path}:5: ") + ".*" + message):
+        load_catalog(path)
 
 
 def test_budget6_fold(catalog6):
