@@ -18,8 +18,9 @@ A solver command with ``--catalog FILE`` reads the catalog's fold from
 the sidecar ``FILE.fold`` when the sidecar is sound and FILE's sha256 is
 the one it records; it parses no record then.  Otherwise FILE is loaded,
 each record rebuilt from its shape and compared with its line, and the
-sidecar is written again.  A catalog that fails that load is rebuilt by
-search, and both files are written anew.  Negative bounds, and a
+sidecar is written again.  A catalog that fails that load, or whose
+budget is past the census, is rebuilt by search, and both files are
+written anew.  Negative bounds, and a
 ``--catalog`` or ``--out`` in a missing directory, are refused before
 any work.  A closed stdout (as under ``occ132 ... | head -1``) ends a
 command with exit 1 and no message.
@@ -44,6 +45,7 @@ from pathlib import Path
 
 from .algebraic import IntPoly, extract_pq, poly_eval
 from .shapes import (
+    KNOWN_CAPACITY_CENSUS,
     CatalogError,
     ShapeFold,
     catalog_to_text,
@@ -111,7 +113,8 @@ def _cached_fold(path: str) -> ShapeFold | None:
     The fold comes from the sidecar when that is sound and the catalog's
     bytes are those it was written from.  Otherwise the catalog is loaded,
     every record rebuilt from its shape, and the sidecar written anew; a
-    catalog that fails that load is rebuilt.
+    catalog that fails that load is rebuilt.  So is one whose budget is
+    past the census: its counts cannot show that no record is missing.
     """
     try:
         return load_fold(path)
@@ -120,10 +123,15 @@ def _cached_fold(path: str) -> ShapeFold | None:
     except CatalogError as exc:
         print(f"ignoring cache: {exc}", file=sys.stderr)
     try:
-        fold = fold_catalog(load_catalog(path))
+        catalog = load_catalog(path)
     except CatalogError as exc:
         print(f"ignoring cache: {exc}", file=sys.stderr)
         return None
+    if catalog.max_occ >= len(KNOWN_CAPACITY_CENSUS):
+        print(f"ignoring cache: {path}: budget {catalog.max_occ} is past the census, "
+              "so a missing record would not show", file=sys.stderr)
+        return None
+    fold = fold_catalog(catalog)
     try:
         save_fold(fold, path)
     except OSError as exc:

@@ -486,7 +486,8 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
     blank line included), on a shape that is not a kernel permutation,
     on records that are duplicated or out of order, on per-capacity
     counts that differ from the known census and on a budget without
-    exactly one maximal shape.
+    exactly one maximal shape.  The census stops at capacity 6, so a
+    missing record of a higher capacity goes unseen.
     """
     from .kernel import shape_record
     from .perms import Permutation

@@ -369,6 +369,40 @@ def test_edited_catalog_without_sidecar_does_not_poison_the_cache(capsys, tmp_pa
     assert code == 0 and again == clean and err == ""
 
 
+@pytest.fixture(scope="module")
+def budget7_catalog():
+    return enumerate_kernel_shapes(7, threads=2)
+
+
+GF7 = ("gf", "--occ", "7", "--order", "12", "--threads", "2")
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["no_sidecar", "sidecar"])
+def test_catalog_past_the_census_is_rebuilt_by_search(capsys, tmp_path, budget7_catalog, sidecar):
+    # The census stops at capacity 6, so the full load of a budget-7
+    # catalog cannot see a missing capacity-7 record: it is searched again.
+    path = tmp_path / "cat.jsonl"
+    fold = fold_catalog(budget7_catalog)
+    save_catalog(budget7_catalog, path, fold)
+    fresh = path.read_bytes()
+    code, clean, err = run(capsys, *GF7, "--catalog", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(clean)[6:9] == [37, 365, 2489]
+    lines = path.read_text().splitlines()
+    at = next(i for i, rec in enumerate(budget7_catalog.records, start=1)
+              if rec.capacity == 7 and rec.size < 15)
+    path.write_text("\n".join(lines[:at] + lines[at + 1:]) + "\n")
+    load_catalog(path)  # the load checks pass without the record
+    if not sidecar:
+        fold_path(path).unlink()
+    code, out, err = run(capsys, *GF7, "--catalog", str(path))
+    assert code == 0 and out == clean
+    assert "ignoring cache" in err and "budget 7 is past the census" in err
+    assert ("changed after" in err) == sidecar
+    assert path.read_bytes() == fresh
+    assert load_fold(path) == fold
+
+
 def _sidecar_wrong_type(obj):
     obj["max_occ"] = "3"
 
