@@ -16,14 +16,14 @@ byte-identical output regardless of ``--threads``.
 
 A solver command with ``--catalog FILE`` reads the catalog's fold from
 the sidecar ``FILE.fold`` when the sidecar is sound and FILE's sha256 is
-the one it records; it parses no record then.  Otherwise FILE is loaded,
-each record rebuilt from its shape and compared with its line, and the
-sidecar is written again.  A catalog that fails that load, or whose
-budget is past the census, is rebuilt by search, and both files are
-written anew.  Negative bounds, and a
-``--catalog`` or ``--out`` in a missing directory, are refused before
-any work.  A closed stdout (as under ``occ132 ... | head -1``) ends a
-command with exit 1 and no message.
+the one it records; it parses no record.  Any other FILE (no sidecar,
+an unsound one, or one written for other bytes) is reported as
+``ignoring cache: ...``, and one whose sound sidecar is of a smaller
+budget as ``... rebuilding``; either is searched again and both files
+are written anew.  ``shapes --out FILE`` writes the sidecar too.  Negative bounds, and a ``--catalog`` or
+``--out`` in a missing directory, are refused before any work.  A
+closed stdout (as under ``occ132 ... | head -1``) ends a command with
+exit 1 and no message.
 
 ``verify --occ R`` sweeps the brute-force oracle with the occurrence
 budget R, so it visits only the permutations that can have at most R
@@ -45,7 +45,6 @@ from pathlib import Path
 
 from .algebraic import IntPoly, extract_pq, poly_eval
 from .shapes import (
-    KNOWN_CAPACITY_CENSUS,
     CatalogError,
     ShapeFold,
     catalog_to_text,
@@ -53,10 +52,8 @@ from .shapes import (
     enumerate_kernel_shapes,
     fold_catalog,
     iter_kernel_permutations,
-    load_catalog,
     load_fold,
     save_catalog,
-    save_fold,
 )
 from .solver import Solver
 
@@ -91,11 +88,15 @@ def _emit_series(series, args) -> None:
 
 
 def _obtain_catalog(max_occ: int, path: str | None, threads: int) -> ShapeFold:
-    """The fold of a cached catalog when it is big enough, else of a new
-    catalog, which is cached with its fold when `path` is given."""
+    """The fold of a cached catalog when its sidecar is sound and it is big
+    enough, else of a new catalog, which is cached with its fold when
+    `path` is given."""
     if path and Path(path).exists():
-        fold = _cached_fold(path)
-        if fold is not None:
+        try:
+            fold = load_fold(path)
+        except (FileNotFoundError, CatalogError) as exc:
+            print(f"ignoring cache: {exc}", file=sys.stderr)
+        else:
             if fold.max_occ >= max_occ:
                 return fold
             print(f"cached catalog at {path} only covers max-occ {fold.max_occ}; rebuilding",
@@ -107,39 +108,6 @@ def _obtain_catalog(max_occ: int, path: str | None, threads: int) -> ShapeFold:
     return fold
 
 
-def _cached_fold(path: str) -> ShapeFold | None:
-    """The fold of the catalog at `path`, or None when it is to be rebuilt.
-
-    The fold comes from the sidecar when that is sound and the catalog's
-    bytes are those it was written from.  Otherwise the catalog is loaded,
-    every record rebuilt from its shape, and the sidecar written anew; a
-    catalog that fails that load is rebuilt.  So is one whose budget is
-    past the census: its counts cannot show that no record is missing.
-    """
-    try:
-        return load_fold(path)
-    except FileNotFoundError:
-        pass
-    except CatalogError as exc:
-        print(f"ignoring cache: {exc}", file=sys.stderr)
-    try:
-        catalog = load_catalog(path)
-    except CatalogError as exc:
-        print(f"ignoring cache: {exc}", file=sys.stderr)
-        return None
-    if catalog.max_occ >= len(KNOWN_CAPACITY_CENSUS):
-        print(f"ignoring cache: {path}: budget {catalog.max_occ} is past the census, "
-              "so a missing record would not show", file=sys.stderr)
-        return None
-    fold = fold_catalog(catalog)
-    try:
-        save_fold(fold, path)
-    except OSError as exc:
-        # a catalog that can be read but not written beside still serves
-        print(f"not caching the fold: {exc}", file=sys.stderr)
-    return fold
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -148,7 +116,10 @@ def _cmd_shapes(args) -> int:
     c = census(catalog)
     print(f"shapes by size: {c.by_size}", file=sys.stderr)
     print(f"new non-maximal shapes by budget: {c.new_nonexceptional}", file=sys.stderr)
-    _emit(catalog_to_text(catalog), args.out)
+    if args.out:
+        save_catalog(catalog, args.out)
+    else:
+        sys.stdout.write(catalog_to_text(catalog))
     return 0
 
 
@@ -324,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         if order:
             p.add_argument("--order", type=int, default=32, help="series truncation (default 32)")
         if catalog:
-            p.add_argument("--catalog", help="catalog file to reuse (rebuilt+cached when too small or malformed)")
+            p.add_argument("--catalog", help="catalog file to reuse when its .fold sidecar is sound "
+                                             "(else searched again and rewritten)")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("shapes", help="enumerate kernel shapes into a catalog")

@@ -45,7 +45,9 @@ bytes and a second sha256 over that digest, the budget and the class
 rows.  :func:`load_fold` hashes the catalog,
 reads the sidecar instead of parsing the records and runs the count
 checks of :func:`load_catalog` on the fold.  A changed catalog fails
-the first digest, an edited row the second.
+the first digest, an edited row the second.  The solver commands read a
+catalog through its sidecar alone and search again when it is unsound;
+nothing but tests and benchmark probes parses the records back.
 """
 
 from __future__ import annotations
@@ -377,9 +379,17 @@ def fold_catalog(catalog: ShapeCatalog) -> ShapeFold:
 
 def save_catalog(catalog: ShapeCatalog, path: str | Path, fold: ShapeFold | None = None) -> None:
     """Write the catalog, then its fold (``fold_catalog(catalog)`` when not
-    given) beside it with :func:`save_fold`."""
+    given) beside it as the sidecar, bound to the sha256 of the bytes
+    just written."""
     Path(path).write_text(catalog_to_text(catalog))
-    save_fold(fold if fold is not None else fold_catalog(catalog), path)
+    if fold is None:
+        fold = fold_catalog(catalog)
+    digest = _catalog_digest(path)
+    rows = [[s, c, lis, list(runs), m] for (s, c, lis, runs), m in sorted(fold.classes.items())]
+    sidecar = {"format_version": FOLD_FORMAT_VERSION, "max_occ": fold.max_occ,
+               "catalog_sha256": digest, "fold_sha256": _fold_digest(digest, fold.max_occ, rows),
+               "classes": rows}
+    fold_path(path).write_text(json.dumps(sidecar, separators=(",", ":")) + "\n")
 
 
 def fold_path(path: str | Path) -> Path:
@@ -401,17 +411,6 @@ def _fold_digest(catalog_sha256: str, max_occ: int, rows: list) -> str:
     """The sha256 binding a sidecar's budget and class rows to its catalog's digest."""
     text = json.dumps([catalog_sha256, max_occ, rows], separators=(",", ":"))
     return sha256(text.encode()).hexdigest()
-
-
-def save_fold(fold: ShapeFold, path: str | Path) -> None:
-    """Write `fold` as the sidecar of the catalog at `path`, bound to the
-    sha256 of that catalog's bytes as they are now."""
-    digest = _catalog_digest(path)
-    rows = [[s, c, lis, list(runs), m] for (s, c, lis, runs), m in sorted(fold.classes.items())]
-    sidecar = {"format_version": FOLD_FORMAT_VERSION, "max_occ": fold.max_occ,
-               "catalog_sha256": digest, "fold_sha256": _fold_digest(digest, fold.max_occ, rows),
-               "classes": rows}
-    fold_path(path).write_text(json.dumps(sidecar, separators=(",", ":")) + "\n")
 
 
 def _fold_row(row) -> bool:

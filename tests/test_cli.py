@@ -19,10 +19,12 @@ from occ132 import (
     load_catalog,
     oracle,
     save_catalog,
+    shapes,
 )
 from occ132.cli import main
 from occ132.oracle import SWEEP_GUARD
 from occ132.shapes import CatalogError, fold_catalog, fold_path, load_fold
+from test_shapes import MALFORMED
 
 
 def run(capsys, *argv):
@@ -194,6 +196,7 @@ def test_conjectures_reports_a_split_that_is_not_an_integer_polynomial(capsys, m
     assert out.splitlines()[1:] == ["occ 1: split NOT an integer polynomial"]
 
 
+@pytest.mark.usefixtures("no_record_reads")
 def test_conjectures_counts_only_the_shapes_it_checks(capsys, tmp_path):
     # 28 shapes have capacity <= 3; the size-1 shape is exempt from the check
     code, out, _ = run(capsys, "conjectures", "--max-occ", "3", "--threads", "1")
@@ -223,6 +226,7 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.usefixtures("no_record_reads")
 def test_catalog_cache_reused_and_refreshed(capsys, tmp_path):
     path = tmp_path / "cat.jsonl"
     code, out1, _ = run(capsys, "gf", "--occ", "2", "--order", "5", "--catalog", str(path))
@@ -250,53 +254,23 @@ def test_shapes_threads_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _budget3_lines(tmp_path):
-    path = tmp_path / "cat.jsonl"
-    save_catalog(enumerate_kernel_shapes(3), path)
-    return path, path.read_text().splitlines()
-
-
-def _drop_key(lines):
-    rec = json.loads(lines[5])
-    del rec["lis_ne"]
-    return lines[:5] + [json.dumps(rec)] + lines[6:]
-
-
-def _wrong_type(lines):
-    rec = json.loads(lines[5])
-    rec["size"] = str(rec["size"])
-    return lines[:5] + [json.dumps(rec)] + lines[6:]
-
-
-# case -> (edit of the catalog lines, expected error); line 0 is the
-# header, records are sorted by size, and the last is the maximal shape.
-MALFORMED = {
-    "missing_key": (_drop_key, "differs from the one its shape gives"),
-    "truncated_line": (lambda lines: lines[:5] + [lines[5][:20]] + lines[6:], "bad JSON"),
-    "wrong_type": (_wrong_type, "differs from the one its shape gives"),
-    "duplicate_record": (lambda lines: lines[:6] + [lines[5]] + lines[6:], "duplicated"),
-    "unsorted_records": (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:], "sorted"),
-    "no_maximal_shape": (lambda lines: lines[:-1], "no maximal shape for budget 3"),
-    "census_mismatch": (lambda lines: lines[:5] + lines[6:], "census"),
-}
-
-
+@pytest.mark.usefixtures("no_record_reads")
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_catalog_is_rebuilt(capsys, tmp_path, case):
-    edit, message = MALFORMED[case]
-    path, lines = _budget3_lines(tmp_path)
-    path.write_text("\n".join(edit(lines)) + "\n")
-    with pytest.raises(CatalogError, match=message):
-        load_catalog(path)
-    # without a sidecar the CLI loads the records, so it meets the same check
+    # the CLI reads no record, so whatever the edit, a catalog without a
+    # sidecar is searched again and both files are written anew
+    path = tmp_path / "cat.jsonl"
+    code, clean, _ = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0 and json.loads(clean)[7] == 410
+    fresh, fresh_fold = path.read_bytes(), fold_path(path).read_bytes()
+    edit, _ = MALFORMED[case]
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     fold_path(path).unlink()
-    code, out, err = run(capsys, "gf", "--occ", "3", "--order", "7", "--catalog", str(path))
-    assert code == 0
-    assert "ignoring cache" in err
-    assert message in err
-    assert json.loads(out)[7] == 410
-    load_catalog(path)  # the rebuilt cache is sound
-    load_fold(path)
+    code, out, err = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0 and out == clean
+    assert err.startswith("ignoring cache: ") and "cat.jsonl.fold" in err
+    assert path.read_bytes() == fresh
+    assert fold_path(path).read_bytes() == fresh_fold
 
 
 def _fail(what):
@@ -304,6 +278,15 @@ def _fail(what):
         raise AssertionError(f"{what} was called")
 
     return stub
+
+
+@pytest.fixture
+def no_record_reads(monkeypatch):
+    """load_catalog replaced by a stub that fails when called, so that a
+    test using it also shows that the commands it runs parse no record.
+    The stub goes into cli too, where an import would bind the name."""
+    monkeypatch.setattr(shapes, "load_catalog", _fail("load_catalog"))
+    monkeypatch.setattr(cli, "load_catalog", _fail("load_catalog"), raising=False)
 
 
 GF3 = ("gf", "--occ", "3", "--order", "9", "--threads", "1")
@@ -321,9 +304,9 @@ def _edit_maximal_record(path, field):
     edited = json.dumps(rec, separators=(",", ":"))
     assert sum(a != b for a, b in zip(edited, lines[-1])) == 1
     path.write_text("\n".join(lines[:-1] + [edited]) + "\n")
-    return len(lines)
 
 
+@pytest.mark.usefixtures("no_record_reads")
 @pytest.mark.parametrize("field", ["cells", "lis_ne"])
 def test_edited_catalog_is_rebuilt_by_search(capsys, tmp_path, field):
     path = tmp_path / "cat.jsonl"
@@ -348,6 +331,7 @@ POISONED = {
 }
 
 
+@pytest.mark.usefixtures("no_record_reads")
 @pytest.mark.parametrize("case", sorted(POISONED))
 def test_edited_catalog_without_sidecar_does_not_poison_the_cache(capsys, tmp_path, case):
     argv, field = POISONED[case]
@@ -355,14 +339,16 @@ def test_edited_catalog_without_sidecar_does_not_poison_the_cache(capsys, tmp_pa
     for where in (path, fresh):
         code, _, _ = run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(where))
         assert code == 0
+    fold_path(path).unlink()
     _, clean, _ = run(capsys, *argv)
     if case == "restricted":
         assert json.loads(clean)[-2:] == [3651, 12971]
-    lines = _edit_maximal_record(path, field)
+    _edit_maximal_record(path, field)
     code, out, err = run(capsys, *argv, "--catalog", str(path))
     assert code == 0 and out == clean
-    assert "ignoring cache" in err and f":{lines}: record differs" in err
+    assert err.startswith("ignoring cache: ")
     assert path.read_bytes() == fresh.read_bytes()
+    assert fold_path(path).read_bytes() == fold_path(fresh).read_bytes()
     assert load_fold(path) == fold_catalog(enumerate_kernel_shapes(3))
     # the sidecar written by the rebuild serves the next run
     code, again, err = run(capsys, *argv, "--catalog", str(path))
@@ -377,14 +363,15 @@ def budget7_catalog():
 GF7 = ("gf", "--occ", "7", "--order", "12", "--threads", "2")
 
 
+@pytest.mark.usefixtures("no_record_reads")
 @pytest.mark.parametrize("sidecar", [False, True], ids=["no_sidecar", "sidecar"])
 def test_catalog_past_the_census_is_rebuilt_by_search(capsys, tmp_path, budget7_catalog, sidecar):
-    # The census stops at capacity 6, so the full load of a budget-7
-    # catalog cannot see a missing capacity-7 record: it is searched again.
+    # The census stops at capacity 6, so no count check can see a missing
+    # capacity-7 record: only a sound sidecar or a new search serves.
     path = tmp_path / "cat.jsonl"
     fold = fold_catalog(budget7_catalog)
     save_catalog(budget7_catalog, path, fold)
-    fresh = path.read_bytes()
+    fresh, fresh_fold = path.read_bytes(), fold_path(path).read_bytes()
     code, clean, err = run(capsys, *GF7, "--catalog", str(path))
     assert code == 0 and err == ""
     assert json.loads(clean)[6:9] == [37, 365, 2489]
@@ -397,9 +384,10 @@ def test_catalog_past_the_census_is_rebuilt_by_search(capsys, tmp_path, budget7_
         fold_path(path).unlink()
     code, out, err = run(capsys, *GF7, "--catalog", str(path))
     assert code == 0 and out == clean
-    assert "ignoring cache" in err and "budget 7 is past the census" in err
+    assert err.startswith("ignoring cache: ")
     assert ("changed after" in err) == sidecar
     assert path.read_bytes() == fresh
+    assert fold_path(path).read_bytes() == fresh_fold
     assert load_fold(path) == fold
 
 
@@ -441,11 +429,13 @@ SIDECAR_DEFECTS = {
 }
 
 
+@pytest.mark.usefixtures("no_record_reads")
 @pytest.mark.parametrize("case", sorted(SIDECAR_DEFECTS))
-def test_unsound_sidecar_is_ignored_and_rewritten(capsys, monkeypatch, tmp_path, case):
+def test_unsound_sidecar_is_ignored_and_rewritten(capsys, tmp_path, case):
     edit, message = SIDECAR_DEFECTS[case]
     path = tmp_path / "cat.jsonl"
     code, clean, _ = run(capsys, *GF3, "--catalog", str(path))
+    fresh = path.read_bytes()
     sidecar = fold_path(path)
     sound = sidecar.read_text()
     if case == "bad_json":
@@ -456,11 +446,11 @@ def test_unsound_sidecar_is_ignored_and_rewritten(capsys, monkeypatch, tmp_path,
         sidecar.write_text(json.dumps(obj))
     with pytest.raises(CatalogError, match=message):
         load_fold(path)
-    # the catalog itself is sound: it is loaded, not searched again
-    monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
+    # searched again: the catalog is rewritten as it was, the sidecar sound
     code, out, err = run(capsys, *GF3, "--catalog", str(path))
     assert code == 0 and out == clean
     assert "ignoring cache" in err and message in err
+    assert path.read_bytes() == fresh
     assert sidecar.read_text() == sound
 
 
@@ -473,33 +463,29 @@ def test_search_that_loses_the_maximal_shape_fails_the_build(
     assert not path.exists() and not fold_path(path).exists()
 
 
-def test_catalog_without_sidecar_is_loaded_and_gains_one(capsys, monkeypatch, tmp_path):
+@pytest.mark.usefixtures("no_record_reads")
+def test_catalog_without_sidecar_is_searched_again_and_gains_one(capsys, monkeypatch, tmp_path):
     path = tmp_path / "cat.jsonl"
     code, _, _ = run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(path))
-    assert code == 0 and not fold_path(path).exists()
+    assert code == 0
+    fresh, fresh_fold = path.read_bytes(), fold_path(path).read_bytes()
+    fold_path(path).unlink()
     _, clean, _ = run(capsys, *GF3)
-    loads = []
-    real_load = cli.load_catalog
-
-    def counting_load(where):
-        loads.append(where)
-        return real_load(where)
-
-    monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
-    monkeypatch.setattr(cli, "load_catalog", counting_load)
     code, out, err = run(capsys, *GF3, "--catalog", str(path))
-    assert code == 0 and err == "" and out == clean
-    assert loads == [str(path)]
-    assert load_fold(path).max_occ == 3
+    assert code == 0 and out == clean
+    assert err.startswith("ignoring cache: ") and "cat.jsonl.fold" in err
+    assert path.read_bytes() == fresh
+    assert fold_path(path).read_bytes() == fresh_fold
     # the next run reads the sidecar alone
-    code, again, _ = run(capsys, *GF3, "--catalog", str(path))
-    assert code == 0 and again == out and len(loads) == 1
+    monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
+    code, again, err = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 0 and again == out and err == ""
 
 
+@pytest.mark.usefixtures("no_record_reads")
 def test_warm_run_reads_the_sidecar_only(capsys, monkeypatch, tmp_path):
     path = tmp_path / "cat.jsonl"
     code, clean, _ = run(capsys, *GF3, "--catalog", str(path))
-    monkeypatch.setattr(cli, "load_catalog", _fail("load_catalog"))
     monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
     for argv in (GF3, ("closed-form", "--occ", "3"), ("restricted", "--occ", "3", "--k", "4"),
                  ("verify", "--occ", "3", "--max-n", "7", "--threads", "1"),
@@ -508,6 +494,19 @@ def test_warm_run_reads_the_sidecar_only(capsys, monkeypatch, tmp_path):
         assert code == 0 and err == "", argv
     code, out, _ = run(capsys, *GF3, "--catalog", str(path))
     assert out == clean
+
+
+@pytest.mark.usefixtures("no_record_reads")
+def test_shapes_out_writes_the_sidecar(capsys, tmp_path):
+    written, searched = tmp_path / "s3.jsonl", tmp_path / "c3.jsonl"
+    code, out, _ = run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(written))
+    assert code == 0 and out == ""
+    assert load_fold(written) == fold_catalog(enumerate_kernel_shapes(3))
+    # the same pair of files a cold solve writes
+    code, _, _ = run(capsys, *GF3, "--catalog", str(searched))
+    assert code == 0
+    assert written.read_bytes() == searched.read_bytes()
+    assert fold_path(written).read_bytes() == fold_path(searched).read_bytes()
 
 
 WARM_SOLVES = (
@@ -597,18 +596,26 @@ def test_broken_pipe_outside_stdout_is_an_error(capsys, monkeypatch, tmp_path):
     assert sys.stdout is stdout
 
 
-def test_unwritable_sidecar_still_serves(capsys, monkeypatch, tmp_path):
+@pytest.mark.usefixtures("no_record_reads")
+def test_unwritable_cache_is_an_error(capsys, monkeypatch, tmp_path):
+    # a catalog without a sidecar is searched again, and a sidecar that
+    # cannot then be written fails the run, as a catalog that cannot be
+    # written does
     path = tmp_path / "cat.jsonl"
     run(capsys, "shapes", "--max-occ", "3", "--threads", "1", "--out", str(path))
-    _, clean, _ = run(capsys, *GF3)
+    fold_path(path).unlink()
+    write_text = Path.write_text
 
-    def read_only(fold, where):
-        raise PermissionError(f"{where}.fold: read-only")
+    def read_only(self, *args, **kwargs):
+        if self == fold_path(path):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        return write_text(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "save_fold", read_only)
+    monkeypatch.setattr(Path, "write_text", read_only)
     code, out, err = run(capsys, *GF3, "--catalog", str(path))
-    assert code == 0 and out == clean
-    assert "not caching the fold" in err and "read-only" in err
+    assert code == 2 and out == ""
+    assert err.startswith("ignoring cache: ")
+    assert err.splitlines()[-1].startswith("error:") and "Permission denied" in err
     assert not fold_path(path).exists()
 
 

@@ -252,6 +252,41 @@ def test_load_catalog_refuses_a_line_its_shape_does_not_give(tmp_path, catalog2,
         load_catalog(path)
 
 
+def _drop_key(lines):
+    rec = json.loads(lines[5])
+    del rec["lis_ne"]
+    return lines[:5] + [json.dumps(rec)] + lines[6:]
+
+
+def _wrong_type(lines):
+    rec = json.loads(lines[5])
+    rec["size"] = str(rec["size"])
+    return lines[:5] + [json.dumps(rec)] + lines[6:]
+
+
+# edit of the lines of a budget-3 catalog -> what the loader reports for
+# it; line 0 is the header, records are sorted by size, and the last is
+# the maximal shape
+MALFORMED = {
+    "missing_key": (_drop_key, "differs from the one its shape gives"),
+    "truncated_line": (lambda lines: lines[:5] + [lines[5][:20]] + lines[6:], "bad JSON"),
+    "wrong_type": (_wrong_type, "differs from the one its shape gives"),
+    "duplicate_record": (lambda lines: lines[:6] + [lines[5]] + lines[6:], "duplicated"),
+    "unsorted_records": (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:], "sorted"),
+    "no_maximal_shape": (lambda lines: lines[:-1], "no maximal shape for budget 3"),
+    "census_mismatch": (lambda lines: lines[:5] + lines[6:], "census"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_catalog_refuses_a_malformed_catalog(tmp_path, catalog3, case):
+    edit, message = MALFORMED[case]
+    path = tmp_path / "cat.jsonl"
+    path.write_text("\n".join(edit(catalog_to_text(catalog3).splitlines())) + "\n")
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(path)
+
+
 def test_budget6_fold(catalog6):
     fold = fold_catalog(catalog6)
     assert sum(fold.classes.values()) == len(catalog6.records) == 3214
