@@ -1,10 +1,11 @@
 """Closed forms over the quadratic extension Q(x)[y] with y^2 = 1 - 4x.
 
 An :class:`AlgebraicFunction` is (p(x) + q(x)*y) / d(x) with integer
-polynomials p, q, d.  The representation is normalized by stripping the
-common integer content, cancelling shared powers of x and of (1 - 4x),
-and making d's leading coefficient positive; equality is then decided
-by cross-multiplication, so no canonical-form argument is needed.
+polynomials p, q, d; a rational constant c/e is (c,) over (e,).  The
+representation is normalized by stripping the common integer content,
+cancelling shared powers of x and of (1 - 4x), and making d's leading
+coefficient positive; equality is then decided by cross-multiplication,
+so no canonical-form argument is needed.
 
 The paper's split of level r, (P + Q*(1-4x)^(1/2-r)) / 2, is a
 :class:`PQForm` holding the integer polynomials 2P and 2Q.
@@ -17,11 +18,10 @@ the empty tuple.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .series import PoleAtOriginError, PowerSeries, poly_series, sqrt_one_minus_4x
+from .series import PoleAtOriginError, PowerSeries, sqrt_one_minus_4x
 
 IntPoly = tuple[int, ...]
 
@@ -150,11 +150,6 @@ class AlgebraicFunction:
         return cls(p, (), (1,))
 
     @classmethod
-    def constant(cls, c: int | Fraction) -> AlgebraicFunction:
-        c = Fraction(c)
-        return cls((c.numerator,), (), (c.denominator,))
-
-    @classmethod
     def x_power(cls, e: int) -> AlgebraicFunction:
         return cls((0,) * e + (1,), (), (1,))
 
@@ -193,8 +188,8 @@ class AlgebraicFunction:
         return self + (-other)
 
     def __mul__(self, other) -> AlgebraicFunction:
-        if isinstance(other, (int, Fraction)):
-            other = AlgebraicFunction.constant(other)
+        if isinstance(other, int):
+            other = AlgebraicFunction.from_poly((other,))
         return AlgebraicFunction(
             poly_add(
                 poly_mul(self.p, other.p),
@@ -245,16 +240,18 @@ def af_to_series(a: AlgebraicFunction, order: int) -> PowerSeries:
     """Taylor expansion of `a` at the origin, truncated to `order`.
 
     Powers of x in the denominator must cancel against the numerator's
-    valuation; otherwise a :class:`PoleAtOriginError` is raised.
+    valuation; otherwise a :class:`PoleAtOriginError` is raised.  An
+    expansion that leaves the integers raises ArithmeticError.
     """
     vd = _x_valuation(a.d)
     assert vd is not None
     work = order + vd
-    num = poly_series(a.p, work) + poly_series(a.q, work) * sqrt_one_minus_4x(work)
+    num = (PowerSeries.from_coeffs(a.p, work)
+           + PowerSeries.from_coeffs(a.q, work) * sqrt_one_minus_4x(work))
     if any(num[i] for i in range(vd)):
         raise PoleAtOriginError(f"{a!r} has a pole at the origin")
     shifted = PowerSeries(num.coeffs[vd:])
-    den = poly_series(_shift_down(a.d, vd), order)
+    den = PowerSeries.from_coeffs(_shift_down(a.d, vd), order)
     return shifted / den
 
 

@@ -20,10 +20,10 @@ the one it records; it parses no record.  Any other FILE (no sidecar,
 an unsound one, or one written for other bytes) is reported as
 ``ignoring cache: ...``, and one whose sound sidecar is of a smaller
 budget as ``... rebuilding``; either is searched again and both files
-are written anew.  ``shapes --out FILE`` writes the sidecar too.  Negative bounds, and a ``--catalog`` or
-``--out`` in a missing directory, are refused before any work.  A
-closed stdout (as under ``occ132 ... | head -1``) ends a command with
-exit 1 and no message.
+are written anew.  ``shapes --out FILE`` writes the sidecar too.
+Negative bounds, and a ``--catalog`` or ``--out`` in a missing
+directory, are refused before any work.  A closed stdout (as under
+``occ132 ... | head -1``) ends a command with exit 1 and no message.
 
 ``verify --occ R`` sweeps the brute-force oracle with the occurrence
 budget R, so it visits only the permutations that can have at most R
@@ -208,7 +208,7 @@ def _cmd_verify(args) -> int:
     print(f"{'n':>3} {'solver':>14} {'oracle':>14}  ({tag})")
     ok = True
     for n in range(args.max_n + 1):
-        got = int(series[n])
+        got = series[n]
         want = occurrence_counts(tables[n], args.k).get(args.occ, 0)
         mark = "" if got == want else "  MISMATCH"
         print(f"{n:>3} {got:>14} {want:>14}{mark}")

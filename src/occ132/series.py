@@ -1,47 +1,38 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Truncated formal power series with plain integer coefficients.
 
-A series stores the coefficients of x^0..x^order as plain ``int``s
-wherever they are integral and as ``Fraction``s only where a
-denominator appears, so integer series never leave integer arithmetic.
-Arithmetic truncates to the smaller operand order, and equality
-compares coefficients up to the shared order.  All operations are pure;
-nothing here ever touches floating point.
+Every series the package forms counts permutations or expands a closed
+form whose denominator divides it, so a series refuses any coefficient
+that is not an ``int``, and division raises ArithmeticError rather than
+leave the integers.  Arithmetic truncates to the smaller operand order,
+and equality compares coefficients up to the shared order.  Nothing
+here ever touches floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class PoleAtOriginError(ArithmeticError):
     """A Laurent expansion kept negative powers of x."""
 
 
-def _coeff(value) -> int | Fraction:
-    """The coefficient as an ``int`` when integral, else as a ``Fraction``."""
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
 class PowerSeries:
-    """Coefficients of x^0..x^order, exact rationals."""
+    """Coefficients of x^0..x^order, plain integers."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int | Fraction, ...]):
+    def __init__(self, coeffs: tuple[int, ...]):
         if not coeffs:
             raise ValueError("a series carries at least the constant coefficient")
         if not all(type(c) is int for c in coeffs):
-            coeffs = tuple(_coeff(c) for c in coeffs)
+            bad = next(c for c in coeffs if type(c) is not int)
+            raise TypeError(f"series coefficients are int, got {type(bad).__name__}")
         self.coeffs = coeffs
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int | Fraction], order: int | None = None) -> PowerSeries:
+    def from_coeffs(cls, coeffs: Iterable[int], order: int | None = None) -> PowerSeries:
         """Build a series, zero-padding or truncating to `order` if given."""
         cs = list(coeffs)
         if order is not None:
@@ -64,7 +55,7 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> int | Fraction:
+    def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
@@ -86,17 +77,16 @@ class PowerSeries:
         return self + (-other)
 
     def __mul__(self, other) -> PowerSeries:
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            return PowerSeries(tuple(a * c for a in self.coeffs))
+        if isinstance(other, int):
+            return PowerSeries(tuple(a * other for a in self.coeffs))
         shared = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out = [0] * (shared + 1)
-        for i in range(min(len(a), shared + 1)):
+        for i in range(shared + 1):
             ai = a[i]
             if not ai:
                 continue
-            for j in range(min(len(b), shared + 1 - i)):
+            for j in range(shared + 1 - i):
                 if b[j]:
                     out[i + j] += ai * b[j]
         return PowerSeries(tuple(out))
@@ -104,7 +94,8 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other: PowerSeries) -> PowerSeries:
-        """Series division; the divisor needs a nonzero constant term."""
+        """Exact series division; the divisor needs a nonzero constant term,
+        and each quotient coefficient must be an integer."""
         b0 = other.coeffs[0]
         if b0 == 0:
             raise ZeroDivisionError("division by a series with zero constant term")
@@ -114,9 +105,13 @@ class PowerSeries:
         for n in range(shared + 1):
             acc = a[n]
             for i in range(n):
-                if q[i] and n - i < len(b):
+                if q[i]:
                     acc -= q[i] * b[n - i]
-            q[n] = acc if b0 == 1 else _coeff(Fraction(acc) / b0)  # int / int would be a float
+            if b0 != 1:
+                acc, rem = divmod(acc, b0)
+                if rem:
+                    raise ArithmeticError(f"the quotient's coefficient of x^{n} is not an integer")
+            q[n] = acc
         return PowerSeries(tuple(q))
 
     def __pow__(self, exponent: int) -> PowerSeries:
@@ -131,18 +126,14 @@ class PowerSeries:
         """Multiply by x^k, keeping the order (high coefficients drop off)."""
         if k == 0:
             return self
+        k = min(k, self.order + 1)
         return PowerSeries((0,) * k + self.coeffs[: self.order + 1 - k])
 
-    def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coeffs)
-
     def integer_coeffs(self) -> list[int]:
-        if not self.is_integral():
-            raise ValueError(f"series has non-integer coefficients: {self}")
         return list(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"PowerSeries({[str(c) for c in self.coeffs]})"
+        return f"PowerSeries({list(self.coeffs)})"
 
 
 def sqrt_one_minus_4x(order: int) -> PowerSeries:
@@ -159,8 +150,3 @@ def sqrt_one_minus_4x(order: int) -> PowerSeries:
 def catalan_series(order: int) -> PowerSeries:
     """1 + x + 2x^2 + 5x^3 + 14x^4 + ...: the fixed point of S = 1 + x*S^2."""
     return PowerSeries(tuple(comb(2 * n, n) // (n + 1) for n in range(order + 1)))
-
-
-def poly_series(poly: Sequence[int | Fraction], order: int) -> PowerSeries:
-    """View a polynomial (ascending coefficients) as a truncated series."""
-    return PowerSeries.from_coeffs(poly, order)

@@ -27,7 +27,9 @@ at level r.
 
 The level step is written once and runs over truncated integer series
 and over closed forms in Q(x)[sqrt(1-4x)]; the two rings check each
-other.
+other.  A series level must have no negative coefficient, and the
+maximal shape's cells must give S_0^(r+2), compared before the shift by
+x^(2r+1) that would carry a difference past a low order.
 
 The restricted variant counts permutations that additionally avoid the
 increasing pattern 12...k.  Increasing runs never cross cells (row and
@@ -39,7 +41,8 @@ content avoids 12...(k - l_j); that gives the same budget-split
 recursion with the series family indexed by the surviving monotone
 budget, an all-zero family at budgets <= 0, and a per-shape cutoff at
 k <= lis(shape).  The unrestricted recursion is the case with no
-monotone budget at all.
+monotone budget at all; no permutation up to the truncation order holds
+an increasing run longer than it, so every larger k is solved as order + 1.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ class Solver:
         """Series counting permutations with exactly r occurrences of 132
         that also avoid the increasing pattern of length k."""
         self._require(r)
-        return self._level(self._series, r, k)
+        return self._level(self._series, r, min(k, self.order + 1))
 
     # -- the level step ---------------------------------------------------------
 
@@ -202,9 +205,7 @@ class Solver:
                 total = total + (level(r1, 1) * level(r - r1)).shifted(1)
         divisor = one - (len(ends) * level(0, 1)).shifted(1)
         result = total / divisor
-        if isinstance(result, PowerSeries) and (
-            not result.is_integral() or any(c < 0 for c in result.coeffs)
-        ):
+        if isinstance(result, PowerSeries) and any(c < 0 for c in result.coeffs):
             raise SolverError(f"level ({r}, {k}) series is not a counting series: {result!r}")
         if isinstance(divisor, AlgebraicFunction) and divisor != AlgebraicFunction.y():
             raise SolverError("1 - 2x*S_0 did not reduce to sqrt(1-4x)")
@@ -212,8 +213,7 @@ class Solver:
             # The maximal shape's term must equal x^(2r+1) * S_0^(r+2).
             if r not in self._maximal_cells:
                 raise CatalogError(f"catalog lacks the maximal shape for budget {r}")
-            from_record = ring.product((None,) * self._maximal_cells[r], 0)[0].shifted(2 * r + 1)
-            if from_record != (level(0) ** (r + 2)).shifted(2 * r + 1):
+            if ring.product((None,) * self._maximal_cells[r], 0)[0] != level(0) ** (r + 2):
                 raise SolverError(f"maximal-shape contribution mismatch at level {r}")
         return result
 

@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -81,6 +80,17 @@ def test_restricted(capsys):
     code, out, _ = run(capsys, "restricted", "--occ", "0", "--k", "3", "--order", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["0,1", "1,1", "2,2", "3,4"]
+
+
+def test_restricted_k_past_the_order_prints_the_gf(capsys):
+    # the default order is 32: every k >= 33 gives the unrestricted counts
+    outs = [run(capsys, "restricted", "--occ", "2", "--k", k, "--threads", "1")
+            for k in ("33", "1000000")]
+    _, gf, _ = run(capsys, "gf", "--occ", "2", "--threads", "1")
+    assert outs[0] == outs[1] == (0, gf, "")
+    code, out, _ = run(capsys, "verify", "--occ", "2", "--max-n", "7", "--k", "1000000",
+                       "--threads", "1")
+    assert code == 0 and "MISMATCH" not in out
 
 
 def test_verify_ok(capsys):
@@ -160,7 +170,7 @@ def test_check_invariants_matches_benchmark_reference(capsys):
 
 # the closed form of level 1 times a factor that breaks its integer split
 SPLIT_BREAKERS = {
-    "non-integer": AlgebraicFunction.constant(Fraction(1, 3)),
+    "non-integer": AlgebraicFunction((1,), (), (3,)),
     "non-polynomial": AlgebraicFunction.from_poly((1, 1)).inverse(),
 }
 

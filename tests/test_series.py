@@ -8,7 +8,7 @@ from occ132 import PowerSeries, catalan_series, sqrt_one_minus_4x
 
 small_series = st.builds(
     PowerSeries.from_coeffs,
-    st.lists(st.fractions(max_denominator=20), min_size=1, max_size=8),
+    st.lists(st.integers(-20, 20), min_size=1, max_size=8),
 )
 
 
@@ -52,6 +52,12 @@ def test_zero_constant_division_rejected():
         PowerSeries.one(4) / PowerSeries.from_coeffs([0, 1], order=4)
 
 
+def test_inexact_division_rejected():
+    # 1/(2 + x) = 1/2 - x/4 + ...
+    with pytest.raises(ArithmeticError, match=r"x\^0"):
+        PowerSeries.one(4) / PowerSeries.from_coeffs([2, 1])
+
+
 def test_sqrt_values():
     assert sqrt_one_minus_4x(4).coeffs == (1, -2, -2, -4, -10)
 
@@ -83,8 +89,17 @@ def test_result_order_is_min_of_operands():
 
 
 def test_integer_coeffs_guard():
-    with pytest.raises(ValueError):
-        PowerSeries.from_coeffs([Fraction(1, 2)]).integer_coeffs()
+    for coeff in (Fraction(1, 2), Fraction(2, 1), 0.5, 1.0):
+        with pytest.raises(TypeError, match="int"):
+            PowerSeries.from_coeffs([1, coeff])
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 13])
+def test_shift_past_the_order_keeps_it(k):
+    a = PowerSeries.from_coeffs([1, 2, 3, 4, 5, 6])  # order 5
+    shifted = a.shifted(k)
+    assert shifted.order == 5
+    assert shifted.coeffs == ((0,) * k + a.coeffs)[:6]
 
 
 @given(small_series, small_series, small_series)
@@ -98,4 +113,4 @@ def test_ring_laws(a, b, c):
 def test_division_inverts_multiplication(a, b):
     if b.coeffs[0] == 0:
         return
-    assert (a / b) * b == a
+    assert (a * b) / b == a

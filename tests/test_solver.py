@@ -72,6 +72,15 @@ class TestCatalogChecks:
         with pytest.raises(SolverError, match="maximal-shape contribution mismatch"):
             Solver(ShapeCatalog(3, records), 8).occurrence_series(3)
 
+    @pytest.mark.parametrize("order", [1, 5, 13])
+    def test_maximal_shape_with_a_cell_too_many(self, catalog6, order):
+        # at these orders the shift by x^13 would carry any difference past the order
+        solver = Solver(fold_catalog(catalog6), order)
+        solver._maximal_cells[6] += 1
+        solver.occurrence_series(5)
+        with pytest.raises(SolverError, match="maximal-shape contribution mismatch at level 6"):
+            solver.occurrence_series(6)
+
 
 class _CountingRecords(tuple):
     iterations = 0
@@ -171,10 +180,16 @@ class TestRestricted:
         for k in range(1, 9):
             assert solver.restricted_series(0, k) == chebyshev(k - 1) / chebyshev(k), k
 
-    def test_large_k_equals_unrestricted(self, catalog2):
+    def test_large_k_equals_unrestricted(self, catalog6):
+        solver = Solver(catalog6, 8)
+        for r in range(7):
+            assert solver.restricted_series(r, 9) == solver.occurrence_series(r)
+
+    def test_k_past_the_order_is_solved_as_order_plus_one(self, catalog2):
         solver = Solver(catalog2, 8)
         for r in range(3):
-            assert solver.restricted_series(r, 9) == solver.occurrence_series(r)
+            assert solver.restricted_series(r, 10**6) == solver.occurrence_series(r)
+        assert max(k for _, k in solver._series.levels if k is not None) == 9
 
 
 def test_series_coefficients_are_ints(catalog3):
