@@ -230,6 +230,8 @@ class AlgebraicFunction:
 
     def shifted(self, k: int) -> AlgebraicFunction:
         """Multiply by x^k."""
+        if k < 0:
+            raise ValueError(f"cannot shift by a negative power: x^{k}")
         return AlgebraicFunction((0,) * k + self.p, (0,) * k + self.q, self.d)
 
     def __repr__(self) -> str:

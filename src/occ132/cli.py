@@ -102,10 +102,7 @@ def _obtain_catalog(max_occ: int, path: str | None, threads: int) -> ShapeFold:
             print(f"cached catalog at {path} only covers max-occ {fold.max_occ}; rebuilding",
                   file=sys.stderr)
     catalog = enumerate_kernel_shapes(max_occ, threads=threads)
-    fold = fold_catalog(catalog)
-    if path:
-        save_catalog(catalog, path, fold)
-    return fold
+    return save_catalog(catalog, path) if path else fold_catalog(catalog)
 
 
 # -- subcommands ------------------------------------------------------------

@@ -15,9 +15,11 @@ directions in its one pass over the permutations:
 - inverse (``assemble/decompose inverse``): every decompose(pi) lies in D,
   and D holds exactly n! pairs of assembled size n, for each n <= N.
 
-Membership in D is read off the pair itself, and the sizes are counted
-over D as enumerated from the kernel permutations and the content
-tuples, which is neither stored nor assembled nor decomposed.
+Membership in D is read off the pair itself, and the sizes of D are
+counted from the kernel permutations and their cell counts: each cell
+takes any permutation, so a kernel of size s with f cells holds
+[x^e] (sum_j j! x^j)^f pairs of assembled size s + e.  D is neither
+listed nor assembled nor decomposed.
 
 Why this proves decompose(assemble(rho, c)) == (rho, c) for every
 (rho, c) in D, the property that needed a second analysis of every
@@ -33,7 +35,7 @@ no permutation, and then, if forward holds, D has more than n! pairs of
 its size.  Each check isolates one property: forward is the left
 inverse, the inverse check is "decompose lands exactly on D".  A
 permutation that does not decompose at all is reported by the cell
-check only, since the inverse check counts the enumerated side.
+check only, since the inverse check counts D from the kernels.
 """
 
 from __future__ import annotations
@@ -78,18 +80,22 @@ def structure_sweep(max_n: int, kernels: Sequence[Permutation] | None = None) ->
     - within a grid row, cells further left hold strictly larger values;
     - within a grid column, cells further up sit strictly further left;
     - assemble(decompose(pi)) == pi;
-    - decompose(pi) lies in the domain D enumerated from `kernels` (all
+    - decompose(pi) lies in the domain D counted from `kernels` (all
       kernel permutations of size <= max_n, searched when not given), and
       D has n! pairs of each assembled size n.
     """
     if kernels is None:
         kernels = iter_kernel_permutations(max_n)
     cell_count = {rho.values: len(_feasible_cells(rho.values)) for rho in kernels}
-    domain_sizes = Counter(
-        rho.n + sum(map(len, contents))
-        for rho in kernels
-        for contents in _content_tuples(cell_count[rho.values], max_n - rho.n)
-    )
+    # A kernel of size s with f cells holds [x^e] (sum_j j! x^j)^f pairs of
+    # assembled size s + e.
+    domain_sizes: Counter[int] = Counter()
+    for (s, f), kernels_alike in Counter((rho.n, cell_count[rho.values]) for rho in kernels).items():
+        pairs = [1] + [0] * (max_n - s)
+        for _ in range(f):
+            pairs = [sum(pairs[i] * factorial(e - i) for i in range(e + 1)) for e in range(len(pairs))]
+        for e, count in enumerate(pairs):
+            domain_sizes[s + e] += kernels_alike * count
     violations: dict[str, list[str]] = {name: [] for name in STRUCTURE_CHECKS}
     for n in range(1, max_n + 1):
         for values in iter_permutations(range(1, n + 1)):
@@ -131,17 +137,6 @@ def structure_sweep(max_n: int, kernels: Sequence[Permutation] | None = None) ->
                 f"{domain_sizes[n]} pairs of assembled size {n} enumerated for {factorial(n)} permutations"
             )
     return violations
-
-
-def _content_tuples(f: int, budget: int):
-    """All tuples of f permutations (as value tuples) with total size <= budget."""
-    if f == 0:
-        yield ()
-        return
-    for size in range(budget + 1):
-        for head in iter_permutations(range(1, size + 1)):
-            for tail in _content_tuples(f - 1, budget - size):
-                yield (head, *tail)
 
 
 def cell_order_totality(shapes) -> list[str]:

@@ -25,7 +25,8 @@ row m per column l, all found in one pass per column
 Feasible cells are totally ordered by the dominance order
 (m, l) < (m', l') iff m >= m' and l <= l'.  ``decompose`` sends a
 permutation to its shape plus the content pattern of each feasible cell
-in that order; ``assemble`` is the inverse construction.
+in that order; ``assemble`` is the inverse construction, one sort of
+position and value keys.
 
 A shape's capacity and its feasible cells in dominance order are held in
 one cache keyed by the values tuple (``_shape_cells``).  ``shape_record``,
@@ -365,47 +366,21 @@ def assemble(rho: Permutation, contents: Sequence[Permutation]) -> Permutation:
     are order-isomorphic to `contents` (one per feasible cell, in
     dominance order).
 
-    Within a row, cells further left receive strictly larger value
-    blocks; within a column, cells further up receive strictly earlier
-    position blocks.  These allocations are forced by the grid, so the
-    construction is canonical and inverts :func:`decompose`.
+    Every entry gets a position key and a value key.  Kernel entry k
+    gets (2k, 0, 0) and (2 rho(k), 0, 0); entry t (from 0) of the
+    content alpha of cell (m, l) gets (2l - 1, -m, t) and
+    (2m - 1, -l, alpha_t).  So a cell's entries sit between kernel
+    positions l - 1 and l and between kernel values m - 1 and m; within
+    a column, cells further up sit further left, and within a row,
+    cells further left take larger values.  These allocations are
+    forced by the grid, so the pattern of the value keys taken in
+    position-key order is canonical and inverts :func:`decompose`.
     """
     cells = _shape_cells(rho.values)[1]
     if len(contents) != len(cells):
         raise ValueError(f"expected {len(cells)} cell contents, got {len(contents)}")
-    s = rho.n
-    row_total = [0] * (s + 1)
-    col_total = [0] * (s + 2)
-    for (m, l), alpha in zip(cells, contents):
-        row_total[m] += alpha.n
-        col_total[l] += alpha.n
-    n = s + sum(row_total)
-
-    # Kernel coordinates after making room for the cell blocks.
-    val_of_rank = [0] * (s + 1)
-    acc = 0
-    for m in range(1, s + 1):
-        acc += row_total[m]
-        val_of_rank[m] = acc + m
-    pos_of_index = [0] * (s + 1)
-    acc = 0
-    for k in range(1, s + 1):
-        acc += col_total[k]
-        pos_of_index[k] = acc + k
-
-    result = [0] * (n + 1)
-    for k in range(1, s + 1):
-        result[pos_of_index[k]] = val_of_rank[rho(k)]
-    # One walk in dominance order (l ascending, m descending within a
-    # column): a row's leftmost cell comes first and takes the top of the
-    # row's value band; a column's highest cell comes first and sits
-    # leftmost in the column's position band.
-    top = [v - 1 for v in val_of_rank]
-    left = [0, *pos_of_index]
-    for (m, l), alpha in zip(cells, contents):
-        low, start = top[m] - alpha.n, left[l]
-        for t, a in enumerate(alpha.values, start=1):
-            result[start + t] = low + a
-        top[m] = low
-        left[l] = start + alpha.n
-    return Permutation(tuple(result[1:]))
+    keys = [((2 * k, 0, 0), (2 * r, 0, 0)) for k, r in enumerate(rho.values, start=1)]
+    keys += [((2 * l - 1, -m, t), (2 * m - 1, -l, a))
+             for (m, l), alpha in zip(cells, contents) for t, a in enumerate(alpha.values)]
+    keys.sort()
+    return reduce_to_pattern([value for _, value in keys])

@@ -124,6 +124,8 @@ class PowerSeries:
 
     def shifted(self, k: int) -> PowerSeries:
         """Multiply by x^k, keeping the order (high coefficients drop off)."""
+        if k < 0:
+            raise ValueError(f"cannot shift by a negative power: x^{k}")
         if k == 0:
             return self
         k = min(k, self.order + 1)

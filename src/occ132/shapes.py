@@ -207,7 +207,7 @@ def _dfs(max_size: int, max_occ: int, roots: list[_State]) -> list[tuple[int, ..
         state = stack.pop()
         pat, _, _, comp = state
         k = len(pat)
-        if len(set(comp)) == 1:
+        if len(set(comp)) == 1 and k <= max_size:
             found.append(pat)
         if k >= max_size:
             continue
@@ -249,8 +249,8 @@ def _search(max_size: int, max_occ: int, threads: int = 1) -> list[tuple[int, ..
     from multiprocessing import Pool
 
     found, frontier = _frontier(_SPLIT_DEPTH, max_occ)
-    chunks = [frontier[i :: 4 * threads] for i in range(4 * threads)]
-    jobs = [(max_size, max_occ, chunk) for chunk in chunks if chunk]
+    step = min(4 * threads, len(frontier))
+    jobs = [(max_size, max_occ, frontier[i::step]) for i in range(step)]
     with Pool(min(threads, len(jobs))) as pool:
         for part in pool.map(_dfs_job, jobs):
             found.extend(part)
@@ -377,19 +377,18 @@ def fold_catalog(catalog: ShapeCatalog) -> ShapeFold:
     return ShapeFold(catalog.max_occ, dict(classes))
 
 
-def save_catalog(catalog: ShapeCatalog, path: str | Path, fold: ShapeFold | None = None) -> None:
-    """Write the catalog, then its fold (``fold_catalog(catalog)`` when not
-    given) beside it as the sidecar, bound to the sha256 of the bytes
-    just written."""
+def save_catalog(catalog: ShapeCatalog, path: str | Path) -> ShapeFold:
+    """Write the catalog, then its fold beside it as the sidecar, bound to
+    the sha256 of the bytes just written; return the fold."""
     Path(path).write_text(catalog_to_text(catalog))
-    if fold is None:
-        fold = fold_catalog(catalog)
+    fold = fold_catalog(catalog)
     digest = _catalog_digest(path)
     rows = [[s, c, lis, list(runs), m] for (s, c, lis, runs), m in sorted(fold.classes.items())]
     sidecar = {"format_version": FOLD_FORMAT_VERSION, "max_occ": fold.max_occ,
                "catalog_sha256": digest, "fold_sha256": _fold_digest(digest, fold.max_occ, rows),
                "classes": rows}
     fold_path(path).write_text(json.dumps(sidecar, separators=(",", ":")) + "\n")
+    return fold
 
 
 def fold_path(path: str | Path) -> Path:

@@ -76,6 +76,11 @@ def test_inverse_of_zero_rejected():
         AlgebraicFunction((), (), (1,)).inverse()
 
 
+def test_negative_shift_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        X.shifted(-1)
+
+
 def test_division_by_y_exact():
     assert (Y * CATALAN) / Y == CATALAN
 

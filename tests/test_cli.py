@@ -379,8 +379,7 @@ def test_catalog_past_the_census_is_rebuilt_by_search(capsys, tmp_path, budget7_
     # The census stops at capacity 6, so no count check can see a missing
     # capacity-7 record: only a sound sidecar or a new search serves.
     path = tmp_path / "cat.jsonl"
-    fold = fold_catalog(budget7_catalog)
-    save_catalog(budget7_catalog, path, fold)
+    fold = save_catalog(budget7_catalog, path)
     fresh, fresh_fold = path.read_bytes(), fold_path(path).read_bytes()
     code, clean, err = run(capsys, *GF7, "--catalog", str(path))
     assert code == 0 and err == ""

@@ -94,6 +94,11 @@ def test_integer_coeffs_guard():
             PowerSeries.from_coeffs([1, coeff])
 
 
+def test_negative_shift_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        PowerSeries.from_coeffs([1, 2, 3]).shifted(-1)
+
+
 @pytest.mark.parametrize("k", [5, 6, 7, 13])
 def test_shift_past_the_order_keeps_it(k):
     a = PowerSeries.from_coeffs([1, 2, 3, 4, 5, 6])  # order 5

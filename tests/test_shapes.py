@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
@@ -119,6 +120,18 @@ class TestEnumerate:
         assert serial_pool == [jobs] and jobs < 500
         assert sorted(found) == sorted(shapes._search(10, 4))
 
+    def test_huge_thread_count_splits_only_the_frontier(self, serial_pool):
+        # 4 * threads empty job lists would take about 25 MiB here
+        tracemalloc.start()
+        try:
+            found = shapes._search(10, 4, threads=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert serial_pool == [len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])]
+        assert sorted(found) == sorted(shapes._search(10, 4))
+
 
 class TestExceptionalShape:
     def test_small_cases(self):
@@ -195,9 +208,9 @@ class TestCatalogIO:
 
     def test_fold_sidecar_roundtrip(self, tmp_path, catalog3):
         path = tmp_path / "cat.jsonl"
-        save_catalog(catalog3, path)
+        fold = save_catalog(catalog3, path)
         assert fold_path(path) == tmp_path / "cat.jsonl.fold"
-        assert load_fold(path) == fold_catalog(catalog3)
+        assert load_fold(path) == fold == fold_catalog(catalog3)
 
     def test_sidecar_of_other_bytes_is_stale(self, tmp_path, catalog2):
         path = tmp_path / "cat.jsonl"
@@ -321,6 +334,10 @@ class TestSearchSoundness:
             ]
             positions = {q for pair in pairs for q in pair}
             assert len(positions) <= len(pairs) + 1
+
+    def test_nothing_above_the_size_bound(self):
+        assert iter_kernel_permutations(0) == []
+        assert [p.values for p in iter_kernel_permutations(1)] == [(1,)]
 
     def test_unbounded_enumeration_matches_brute_force(self):
         got = {p.values for p in iter_kernel_permutations(6)}
