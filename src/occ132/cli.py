@@ -21,8 +21,10 @@ an unsound one, or one written for other bytes) is reported as
 ``ignoring cache: ...``, and one whose sound sidecar is of a smaller
 budget as ``... rebuilding``; either is searched again and both files
 are written anew.  ``shapes --out FILE`` writes the sidecar too.
-Negative bounds, and a ``--catalog`` or ``--out`` in a missing
-directory, are refused before any work.  A closed stdout (as under
+Every command that takes ``--out FILE`` writes its output there instead
+of stdout.  Negative bounds, a ``--catalog`` or ``--out`` in a missing
+directory, and an ``--out`` that is the ``--catalog`` file or its
+sidecar are refused before any work.  A closed stdout (as under
 ``occ132 ... | head -1``) ends a command with exit 1 and no message.
 
 ``verify --occ R`` sweeps the brute-force oracle with the occurrence
@@ -51,6 +53,7 @@ from .shapes import (
     census,
     enumerate_kernel_shapes,
     fold_catalog,
+    fold_path,
     iter_kernel_permutations,
     load_fold,
     save_catalog,
@@ -202,14 +205,15 @@ def _cmd_verify(args) -> int:
     else:
         series = solver.restricted_series(args.occ, args.k)
         tag = f"occ={args.occ}, k={args.k}"
-    print(f"{'n':>3} {'solver':>14} {'oracle':>14}  ({tag})")
+    lines = [f"{'n':>3} {'solver':>14} {'oracle':>14}  ({tag})\n"]
     ok = True
     for n in range(args.max_n + 1):
         got = series[n]
         want = occurrence_counts(tables[n], args.k).get(args.occ, 0)
         mark = "" if got == want else "  MISMATCH"
-        print(f"{n:>3} {got:>14} {want:>14}{mark}")
+        lines.append(f"{n:>3} {got:>14} {want:>14}{mark}\n")
         ok = ok and got == want
+    _emit("".join(lines), args.out)
     return 0 if ok else 1
 
 
@@ -256,21 +260,22 @@ def _cmd_conjectures(args) -> int:
         verdict = f"nothing to check (no shape of size > 1 at --max-occ {args.max_occ})"
     else:
         verdict = f"{'holds' if not bad else 'counterexamples ' + repr(bad)} ({checked} shapes)"
-    print(f"size >= feasible-cell count for every shape != 1: {verdict}")
+    lines = [f"size >= feasible-cell count for every shape != 1: {verdict}\n"]
     solver = Solver(fold)
     for r in range(1, args.max_occ + 1):
         closed_form = solver.occurrence_closed_form(r)
         try:
             form = extract_pq(closed_form, r)
         except ValueError:
-            print(f"occ {r}: split NOT an integer polynomial")
+            lines.append(f"occ {r}: split NOT an integer polynomial\n")
             continue
         # 4^deg * Q(1/4), in integers
         q_at_quarter = poly_eval(form.two_Q[::-1], 4)
-        print(
+        lines.append(
             f"occ {r}: split polynomial; half-integer halves hold; (1-4x) divides Q: "
-            f"{'no' if q_at_quarter != 0 else 'YES (unexpected)'}"
+            f"{'no' if q_at_quarter != 0 else 'YES (unexpected)'}\n"
         )
+    _emit("".join(lines), args.out)
     return 0
 
 
@@ -340,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_arguments(args) -> None:
-    """Refuse a negative budget or order, and a --catalog or --out in a
-    missing directory, before any search, sweep or solve."""
+    """Refuse a negative budget or order, a --catalog or --out in a
+    missing directory, and an --out that names the --catalog file or its
+    sidecar, before any search, sweep or solve."""
     for name in ("occ", "max_occ", "order"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
@@ -350,6 +356,9 @@ def _check_arguments(args) -> None:
         path = getattr(args, name, None)
         if path and not Path(path).parent.is_dir():
             raise FileNotFoundError(f"--{name} {path}: its directory does not exist")
+    catalog, out = getattr(args, "catalog", None), getattr(args, "out", None)
+    if catalog and out and Path(out).resolve() in (Path(catalog).resolve(), fold_path(catalog).resolve()):
+        raise ValueError(f"--out {out} would overwrite the --catalog {catalog} or its sidecar")
 
 
 def _reported_errors() -> tuple[type[Exception], ...]:

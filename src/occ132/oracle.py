@@ -1,16 +1,15 @@
 """Brute-force ground truth over whole symmetric groups.
 
-``joint_tables(ns)`` sweeps each S_n once and returns its joint table:
-for every pair (occurrences of 132, length of the longest increasing
-subsequence), the number of permutations with that pair.  Tables are
-cached per process, so each n is swept again only for a larger
-budget.  Every count the oracle answers is a marginal of one table,
-read by ``occurrence_counts(table, k)``: permutations by number of
-occurrences, all of them or only those avoiding 12...k (LIS length
-< k).  With k <= 0 no permutation qualifies, as for
-``avoids_monotone(pi, 0)``.  The sweep guard SWEEP_GUARD = 10 is fixed:
-n above it (S_11 has about 4e7 permutations) or below 0 raises
-:class:`OracleError`.
+Each call ``joint_tables(ns)`` sweeps every S_n it asks for and
+returns its joint table: for every pair (occurrences of 132, length of
+the longest increasing subsequence), the number of permutations with
+that pair.  Nothing is kept between calls.  Every count the oracle
+answers is a marginal of one table, read by
+``occurrence_counts(table, k)``: permutations by number of occurrences,
+all of them or only those avoiding 12...k (LIS length < k).  With
+k <= 0 no permutation qualifies, as for ``avoids_monotone(pi, 0)``.
+The sweep guard SWEEP_GUARD = 10 is fixed: n above it (S_11 has about
+4e7 permutations) or below 0 raises :class:`OracleError`.
 
 A sweep is a depth-first walk of the lexicographic prefix tree, so
 neighbouring permutations share their prefix and its counts.  Each
@@ -35,9 +34,7 @@ D[u] never shrinks as values are appended.  The child that appends the
 t-th smallest unplaced value has the bound of its parent plus the
 placed values below each of the t smaller unplaced values (their D
 gains them, and the appended D[w] moves into occ), so the bound grows
-with t: once one child is skipped, so are all later ones.  A cached
-table serves every request whose budget is at most its own, filtered
-to that budget; a larger request sweeps again and replaces it.
+with t: once one child is skipped, so are all later ones.
 
 The last three unplaced values a < b < c are closed in one step.  With
 S = occ + D[a] + D[b] + D[c], pa = a - 1 and pb = b - 2 placed values
@@ -232,10 +229,6 @@ def _sweep_class_args(args) -> list[int]:
     return _sweep_class(*args)
 
 
-# n -> (budget, joint table of S_n restricted to occurrences <= budget)
-_joint_cache: dict[int, tuple[int, dict[tuple[int, int], int]]] = {}
-
-
 def joint_tables(
     ns: Iterable[int], *, threads: int = 1, max_occ: int | None = None
 ) -> dict[int, dict[tuple[int, int], int]]:
@@ -243,10 +236,10 @@ def joint_tables(
     number of permutations in S_n; with `max_occ`, only the rows with at
     most that many occurrences.
 
-    Every n whose cached table has a smaller budget, or none, is swept in
-    one pass: its first-entry classes are jobs, largest n first so the
-    longest jobs start first, and with threads > 1 they all go through
-    one worker pool of at most one process per job.
+    Each call sweeps every n in `ns` in one pass: its first-entry classes
+    are jobs, largest n first so the longest jobs start first, and with
+    threads > 1 they all go through one worker pool of at most one
+    process per job.
     """
     if max_occ is not None and max_occ < 0:
         raise OracleError(f"max_occ must be nonnegative, got {max_occ}")
@@ -254,10 +247,9 @@ def joint_tables(
     for n in ns:
         _check_guard(n)
     budgets = {n: math.comb(n, 3) if max_occ is None else min(max_occ, math.comb(n, 3)) for n in ns}
-    todo = [n for n in ns if n not in _joint_cache or _joint_cache[n][0] < budgets[n]]
     jobs = [
         (n, first, (first - 1) * math.factorial(n - 1), budgets[n])
-        for n in todo
+        for n in ns
         for first in range(1, n + 1)
     ]
     if threads > 1 and jobs:
@@ -267,21 +259,16 @@ def joint_tables(
             parts = pool.map(_sweep_class_args, jobs, chunksize=1)
     else:
         parts = [_sweep_class(*job) for job in jobs]
-    merged = {n: [0] * _tally_size(n) for n in todo}
+    merged = {n: [0] * _tally_size(n) for n in ns}
     for (n, *_), part in zip(jobs, parts):
         merged[n] = [x + y for x, y in zip(merged[n], part)]
+    tables = {}
     for n, tally in merged.items():
         complete = tally[: (budgets[n] + 1) * (n + 1)]
-        _joint_cache[n] = budgets[n], (
+        tables[n] = (
             {divmod(key, n + 1): count for key, count in enumerate(complete) if count}
             if n else {(0, 0): 1}
         )
-    tables = {}
-    for n in ns:
-        budget, table = _joint_cache[n]
-        if budget > budgets[n]:
-            table = {key: count for key, count in table.items() if key[0] <= budgets[n]}
-        tables[n] = table
     return tables
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from occ132 import enumerate_kernel_shapes, shapes
+from occ132 import enumerate_kernel_shapes, joint_tables, shapes
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +21,12 @@ def catalog3():
 @pytest.fixture(scope="session")
 def catalog6():
     return enumerate_kernel_shapes(6)
+
+
+@pytest.fixture(scope="session")
+def full_tables():
+    """The complete joint tables of S_0..S_9, swept once for the session."""
+    return joint_tables(range(10))
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from occ132 import (
     extract_pq,
     joint_tables,
     occurrence_counts,
-    oracle,
 )
 from occ132.algebraic import poly_eval
 from occ132.cli import main
@@ -193,11 +192,10 @@ def test_criterion_06_counting_formulas(solver):
     report(6, ok, "levels 3..5 match R_r(n)(2n-3r)!/(n! r! (n-r-2)!) for r+2 <= n <= 30")
 
 
-def test_criterion_07_oracle_agreement(solver):
+def test_criterion_07_oracle_agreement(solver, full_tables):
     ok = True
-    tables = joint_tables(range(10))
     for n in range(10):
-        counts = occurrence_counts(tables[n])
+        counts = occurrence_counts(full_tables[n])
         for r in range(7):
             ok = ok and solver.occurrence_series(r)[n] == counts.get(r, 0)
     report(7, ok, "series coefficients equal brute-force counts for r <= 6, n <= 9")
@@ -206,7 +204,6 @@ def test_criterion_07_oracle_agreement(solver):
 def test_brute_force_at_the_sweep_guard(solver):
     # criterion 07 stops at n = 9; a sweep with budget 6 visits only the
     # permutations of S_10 that can have at most 6 occurrences
-    oracle._joint_cache.pop(SWEEP_GUARD, None)
     table = joint_tables([SWEEP_GUARD], max_occ=6, threads=2)[SWEEP_GUARD]
     assert max(occ for occ, _ in table) == 6
     counts = occurrence_counts(table)
@@ -236,19 +233,18 @@ def test_criterion_08_structure_suites(catalog6):
     )
 
 
-def test_criterion_09_restricted(solver):
+def test_criterion_09_restricted(solver, full_tables):
     doubling = solver.restricted_series(0, 3)
     geometric = PowerSeries.one(ORDER) - PowerSeries.monomial(1, ORDER)
     ratio = geometric / (
         PowerSeries.one(ORDER) - 2 * PowerSeries.monomial(1, ORDER)
     )
     ok = doubling == ratio
-    tables = joint_tables(range(10))
     for r in range(3):
         for k in range(1, 7):
             series = solver.restricted_series(r, k)
             for n in range(10):
-                ok = ok and series[n] == occurrence_counts(tables[n], k).get(r, 0)
+                ok = ok and series[n] == occurrence_counts(full_tables[n], k).get(r, 0)
     report(9, ok, "restricted series equal (1-x)/(1-2x) at (0,3) and brute force for r<=2, k<=6, n<=9")
 
 

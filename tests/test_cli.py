@@ -115,8 +115,6 @@ VERIFY_REFERENCES = {
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("reference", sorted(VERIFY_REFERENCES))
 def test_verify_matches_benchmark_reference(capsys, reference, threads):
-    # a fresh sweep each run, so that no cached table hides a difference
-    oracle._joint_cache.clear()
     code, out, _ = run(capsys, *VERIFY_REFERENCES[reference], "--threads", threads)
     assert code == 0
     path = Path(__file__).resolve().parents[1] / "perfbench" / "references" / f"{reference}.out"
@@ -131,20 +129,43 @@ def test_verify_sweeps_every_n_in_one_pool(capsys, monkeypatch):
         pools.append(args)
         return real_pool(*args, **kwargs)
 
-    # an empty cache, so every n is swept; the shared cache comes back after
-    monkeypatch.setattr(oracle, "_joint_cache", {})
     # the oracle imports Pool when it sweeps with workers
     monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     code, out, _ = run(capsys, *VERIFY_REFERENCES["verify2"], "--threads", "2")
     assert code == 0
     assert len(pools) == 1
-    assert sorted(oracle._joint_cache) == list(range(10))
 
 
-def test_verify_levels_in_one_process(capsys, monkeypatch):
-    # each run sweeps with its own budget; the budget-0 tables cached by
-    # the first lack the rows the second reads
-    monkeypatch.setattr(oracle, "_joint_cache", {})
+OUT_COMMANDS = {
+    "verify": ("verify", "--occ", "2", "--max-n", "7", "--threads", "1"),
+    "conjectures": ("conjectures", "--max-occ", "3", "--threads", "1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_holds_the_bytes_of_stdout(capsys, tmp_path, command):
+    argv = OUT_COMMANDS[command]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == stdout.encode()
+
+
+def test_verify_mismatch_exits_1_and_writes_its_table(capsys, monkeypatch, tmp_path):
+    real = oracle.occurrence_counts
+    monkeypatch.setattr(oracle, "occurrence_counts",
+                        lambda table, k=None: {r: c + 1 for r, c in real(table, k).items()})
+    target = tmp_path / "v.txt"
+    code, out, _ = run(capsys, "verify", "--occ", "0", "--max-n", "4", "--threads", "1",
+                       "--out", str(target))
+    assert (code, out) == (1, "")
+    assert target.read_text().count("MISMATCH") == 5
+
+
+def test_verify_levels_in_one_process(capsys):
+    # each run sweeps with its own budget: the budget-1 run reads rows
+    # that the budget-0 run of the same process leaves out
     columns = {"0": [1, 1, 2, 5, 14, 42, 132, 429], "1": [0, 0, 0, 1, 5, 21, 84, 330]}
     for occ, want in columns.items():
         code, out, _ = run(capsys, "verify", "--occ", occ, "--max-n", "7", "--threads", "1")
@@ -756,6 +777,26 @@ def test_out_in_a_missing_directory_fails_before_the_search(capsys, monkeypatch,
     assert_one_error_line(code, out, err)
     assert "--out" in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("suffix", ["", ".fold"])
+def test_out_that_is_the_catalog_or_its_sidecar_is_refused(capsys, monkeypatch, tmp_path, suffix):
+    catalog = tmp_path / "c.jsonl"
+    assert run(capsys, "gf", "--occ", "1", "--threads", "1", "--catalog", str(catalog))[0] == 0
+    before = {path: path.read_bytes() for path in (catalog, fold_path(catalog))}
+    monkeypatch.setattr(cli, "_obtain_catalog", _fail("_obtain_catalog"))
+    monkeypatch.setattr(oracle, "joint_tables", _fail("joint_tables"))
+    # the same file, spelled through another directory
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / ".." / f"c.jsonl{suffix}"
+    for argv in (("gf", "--occ", "1"), ("closed-form", "--occ", "1"),
+                 ("restricted", "--occ", "1", "--k", "3"), ("verify", "--occ", "1", "--max-n", "4"),
+                 ("conjectures", "--max-occ", "1")):
+        code, out, err = run(capsys, *argv, "--threads", "1", "--catalog", str(catalog),
+                             "--out", str(target))
+        assert_one_error_line(code, out, err)
+        assert "--catalog" in err
+    assert {path: path.read_bytes() for path in before} == before
 
 
 NEGATIVE_BOUNDS = {

@@ -26,52 +26,46 @@ def per_permutation_joint_table(n):
     return dict(sorted(table.items()))
 
 
-def counts(n, k=None):
-    return occurrence_counts(joint_tables([n])[n], k)
-
-
 def cut(table, budget):
     """The rows of a joint table with at most `budget` occurrences."""
     return {key: c for key, c in table.items() if budget is None or key[0] <= budget}
 
 
-def test_pool_has_no_more_workers_than_jobs(serial_pool, monkeypatch):
+def test_pool_has_no_more_workers_than_jobs(serial_pool):
     # S_1..S_7 make 1 + 2 + ... + 7 = 28 first-entry jobs
-    monkeypatch.setattr(oracle, "_joint_cache", {})
     pooled = joint_tables(range(8), threads=500)
     assert serial_pool == [28]
-    monkeypatch.setattr(oracle, "_joint_cache", {})
     assert pooled == joint_tables(range(8))
 
 
-def test_count_exact_examples():
-    assert counts(6).get(0, 0) == 132
-    assert counts(4).get(1, 0) == 5
-    assert counts(4).get(2, 0) == 4
+def test_count_exact_examples(full_tables):
+    assert occurrence_counts(full_tables[6]).get(0, 0) == 132
+    assert occurrence_counts(full_tables[4]).get(1, 0) == 5
+    assert occurrence_counts(full_tables[4]).get(2, 0) == 4
 
 
-def test_distribution_examples():
-    assert counts(3) == {0: 5, 1: 1}
-    assert counts(4) == {0: 14, 1: 5, 2: 4, 3: 1}
-    assert counts(0) == {0: 1}
+def test_distribution_examples(full_tables):
+    assert occurrence_counts(full_tables[3]) == {0: 5, 1: 1}
+    assert occurrence_counts(full_tables[4]) == {0: 14, 1: 5, 2: 4, 3: 1}
+    assert occurrence_counts(full_tables[0]) == {0: 1}
 
 
-def test_row_sums_are_factorials():
+def test_row_sums_are_factorials(full_tables):
     for n in range(9):
-        assert sum(counts(n).values()) == math.factorial(n)
+        assert sum(occurrence_counts(full_tables[n]).values()) == math.factorial(n)
 
 
-def test_counts_vanish_beyond_triple_bound():
+def test_counts_vanish_beyond_triple_bound(full_tables):
     for n in range(7):
         bound = math.comb(n, 3)
-        assert all(r <= bound for r in counts(n))
+        assert all(r <= bound for r in occurrence_counts(full_tables[n]))
 
 
-def test_restricted_examples():
+def test_restricted_examples(full_tables):
     for n in range(8):
-        assert counts(n, 2).get(0, 0) == 1
-    assert counts(5, 3).get(0, 0) == 16
-    assert counts(3, 3).get(1, 0) == 1
+        assert occurrence_counts(full_tables[n], 2).get(0, 0) == 1
+    assert occurrence_counts(full_tables[5], 3).get(0, 0) == 16
+    assert occurrence_counts(full_tables[3], 3).get(1, 0) == 1
 
 
 def test_restricted_sums():
@@ -79,10 +73,11 @@ def test_restricted_sums():
     for n in range(7):
         joint = joint_tables([n])[n]
         for k in range(1, n + 2):
-            total = sum(counts(n, k).get(r, 0) for r in range(math.comb(n, 3) + 1))
+            total = sum(occurrence_counts(joint, k).get(r, 0) for r in range(math.comb(n, 3) + 1))
             avoiders = sum(c for (_, lis), c in joint.items() if lis < k)
             assert total == avoiders
-        assert {r: counts(n, n + 1).get(r, 0) for r in counts(n)} == counts(n)
+        full = occurrence_counts(joint)
+        assert {r: occurrence_counts(joint, n + 1).get(r, 0) for r in full} == full
 
 
 def test_k_at_most_0_avoids_nothing(catalog2):
@@ -108,22 +103,16 @@ def test_guard():
 
 def test_thread_count_does_not_change_results():
     # n = 8 gives 8 first-entry jobs for 2 workers, one job per task
-    oracle._joint_cache.pop(8, None)
     serial = joint_tables([8], threads=1)
-    oracle._joint_cache.pop(8, None)
     parallel = joint_tables([8], threads=2)
     assert serial == parallel
 
 
-def test_joint_tables_match_one_n_sweeps(monkeypatch):
+def test_joint_tables_match_one_n_sweeps():
     # one batched sweep over several n, serial and through one pool,
     # gives each n the table of its own sweep
-    singles = {}
-    for n in range(8):
-        oracle._joint_cache.pop(n, None)
-        singles[n] = joint_tables([n])[n]
+    singles = {n: joint_tables([n])[n] for n in range(8)}
     for threads in (1, 2):
-        monkeypatch.setattr(oracle, "_joint_cache", {})
         assert joint_tables(range(8), threads=threads) == singles
     with pytest.raises(OracleError):
         joint_tables([3, 11])
@@ -139,7 +128,6 @@ def test_spot_check_visits_every_stride_th_permutation(monkeypatch):
     monkeypatch.setattr(oracle, "_spot_check", lambda values, occ, lis: seen.append(values))
     for n in range(1, 8):
         seen.clear()
-        oracle._joint_cache.pop(n, None)
         joint_tables([n])
         assert seen == list(permutations(range(1, n + 1)))[:: oracle.SPOT_CHECK_STRIDE], n
 
@@ -149,41 +137,18 @@ def test_spot_checks_reach_every_order_of_the_closed_leaf(monkeypatch):
     # to 6 spot-checks each of their six relative orders
     seen = []
     monkeypatch.setattr(oracle, "_spot_check", lambda values, occ, lis: seen.append(values))
-    oracle._joint_cache.pop(7, None)
     joint_tables([7])
     orders = {tuple(sorted(values[-3:]).index(v) for v in values[-3:]) for values in seen}
     assert orders == set(permutations(range(3)))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_budgeted_tables_are_the_full_tables_cut_at_the_budget(monkeypatch, threads):
-    monkeypatch.setattr(oracle, "_joint_cache", {})
-    full = joint_tables(range(9))
+def test_budgeted_tables_are_the_full_tables_cut_at_the_budget(full_tables, threads):
     for budget in range(math.comb(8, 3) + 2):
         # each n up to one past its largest budget C(n, 3), in one batch
         ns = [n for n in range(9) if budget <= math.comb(n, 3) + 1]
-        monkeypatch.setattr(oracle, "_joint_cache", {})
         got = joint_tables(ns, threads=threads, max_occ=budget)
-        assert got == {n: cut(full[n], budget) for n in ns}, budget
-
-
-def test_cache_answers_only_budgets_up_to_its_own(monkeypatch):
-    full = per_permutation_joint_table(6)
-    for small in (0, 1):
-        for larger in (small + 1, 5, None):
-            monkeypatch.setattr(oracle, "_joint_cache", {})
-            assert joint_tables([6], max_occ=small)[6] == cut(full, small)
-            assert joint_tables([6], max_occ=larger)[6] == cut(full, larger), (small, larger)
-    assert sorted(oracle._joint_cache) == [6]
-
-    # the full table now cached answers every budget without a sweep
-    def no_sweep(*args):
-        raise AssertionError("a cached full table was swept again")
-
-    monkeypatch.setattr(oracle, "_sweep_class", no_sweep)
-    for budget in range(math.comb(6, 3) + 2):
-        assert joint_tables([6], max_occ=budget)[6] == cut(full, budget), budget
-    assert joint_tables([6])[6] == full
+        assert got == {n: cut(full_tables[n], budget) for n in ns}, budget
 
 
 def test_negative_budget_rejected():
@@ -202,7 +167,6 @@ def test_budgeted_spot_checks_keep_the_stride(monkeypatch):
     for budget in (0, 2, 5):
         visited.clear()
         skipped.clear()
-        monkeypatch.setattr(oracle, "_joint_cache", {})
         joint_tables([7], max_occ=budget)
         assert skipped, budget
         assert sorted(visited + skipped) == sorted(set(visited + skipped))
@@ -250,7 +214,7 @@ def partitions(n, largest=None):
             yield (first, *rest)
 
 
-def test_lis_marginal_matches_robinson_schensted_at_n9():
+def test_lis_marginal_matches_robinson_schensted_at_n9(full_tables):
     # independent of the walk: by Robinson-Schensted, the permutations of
     # S_n with LIS length k number the sum of (f^shape)^2 over the shapes
     # of n with first row k
@@ -258,23 +222,21 @@ def test_lis_marginal_matches_robinson_schensted_at_n9():
     for shape in partitions(9):
         want[shape[0]] += hook_length_count(shape) ** 2
     got = Counter()
-    for (_, lis), c in joint_tables([9])[9].items():
+    for (_, lis), c in full_tables[9].items():
         got[lis] += c
     assert got == want
-    assert counts(9).get(0, 0) == 4862
-    assert counts(9).get(1, 0) == math.comb(15, 6) == 5005
+    assert occurrence_counts(full_tables[9]).get(0, 0) == 4862
+    assert occurrence_counts(full_tables[9]).get(1, 0) == math.comb(15, 6) == 5005
 
 
 def test_spot_check_catches_a_wrong_count(monkeypatch):
     listing = oracle.occurrences_132
     monkeypatch.setattr(oracle, "occurrences_132", lambda pi: [*listing(pi), None])
-    oracle._joint_cache.clear()
     with pytest.raises(OracleError, match="listing"):
         joint_tables([5])
 
 
 def test_spot_check_catches_a_wrong_lis(monkeypatch):
     monkeypatch.setattr(oracle, "lis_length", lambda values: lis_length(values) + 1)
-    oracle._joint_cache.clear()
     with pytest.raises(OracleError, match="LIS"):
         joint_tables([5])

@@ -9,7 +9,6 @@ from occ132 import (
     SolverError,
     af_to_series,
     catalan_series,
-    joint_tables,
     occurrence_closed_form,
     occurrence_counts,
     occurrence_series,
@@ -34,22 +33,22 @@ class TestUnrestrictedSeries:
         assert s[4] == 4
         assert s[5] == 23
 
-    def test_oracle_agreement_levels_up_to_3(self, catalog3):
+    def test_oracle_agreement_levels_up_to_3(self, catalog3, full_tables):
         solver = Solver(catalog3, 8)
         for r in range(4):
             series = solver.occurrence_series(r)
             for n in range(9):
-                want = occurrence_counts(joint_tables([n])[n]).get(r, 0)
+                want = occurrence_counts(full_tables[n]).get(r, 0)
                 assert series[n] == want, (r, n)
 
     def test_catalog_too_small(self, catalog1):
         with pytest.raises(CatalogError):
             Solver(catalog1, 8).occurrence_series(2)
 
-    def test_row_sums(self, catalog3):
+    def test_row_sums(self, catalog3, full_tables):
         solver = Solver(catalog3, 8)
         for n in range(9):
-            counts = occurrence_counts(joint_tables([n])[n])
+            counts = occurrence_counts(full_tables[n])
             high = sum(c for r, c in counts.items() if r > 3)
             low = sum(int(solver.occurrence_series(r)[n]) for r in range(4))
             assert low + high == math.factorial(n)
@@ -159,13 +158,13 @@ class TestRestricted:
         s = Solver(catalog1, 10).restricted_series(0, 3)
         assert s.integer_coeffs() == [1] + [2 ** max(n - 1, 0) for n in range(1, 11)]
 
-    def test_oracle_agreement(self, catalog2):
+    def test_oracle_agreement(self, catalog2, full_tables):
         solver = Solver(catalog2, 8)
         for r in range(3):
             for k in range(1, 7):
                 series = solver.restricted_series(r, k)
                 for n in range(9):
-                    want = occurrence_counts(joint_tables([n])[n], k).get(r, 0)
+                    want = occurrence_counts(full_tables[n], k).get(r, 0)
                     assert series[n] == want, (r, k, n)
 
     def test_r0_is_chebyshev_quotient(self, catalog1):
