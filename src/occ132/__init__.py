@@ -19,7 +19,7 @@ from importlib import import_module
 
 # Each exported name and the module that defines it.
 _HOMES = {
-    "algebraic": ("AlgebraicFunction", "PQForm", "af_to_series", "extract_pq", "reassemble_pq"),
+    "algebraic": ("AlgebraicFunction", "PQForm", "extract_pq"),
     "kernel": (
         "CellOrderError",
         "DecompositionError",
@@ -28,23 +28,19 @@ _HOMES = {
         "assemble",
         "build_occurrence_graph",
         "decompose",
-        "is_kernel_permutation",
         "shape_record",
     ),
     "oracle": ("joint_tables", "occurrence_counts"),
     "perms": (
         "Occurrence",
         "Permutation",
-        "avoids_monotone",
         "count_132",
         "lis_length",
-        "make_permutation",
         "occurrences_132",
-        "perm_from_str",
         "perm_to_str",
         "reduce_to_pattern",
     ),
-    "series": ("PoleAtOriginError", "PowerSeries", "catalan_series", "sqrt_one_minus_4x"),
+    "series": ("PowerSeries", "catalan_series"),
     "shapes": (
         "CatalogError",
         "Census",
@@ -52,18 +48,11 @@ _HOMES = {
         "ShapeFold",
         "census",
         "enumerate_kernel_shapes",
-        "exceptional_shape",
         "fold_catalog",
         "load_catalog",
         "save_catalog",
     ),
-    "solver": (
-        "Solver",
-        "SolverError",
-        "occurrence_closed_form",
-        "occurrence_series",
-        "restricted_series",
-    ),
+    "solver": ("Solver", "SolverError"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

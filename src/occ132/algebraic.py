@@ -21,8 +21,6 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .series import PoleAtOriginError, PowerSeries, sqrt_one_minus_4x
-
 IntPoly = tuple[int, ...]
 
 ONE_MINUS_4X: IntPoly = (1, -4)
@@ -150,10 +148,6 @@ class AlgebraicFunction:
         return cls(p, (), (1,))
 
     @classmethod
-    def x_power(cls, e: int) -> AlgebraicFunction:
-        return cls((0,) * e + (1,), (), (1,))
-
-    @classmethod
     def y(cls) -> AlgebraicFunction:
         return cls((), (1,), (1,))
 
@@ -238,25 +232,6 @@ class AlgebraicFunction:
         return f"AlgebraicFunction(p={self.p}, q={self.q}, d={self.d})"
 
 
-def af_to_series(a: AlgebraicFunction, order: int) -> PowerSeries:
-    """Taylor expansion of `a` at the origin, truncated to `order`.
-
-    Powers of x in the denominator must cancel against the numerator's
-    valuation; otherwise a :class:`PoleAtOriginError` is raised.  An
-    expansion that leaves the integers raises ArithmeticError.
-    """
-    vd = _x_valuation(a.d)
-    assert vd is not None
-    work = order + vd
-    num = (PowerSeries.from_coeffs(a.p, work)
-           + PowerSeries.from_coeffs(a.q, work) * sqrt_one_minus_4x(work))
-    if any(num[i] for i in range(vd)):
-        raise PoleAtOriginError(f"{a!r} has a pole at the origin")
-    shifted = PowerSeries(num.coeffs[vd:])
-    den = PowerSeries.from_coeffs(_shift_down(a.d, vd), order)
-    return shifted / den
-
-
 # -- the split form P, Q ---------------------------------------------------
 
 
@@ -304,9 +279,3 @@ def extract_pq(a: AlgebraicFunction, r: int) -> PQForm:
             f"split of level {r} is not an integer polynomial: 2p = {list(p2)}, "
             f"2q*(1-4x)^{r} = {list(q2)}, d = {list(a.d)}")
     return PQForm(r, two_p, two_q)
-
-
-def reassemble_pq(form: PQForm) -> AlgebraicFunction:
-    """Inverse of :func:`extract_pq`: rebuild (2P*(1-4x)^r + 2Q*y) / (2*(1-4x)^r)."""
-    scale = poly_pow(ONE_MINUS_4X, form.r)
-    return AlgebraicFunction(poly_mul(form.two_P, scale), form.two_Q, poly_mul((2,), scale))

@@ -48,11 +48,11 @@ from typing import Sequence
 from .kernel import (
     CellOrderError,
     DecompositionError,
-    _decompose,
     _feasible_cells,
     _shape_cells,
     analyze,
     assemble,
+    decompose,
     southwest_dominated_cells,
 )
 from .perms import Permutation
@@ -109,7 +109,7 @@ def structure_sweep(max_n: int, kernels: Sequence[Permutation] | None = None) ->
             if kernel.size > 2 * r + 1:
                 violations["kernel size bound"].append(f"{pi}: kernel size {kernel.size}, r={r}")
             try:
-                shape, contents = _decompose(pi, analysis)
+                shape, contents = decompose(pi, analysis)
             except (DecompositionError, CellOrderError) as exc:
                 violations["components inside single cells"].append(f"{pi}: {exc}")
                 continue

@@ -8,8 +8,7 @@ is a *kernel permutation* when it is its own kernel shape, that is, when
 its occurrence graph is connected.  One union-find, read straight off
 the values in O(n^2) steps without listing the occurrences
 (``_occurrence_components``), gives the components and their occurrence
-counts to ``build_occurrence_graph``, ``is_kernel_permutation`` and the
-shape records.
+counts to ``build_occurrence_graph`` and the shape records.
 
 For a kernel permutation rho of size s, the plane splits into an
 s x (s+1) grid of open cells: column l (1 <= l <= s+1) sits strictly
@@ -88,10 +87,6 @@ class KernelShapeRecord:
     cells: tuple[tuple[int, int], ...]  # feasible cells in dominance order
     lis_ne: tuple[int, ...]  # per cell: longest increasing run to its northeast
 
-    @property
-    def f(self) -> int:
-        return len(self.cells)
-
 
 def build_occurrence_graph(pi: Permutation) -> tuple[GraphComponent, ...]:
     """Components of the occurrence graph of pi, sorted by smallest position.
@@ -143,11 +138,6 @@ def analyze(pi: Permutation) -> Analysis:
             cell = (bisect_left(kvals, val) + 1, bisect_left(kpos, pos) + 1)
             placed.setdefault(cell, []).append((pos, val))
     return Analysis(sum(c.occurrences for c in components), components, kernel, placed)
-
-
-def is_kernel_permutation(rho: Permutation) -> bool:
-    """True iff rho is its own kernel shape."""
-    return _kernel_capacity(rho.values) is not None
 
 
 def _kernel_capacity(values: tuple[int, ...]) -> int | None:
@@ -326,18 +316,14 @@ def shape_record(rho: Permutation) -> KernelShapeRecord:
 _EMPTY = Permutation(())  # the content of most cells
 
 
-def decompose(pi: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
-    """Kernel shape of pi plus the content pattern of each feasible cell.
+def decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[Permutation, ...]]:
+    """Kernel shape of pi plus the content pattern of each feasible cell,
+    read from ``analysis = analyze(pi)``.
 
     Contents are reported in dominance order of the cells.  Raises
     :class:`DecompositionError` if an entry falls in an infeasible cell
     or a non-kernel component does not sit inside a single cell.
     """
-    return _decompose(pi, analyze(pi))
-
-
-def _decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[Permutation, ...]]:
-    """:func:`decompose` of pi from its :func:`analyze` record."""
     kernel, placed = analysis.kernel, analysis.placed
     cells = _shape_cells(kernel.shape.values)[1]
     for cell, entries in placed.items():

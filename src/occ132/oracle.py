@@ -7,7 +7,7 @@ that pair.  Nothing is kept between calls.  Every count the oracle
 answers is a marginal of one table, read by
 ``occurrence_counts(table, k)``: permutations by number of occurrences,
 all of them or only those avoiding 12...k (LIS length < k).  With
-k <= 0 no permutation qualifies, as for ``avoids_monotone(pi, 0)``.
+k <= 0 no permutation qualifies, not even the empty one.
 The sweep guard SWEEP_GUARD = 10 is fixed: n above it (S_11 has about
 4e7 permutations) or below 0 raises :class:`OracleError`.
 

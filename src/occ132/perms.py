@@ -9,16 +9,15 @@ Conventions used throughout the package:
 - An occurrence of 132 in pi is a position triple i < j < k with
   pi(i) < pi(k) < pi(j), i.e. a subsequence order-isomorphic to 132.
 
-Permutations serialize as plain digit strings for n <= 9 ("57614283")
-and as comma-separated integers for larger sizes; both forms are
-accepted on input.
+Permutations print as plain digit strings for n <= 9 ("57614283")
+and as comma-separated integers for larger sizes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class Occurrence(NamedTuple):
@@ -69,40 +68,11 @@ class Permutation:
         return perm_to_str(self)
 
 
-def make_permutation(values: Iterable[int]) -> Permutation:
-    """Validate one-line notation and build a :class:`Permutation`.
-
-    >>> make_permutation([2, 1]).values
-    (2, 1)
-    >>> make_permutation([])
-    Permutation(values=())
-    """
-    return Permutation(tuple(values))
-
-
 def perm_to_str(pi: Permutation) -> str:
     """Digit string for n <= 9, comma-separated integers otherwise."""
     if pi.n <= 9:
         return "".join(str(v) for v in pi.values)
     return ",".join(str(v) for v in pi.values)
-
-
-def perm_from_str(s: str) -> Permutation:
-    """Parse either serialization form produced by :func:`perm_to_str`.
-
-    >>> perm_from_str("57614283").n
-    8
-    >>> perm_from_str("10,11,7,12,4,6,5,8,3,9,2,1").n
-    12
-    >>> perm_from_str("").n
-    0
-    """
-    s = s.strip()
-    if not s:
-        return Permutation(())
-    if "," in s:
-        return make_permutation(int(part) for part in s.split(","))
-    return make_permutation(int(ch) for ch in s)
 
 
 def occurrences_132(pi: Permutation) -> list[Occurrence]:
@@ -111,9 +81,9 @@ def occurrences_132(pi: Permutation) -> list[Occurrence]:
     This is the deliberately naive cubic scan; it serves as the oracle
     for the quadratic counter below.
 
-    >>> occurrences_132(make_permutation([1, 3, 2]))
+    >>> occurrences_132(Permutation((1, 3, 2)))
     [Occurrence(i=1, j=2, k=3)]
-    >>> occurrences_132(make_permutation([1, 2, 3, 4]))
+    >>> occurrences_132(Permutation((1, 2, 3, 4)))
     []
     """
     v = pi.values
@@ -156,7 +126,7 @@ def count_132_values(values: Sequence[int]) -> int:
 def count_132(pi: Permutation) -> int:
     """Number of occurrences of 132 in pi.
 
-    >>> count_132(make_permutation([1, 4, 2, 5, 3]))
+    >>> count_132(Permutation((1, 4, 2, 5, 3)))
     4
     """
     return count_132_values(pi.values)
@@ -194,22 +164,3 @@ def lis_length(values: Sequence[int]) -> int:
         else:
             tails[i] = v
     return len(tails)
-
-
-def avoids_monotone(pi: Permutation, k: int) -> bool:
-    """True iff pi avoids the increasing pattern 12...k.
-
-    For k <= 0 this is False for every pi, including the empty one: no
-    permutation can avoid a vacuous requirement, mirroring the fact that
-    the restricted counting series is identically zero there.
-
-    >>> avoids_monotone(make_permutation([2, 1]), 2)
-    True
-    >>> avoids_monotone(make_permutation([1, 2, 3, 4]), 3)
-    False
-    >>> avoids_monotone(make_permutation([]), 0)
-    False
-    """
-    if k <= 0:
-        return False
-    return lis_length(pi.values) < k

@@ -1,21 +1,16 @@
 """Truncated formal power series with plain integer coefficients.
 
-Every series the package forms counts permutations or expands a closed
-form whose denominator divides it, so a series refuses any coefficient
-that is not an ``int``, and division raises ArithmeticError rather than
-leave the integers.  Arithmetic truncates to the smaller operand order,
-and equality compares coefficients up to the shared order.  Nothing
-here ever touches floating point.
+Every series the package forms counts permutations, so a series
+refuses any coefficient that is not an ``int``, and division raises
+ArithmeticError rather than leave the integers.  Arithmetic truncates
+to the smaller operand order, and equality compares coefficients up to
+the shared order.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
 from math import comb
 from typing import Iterable
-
-
-class PoleAtOriginError(ArithmeticError):
-    """A Laurent expansion kept negative powers of x."""
 
 
 class PowerSeries:
@@ -40,16 +35,8 @@ class PowerSeries:
         return cls(tuple(cs))
 
     @classmethod
-    def zero(cls, order: int) -> PowerSeries:
-        return cls((0,) * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> PowerSeries:
         return cls.from_coeffs([1], order)
-
-    @classmethod
-    def monomial(cls, degree: int, order: int) -> PowerSeries:
-        return cls.from_coeffs([0] * degree + [1], order)
 
     @property
     def order(self) -> int:
@@ -136,17 +123,6 @@ class PowerSeries:
 
     def __repr__(self) -> str:
         return f"PowerSeries({list(self.coeffs)})"
-
-
-def sqrt_one_minus_4x(order: int) -> PowerSeries:
-    """Binomial expansion of (1-4x)^(1/2): 1 - 2x - 2x^2 - 4x^3 - 10x^4 - ...
-
-    The n-th coefficient is -2*C(2n-2, n-1)/n for n >= 1, an integer.
-    """
-    coeffs = [1]
-    for n in range(1, order + 1):
-        coeffs.append(-2 * comb(2 * n - 2, n - 1) // n)
-    return PowerSeries(tuple(coeffs))
 
 
 def catalan_series(order: int) -> PowerSeries:

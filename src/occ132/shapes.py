@@ -266,35 +266,6 @@ def iter_kernel_permutations(max_size: int) -> list[Permutation]:
     return [Permutation(pat) for pat in sorted(found, key=lambda pat: (len(pat), pat))]
 
 
-def exceptional_shape(r: int) -> Permutation:
-    """The unique kernel permutation of capacity r with maximal size 2r+1.
-
-    Built in closed form as 2r-1, 2r+1, 2r-3, 2r, ..., 1, 4, 2, the
-    reference for the shape the search finds; the constructor re-derives
-    size, capacity and the feasible cells as a postcondition.
-    """
-    from .kernel import shape_record
-    from .perms import Permutation
-
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    vals = [2 * r - 1, 2 * r + 1]
-    for j in range(r - 1):
-        vals += [2 * r - 2 * j - 3, 2 * r - 2 * j]
-    vals.append(2)
-    rho = Permutation(tuple(vals))
-    rec = shape_record(rho)
-    expected_cells = {(2 * r - 2 * j + 1, 2 * j + 1) for j in range(r + 1)} | {(1, 2 * r + 2)}
-    if (
-        rec.size != 2 * r + 1
-        or rec.capacity != r
-        or set(rec.cells) != expected_cells
-        or rec.f != r + 2
-    ):
-        raise AssertionError(f"maximal shape postcondition failed for r={r}: {rec}")
-    return rho
-
-
 def enumerate_kernel_shapes(r: int, *, threads: int = 1) -> ShapeCatalog:
     """Catalog of every kernel shape with capacity <= r, found by one
     pruned search over sizes <= 2r+1.

@@ -51,7 +51,7 @@ from collections import Counter
 
 from .algebraic import AlgebraicFunction
 from .series import PowerSeries, catalan_series
-from .shapes import CatalogError, ShapeCatalog, ShapeFold, enumerate_kernel_shapes, fold_catalog
+from .shapes import CatalogError, ShapeCatalog, ShapeFold, fold_catalog
 
 
 class SolverError(RuntimeError):
@@ -216,32 +216,3 @@ class Solver:
             if ring.product((None,) * self._maximal_cells[r], 0)[0] != level(0) ** (r + 2):
                 raise SolverError(f"maximal-shape contribution mismatch at level {r}")
         return result
-
-
-# -- module-level conveniences ------------------------------------------------
-
-_default_solvers: dict[tuple[int, int], Solver] = {}
-
-
-def _solver_for(r: int, order: int) -> Solver:
-    for (max_occ, o), solver in _default_solvers.items():
-        if max_occ >= r and o == order:
-            return solver
-    solver = Solver(enumerate_kernel_shapes(r), order)
-    _default_solvers[(r, order)] = solver
-    return solver
-
-
-def occurrence_series(r: int, order: int = 32) -> PowerSeries:
-    """Series for permutations with exactly r occurrences of 132."""
-    return _solver_for(r, order).occurrence_series(r)
-
-
-def occurrence_closed_form(r: int) -> AlgebraicFunction:
-    """Closed form in Q(x)[sqrt(1-4x)] for the level-r series."""
-    return _solver_for(r, 32).occurrence_closed_form(r)
-
-
-def restricted_series(r: int, k: int, order: int = 32) -> PowerSeries:
-    """Series for r occurrences of 132 while avoiding 12...k."""
-    return _solver_for(r, order).restricted_series(r, k)

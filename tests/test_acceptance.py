@@ -14,7 +14,6 @@ import pytest
 from occ132 import (
     AlgebraicFunction,
     Solver,
-    af_to_series,
     census,
     enumerate_kernel_shapes,
     extract_pq,
@@ -31,6 +30,8 @@ from occ132.invariants import (
 from occ132.oracle import SWEEP_GUARD
 from occ132.series import PowerSeries
 from occ132.shapes import catalog_to_text, save_catalog
+
+from helpers import af_to_series
 
 ORDER = 32
 
@@ -235,10 +236,8 @@ def test_criterion_08_structure_suites(catalog6):
 
 def test_criterion_09_restricted(solver, full_tables):
     doubling = solver.restricted_series(0, 3)
-    geometric = PowerSeries.one(ORDER) - PowerSeries.monomial(1, ORDER)
-    ratio = geometric / (
-        PowerSeries.one(ORDER) - 2 * PowerSeries.monomial(1, ORDER)
-    )
+    x = PowerSeries.from_coeffs([0, 1], ORDER)
+    ratio = (PowerSeries.one(ORDER) - x) / (PowerSeries.one(ORDER) - 2 * x)
     ok = doubling == ratio
     for r in range(3):
         for k in range(1, 7):
@@ -256,11 +255,12 @@ def test_criterion_10_self_consistency(solver, catalog6):
         rec = next(
             rec for rec in catalog6.records if rec.size == 2 * r + 1 and rec.capacity == r
         )
-        series_term = (catalan ** rec.f).shifted(rec.size)
+        f = len(rec.cells)
+        series_term = (catalan ** f).shifted(rec.size)
         series_direct = (catalan ** (r + 2)).shifted(2 * r + 1)
-        ok = ok and rec.f == r + 2 and series_term == series_direct
-        af_term = AlgebraicFunction.x_power(rec.size) * catalan_af**rec.f
-        af_direct = AlgebraicFunction.x_power(2 * r + 1) * catalan_af ** (r + 2)
+        ok = ok and f == r + 2 and series_term == series_direct
+        af_term = AlgebraicFunction.from_poly((0,) * rec.size + (1,)) * catalan_af**f
+        af_direct = AlgebraicFunction.from_poly((0,) * (2 * r + 1) + (1,)) * catalan_af ** (r + 2)
         ok = ok and af_term == af_direct
     for r in range(7):
         ok = ok and af_to_series(solver.occurrence_closed_form(r), ORDER) == solver.occurrence_series(r)
@@ -274,7 +274,7 @@ def test_criterion_10_self_consistency(solver, catalog6):
 def test_criterion_11_conjecture_reports(solver, catalog6):
     # informational: report, list counterexamples, never block
     size_vs_cells = [
-        str(rec.shape) for rec in catalog6.records if rec.size > 1 and rec.size < rec.f
+        str(rec.shape) for rec in catalog6.records if rec.size > 1 and rec.size < len(rec.cells)
     ]
     print(
         "report: size >= cell count for all catalogued shapes != 1:",

@@ -6,21 +6,19 @@ from hypothesis import strategies as st
 
 from occ132 import (
     AlgebraicFunction,
-    PoleAtOriginError,
     PowerSeries,
     PQForm,
     Solver,
-    af_to_series,
     catalan_series,
     extract_pq,
-    reassemble_pq,
-    sqrt_one_minus_4x,
 )
 from occ132.algebraic import _trim, poly_mul
 
+from helpers import PoleAtOriginError, af_to_series, reassemble_pq, sqrt_one_minus_4x
+
 CATALAN = AlgebraicFunction((1,), (-1,), (0, 2))  # (1 - y) / 2x
 ONE = AlgebraicFunction.from_poly((1,))
-X = AlgebraicFunction.x_power(1)
+X = AlgebraicFunction.from_poly((0, 1))
 Y = AlgebraicFunction.y()
 
 small_poly = st.lists(st.integers(-6, 6), max_size=4).map(tuple)

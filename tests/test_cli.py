@@ -684,7 +684,7 @@ def test_check_invariants_refuses_beyond_sweep_guard(capsys, monkeypatch):
 
 def test_oracle_error_is_reported(capsys):
     # k < 1 is refused before any output, not after the table header; the
-    # library's restricted_series(r, 0) stays the zero series.
+    # library's Solver.restricted_series(r, 0) stays the zero series.
     for argv in (("verify", "--occ", "0", "--max-n", "2", "--k", "0"),
                  ("restricted", "--occ", "0", "--k", "0", "--order", "4"),
                  ("restricted", "--occ", "1", "--k", "-3", "--order", "4")):

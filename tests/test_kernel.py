@@ -12,14 +12,19 @@ from occ132 import (
     build_occurrence_graph,
     count_132,
     decompose,
-    is_kernel_permutation,
-    make_permutation,
-    perm_from_str,
     shape_record,
 )
-from occ132.kernel import _feasible_cells, _ordered_cells, analyze, southwest_dominated_cells
+from occ132.kernel import (
+    _feasible_cells,
+    _kernel_capacity,
+    _ordered_cells,
+    analyze,
+    southwest_dominated_cells,
+)
 from occ132.perms import lis_length, occurrences_132
 from occ132.shapes import iter_kernel_permutations
+
+from helpers import perm_from_str
 
 
 def _cell_is_feasible(ranks, m, l):
@@ -92,11 +97,11 @@ class TestOccurrenceGraph:
         assert sum(c.occurrences for c in comps) == 5
 
     def test_increasing_is_isolated(self):
-        comps = build_occurrence_graph(make_permutation([1, 2, 3, 4]))
+        comps = build_occurrence_graph(Permutation((1, 2, 3, 4)))
         assert comps == tuple(((p,), 0) for p in range(1, 5))
 
     def test_pattern_is_one_component(self):
-        comps = build_occurrence_graph(make_permutation([1, 3, 2]))
+        comps = build_occurrence_graph(Permutation((1, 3, 2)))
         assert len(comps) == 1
         assert comps[0].positions == (1, 2, 3)
         assert comps[0].occurrences == 1
@@ -127,20 +132,21 @@ class TestKernelOf:
         for n in range(1, 7):
             k = analyze(Permutation(tuple(range(1, n + 1)))).kernel
             assert k.positions == (n,)
-            assert k.shape == make_permutation([1])
+            assert k.shape == Permutation((1,))
             assert k.capacity == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            analyze(make_permutation([]))
+            analyze(Permutation(()))
 
 
 class TestIsKernelPermutation:
     def test_examples(self):
-        assert is_kernel_permutation(make_permutation([1]))
-        assert is_kernel_permutation(perm_from_str("132"))
-        assert not is_kernel_permutation(perm_from_str("12"))
-        assert not is_kernel_permutation(make_permutation([]))
+        # _kernel_capacity is None exactly when the occurrence graph is not connected
+        assert _kernel_capacity((1,)) == 0
+        assert _kernel_capacity((1, 3, 2)) == 1
+        assert _kernel_capacity((1, 2)) is None
+        assert _kernel_capacity(()) is None
 
     def test_agrees_with_shape_fixed_point(self):
         # also: a kernel's capacity, read off its graph component, is the
@@ -149,13 +155,13 @@ class TestIsKernelPermutation:
             for vals in permutations(range(1, n + 1)):
                 pi = Permutation(vals)
                 kernel = analyze(pi).kernel
-                assert is_kernel_permutation(pi) == (kernel.shape == pi)
+                assert (_kernel_capacity(vals) is not None) == (kernel.shape == pi)
                 assert kernel.capacity == count_132(kernel.shape)
 
 
 class TestCellDecomposition:
     def test_unit_shape(self):
-        assert set(shape_record(make_permutation([1])).cells) == {(1, 1), (1, 2)}
+        assert set(shape_record(Permutation((1,))).cells) == {(1, 1), (1, 2)}
 
     def test_1423(self):
         assert set(shape_record(perm_from_str("1423")).cells) == {(4, 1), (1, 3), (1, 4), (1, 5)}
@@ -186,13 +192,14 @@ class TestCellDecomposition:
         # decompose raises otherwise, so a clean sweep is the assertion
         for n in range(1, 8):
             for vals in permutations(range(1, n + 1)):
-                decompose(Permutation(vals))
+                pi = Permutation(vals)
+                decompose(pi, analyze(pi))
 
 
 class TestCellOrder:
     def test_examples(self):
         assert shape_record(perm_from_str("1423")).cells == ((4, 1), (1, 3), (1, 4), (1, 5))
-        assert shape_record(make_permutation([1])).cells == ((1, 1), (1, 2))
+        assert shape_record(Permutation((1,))).cells == ((1, 1), (1, 2))
         assert shape_record(perm_from_str("132")).cells == ((3, 1), (1, 3), (1, 4))
 
     def test_total_on_catalog(self, catalog3):
@@ -207,7 +214,7 @@ class TestCellOrder:
 class TestLisNortheast:
     def test_examples(self):
         assert shape_record(perm_from_str("1423")).lis_ne == (1, 2, 1, 0)
-        assert shape_record(make_permutation([1])).lis_ne == (1, 0)
+        assert shape_record(Permutation((1,))).lis_ne == (1, 0)
         assert shape_record(perm_from_str("132")).lis_ne == (1, 1, 0)
 
 
@@ -219,13 +226,14 @@ class TestOneSidedCriterion:
 
 class TestDecompose:
     def test_worked_example(self):
-        shape, contents = decompose(perm_from_str("67382451"))
+        pi = perm_from_str("67382451")
+        shape, contents = decompose(pi, analyze(pi))
         assert shape == perm_from_str("1423")
         assert [c.values for c in contents] == [(1, 2), (1,), (), (1,)]
 
     def test_larger_example(self):
         pi = perm_from_str("10,11,7,12,4,6,5,8,3,9,2,1")
-        shape, contents = decompose(pi)
+        shape, contents = decompose(pi, analyze(pi))
         assert shape == perm_from_str("1423")
         by_cell = dict(zip(shape_record(shape).cells, contents))
         assert by_cell[(1, 3)] == perm_from_str("132")  # entries 4, 6, 5
@@ -235,7 +243,7 @@ class TestDecompose:
 
     def test_kernel_permutation_has_empty_contents(self, catalog2):
         for rec in catalog2.records:
-            shape, contents = decompose(rec.shape)
+            shape, contents = decompose(rec.shape, analyze(rec.shape))
             assert shape == rec.shape
             assert all(c.n == 0 for c in contents)
 
@@ -247,23 +255,23 @@ class TestAssemble:
 
     def test_all_empty_returns_shape(self, catalog2):
         for rec in catalog2.records:
-            empties = [make_permutation([])] * rec.f
+            empties = [Permutation(())] * len(rec.cells)
             assert assemble(rec.shape, empties) == rec.shape
 
     def test_unit_shape_right_content(self):
-        got = assemble(make_permutation([1]), [make_permutation([]), make_permutation([1])])
+        got = assemble(Permutation((1,)), [Permutation(()), Permutation((1,))])
         assert got == perm_from_str("21")
 
     def test_blocks_never_merge_into_kernel(self):
         # both cells filled: contents stay separate components, so the
         # result is 231 (not 132, which is its own kernel)
-        got = assemble(make_permutation([1]), [make_permutation([1]), make_permutation([1])])
+        got = assemble(Permutation((1,)), [Permutation((1,)), Permutation((1,))])
         assert got == perm_from_str("231")
-        assert decompose(got)[1] == (make_permutation([1]), make_permutation([1]))
+        assert decompose(got, analyze(got))[1] == (Permutation((1,)), Permutation((1,)))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            assemble(make_permutation([1]), [make_permutation([1])])
+            assemble(Permutation((1,)), [Permutation((1,))])
 
 
 class TestRoundtrip:
@@ -271,20 +279,20 @@ class TestRoundtrip:
         for n in range(1, 7):
             for vals in permutations(range(1, n + 1)):
                 pi = Permutation(vals)
-                shape, contents = decompose(pi)
+                shape, contents = decompose(pi, analyze(pi))
                 assert assemble(shape, contents) == pi
 
     @settings(max_examples=60, deadline=None)
     @given(st.permutations(list(range(1, 9))))
     def test_forward_random_larger(self, vals):
         pi = Permutation(tuple(vals))
-        shape, contents = decompose(pi)
+        shape, contents = decompose(pi, analyze(pi))
         assert assemble(shape, contents) == pi
 
 
 def test_shape_record_fields(catalog2):
     rec = next(rec for rec in catalog2.records if rec.shape == perm_from_str("1423"))
-    assert (rec.size, rec.capacity, rec.f) == (4, 2, 4)
+    assert (rec.size, rec.capacity, len(rec.cells)) == (4, 2, 4)
     assert rec.cells == ((4, 1), (1, 3), (1, 4), (1, 5))
     assert rec.lis_ne == (1, 2, 1, 0)
     rebuilt = shape_record(rec.shape)

@@ -6,15 +6,16 @@ from itertools import permutations
 import pytest
 
 from occ132 import (
+    Permutation,
     Solver,
-    avoids_monotone,
     joint_tables,
-    make_permutation,
     occurrence_counts,
     oracle,
 )
 from occ132.oracle import OracleError
 from occ132.perms import count_132_values, lis_length
+
+from helpers import avoids_monotone
 
 
 def per_permutation_joint_table(n):
@@ -89,7 +90,7 @@ def test_k_at_most_0_avoids_nothing(catalog2):
         assert occurrence_counts(table, 0) == {}
         assert occurrence_counts(table, n + 1) == occurrence_counts(table)
         for values in permutations(range(1, n + 1)):
-            assert not avoids_monotone(make_permutation(values), 0)
+            assert not avoids_monotone(Permutation(values), 0)
     for r in range(3):
         assert solver.restricted_series(r, 0).integer_coeffs() == [0] * 7
 

@@ -1,10 +1,13 @@
 import doctest
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import occ132
+from test_cli import cli_env
 
 
 def test_every_export_resolves():
@@ -36,6 +39,23 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         occ132.no_such_name  # noqa: B018
     assert not hasattr(occ132, "joint_table")
+    # wrappers and module-level conveniences deleted, test oracles moved to tests/helpers.py
+    for name in ("af_to_series", "reassemble_pq", "is_kernel_permutation", "avoids_monotone",
+                 "make_permutation", "perm_from_str", "PoleAtOriginError", "sqrt_one_minus_4x",
+                 "exceptional_shape", "occurrence_series", "occurrence_closed_form",
+                 "restricted_series"):
+        assert name not in occ132.__all__, name
+        with pytest.raises(AttributeError, match=name):
+            getattr(occ132, name)
+
+
+def test_algebraic_does_not_load_series():
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, occ132.algebraic; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert "'occ132.algebraic'" in probe.stdout
+    assert "'occ132.series'" not in probe.stdout
 
 
 def test_readme_library_example():

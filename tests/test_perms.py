@@ -7,53 +7,52 @@ from hypothesis import strategies as st
 from occ132 import (
     Occurrence,
     Permutation,
-    avoids_monotone,
     count_132,
     lis_length,
-    make_permutation,
     occurrences_132,
-    perm_from_str,
     perm_to_str,
     reduce_to_pattern,
 )
 from occ132.perms import count_132_values
 
+from helpers import avoids_monotone, perm_from_str
+
 
 class TestMakePermutation:
     def test_empty(self):
-        assert make_permutation([]).n == 0
+        assert Permutation(()).n == 0
 
     def test_valid(self):
-        p = make_permutation([5, 7, 6, 1, 4, 2, 8, 3])
+        p = Permutation((5, 7, 6, 1, 4, 2, 8, 3))
         assert p.n == 8
         assert p(1) == 5 and p(8) == 3
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
-            make_permutation([1, 1, 2])
+            Permutation((1, 1, 2))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            make_permutation([0, 1])
+            Permutation((0, 1))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            make_permutation([1, 5, 2])
+            Permutation((1, 5, 2))
 
     def test_position_out_of_range(self):
         with pytest.raises(IndexError):
-            make_permutation([1, 2])(3)
+            Permutation((1, 2))(3)
 
 
 class TestOccurrences:
     def test_pattern_itself(self):
-        assert occurrences_132(make_permutation([1, 3, 2])) == [Occurrence(1, 2, 3)]
+        assert occurrences_132(Permutation((1, 3, 2))) == [Occurrence(1, 2, 3)]
 
     def test_worked_example_has_five(self):
         assert len(occurrences_132(perm_from_str("57614283"))) == 5
 
     def test_increasing_has_none(self):
-        assert occurrences_132(make_permutation([1, 2, 3, 4])) == []
+        assert occurrences_132(Permutation((1, 2, 3, 4))) == []
 
     def test_lexicographic_order(self):
         occs = occurrences_132(perm_from_str("57614283"))
@@ -116,25 +115,25 @@ class TestLis:
 
 class TestAvoidsMonotone:
     def test_examples(self):
-        assert avoids_monotone(make_permutation([2, 1]), 2)
-        assert not avoids_monotone(make_permutation([1, 2, 3, 4]), 3)
+        assert avoids_monotone(Permutation((2, 1)), 2)
+        assert not avoids_monotone(Permutation((1, 2, 3, 4)), 3)
 
     def test_k_nonpositive_is_false_for_everything(self):
-        for pi in (make_permutation([]), make_permutation([1]), make_permutation([2, 1])):
+        for pi in (Permutation(()), Permutation((1,)), Permutation((2, 1))):
             assert not avoids_monotone(pi, 0)
             assert not avoids_monotone(pi, -1)
 
     def test_k_one_admits_only_empty(self):
-        assert avoids_monotone(make_permutation([]), 1)
-        assert not avoids_monotone(make_permutation([1]), 1)
+        assert avoids_monotone(Permutation(()), 1)
+        assert not avoids_monotone(Permutation((1,)), 1)
 
 
 class TestSerialization:
     def test_digit_string_small(self):
-        assert perm_to_str(make_permutation([5, 7, 6, 1, 4, 2, 8, 3])) == "57614283"
+        assert perm_to_str(Permutation((5, 7, 6, 1, 4, 2, 8, 3))) == "57614283"
 
     def test_comma_form_large(self):
-        pi = make_permutation([10, 11, 7, 12, 4, 6, 5, 8, 3, 9, 2, 1])
+        pi = Permutation((10, 11, 7, 12, 4, 6, 5, 8, 3, 9, 2, 1))
         assert perm_to_str(pi) == "10,11,7,12,4,6,5,8,3,9,2,1"
         assert perm_from_str(perm_to_str(pi)) == pi
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from occ132 import PowerSeries, catalan_series, sqrt_one_minus_4x
+from occ132 import PowerSeries, catalan_series
+
+from helpers import sqrt_one_minus_4x
 
 small_series = st.builds(
     PowerSeries.from_coeffs,
@@ -26,7 +28,7 @@ def test_catalan_quadratic_identity():
 
 def test_multiply_by_zero():
     a = catalan_series(6)
-    assert a * PowerSeries.zero(6) == PowerSeries.zero(6)
+    assert a * PowerSeries.from_coeffs([0], 6) == PowerSeries.from_coeffs([0], 6)
 
 
 def test_geometric_division():

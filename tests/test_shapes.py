@@ -14,14 +14,11 @@ from occ132 import (
     census,
     count_132,
     enumerate_kernel_shapes,
-    exceptional_shape,
-    is_kernel_permutation,
     load_catalog,
-    perm_from_str,
     shape_record,
     shapes,
 )
-from occ132.kernel import analyze
+from occ132.kernel import _kernel_capacity, analyze
 from occ132.perms import count_132_values
 from occ132.shapes import (
     KNOWN_CAPACITY_CENSUS,
@@ -34,6 +31,7 @@ from occ132.shapes import (
     load_fold,
     save_catalog,
 )
+from helpers import exceptional_shape, perm_from_str
 from test_kernel import feasible_cells_oracle
 
 
@@ -74,7 +72,7 @@ class TestEnumerate:
     def test_every_record_is_kernel_with_consistent_fields(self, catalog3):
         seen = set()
         for rec in catalog3.records:
-            assert is_kernel_permutation(rec.shape)
+            assert _kernel_capacity(rec.shape.values) is not None
             assert rec.capacity <= 3
             assert rec.size <= 2 * rec.capacity + 1
             assert rec.capacity == count_132(rec.shape)
@@ -145,7 +143,7 @@ class TestExceptionalShape:
             rec = shape_record(rho)
             assert rec.size == 2 * r + 1
             assert rec.capacity == r
-            assert rec.f == r + 2
+            assert len(rec.cells) == r + 2
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):
@@ -344,6 +342,6 @@ class TestSearchSoundness:
         want = set()
         for n in range(1, 7):
             for vals in permutations(range(1, n + 1)):
-                if is_kernel_permutation(Permutation(vals)):
+                if _kernel_capacity(vals) is not None:
                     want.add(vals)
         assert got == want

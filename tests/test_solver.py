@@ -4,22 +4,21 @@ from dataclasses import replace
 import pytest
 
 from occ132 import (
+    AlgebraicFunction,
     PowerSeries,
     Solver,
     SolverError,
-    af_to_series,
     catalan_series,
-    occurrence_closed_form,
     occurrence_counts,
-    occurrence_series,
-    restricted_series,
 )
 from occ132.shapes import CatalogError, ShapeCatalog, fold_catalog
 
+from helpers import af_to_series, reassemble_pq
+
 
 class TestUnrestrictedSeries:
-    def test_level0_is_catalan(self):
-        assert occurrence_series(0, 6).integer_coeffs() == [1, 1, 2, 5, 14, 42, 132]
+    def test_level0_is_catalan(self, catalog1):
+        assert Solver(catalog1, 6).occurrence_series(0).integer_coeffs() == [1, 1, 2, 5, 14, 42, 132]
 
     def test_level1_binomials(self, catalog1):
         s = Solver(catalog1, 6).occurrence_series(1)
@@ -80,6 +79,20 @@ class TestCatalogChecks:
         with pytest.raises(SolverError, match="maximal-shape contribution mismatch at level 6"):
             solver.occurrence_series(6)
 
+    def test_negative_class_multiplicity(self, catalog1):
+        # the shape 132 counted -5 times drives level 1 below zero
+        solver = Solver(catalog1, 6)
+        solver._fold[(3, 1, 3)] = -5
+        with pytest.raises(SolverError, match=r"level \(1, None\) series is not a counting series"):
+            solver.occurrence_series(1)
+
+    def test_wrong_closed_form_seed(self, catalog1):
+        # (1 - y) / 3x in place of the Catalan level (1 - y) / 2x
+        solver = Solver(catalog1)
+        solver._closed.levels[(0, None)] = AlgebraicFunction((1,), (-1,), (0, 3))
+        with pytest.raises(SolverError, match=r"1 - 2x\*S_0 did not reduce to sqrt\(1-4x\)"):
+            solver.occurrence_closed_form(1)
+
 
 class _CountingRecords(tuple):
     iterations = 0
@@ -126,7 +139,7 @@ class TestClosedForms:
         assert form.two_Q == (2, -15, 29, -4, 2)
 
     def test_split_reassembles_exactly(self, catalog3):
-        from occ132 import extract_pq, reassemble_pq
+        from occ132 import extract_pq
 
         solver = Solver(catalog3)
         for r in range(1, 4):
@@ -235,11 +248,11 @@ class TestSharedProducts:
 
 
 class TestModuleConveniences:
-    def test_occurrence_series_builds_catalog(self):
-        assert occurrence_series(1, 6).integer_coeffs() == [0, 0, 0, 1, 5, 21, 84]
+    def test_occurrence_series_builds_catalog(self, catalog1):
+        assert Solver(catalog1, 6).occurrence_series(1).integer_coeffs() == [0, 0, 0, 1, 5, 21, 84]
 
-    def test_occurrence_closed_form_convenience(self):
-        assert af_to_series(occurrence_closed_form(0), 8) == catalan_series(8)
+    def test_occurrence_closed_form_convenience(self, catalog1):
+        assert af_to_series(Solver(catalog1).occurrence_closed_form(0), 8) == catalan_series(8)
 
-    def test_restricted_convenience(self):
-        assert restricted_series(0, 2, 5).integer_coeffs() == [1] * 6
+    def test_restricted_convenience(self, catalog1):
+        assert Solver(catalog1, 5).restricted_series(0, 2).integer_coeffs() == [1] * 6
