@@ -31,6 +31,10 @@ sidecar are refused before any work.  A closed stdout (as under
 budget R, so it visits only the permutations that can have at most R
 occurrences.
 
+``--threads`` runs the shape search, the oracle sweep and, from
+``check-invariants --max-n 7`` on, the structure sweep in a worker
+pool.
+
 The oracle and the structure checks are imported by ``verify`` and
 ``check-invariants``, the commands that run them, so a solver command
 loads only this module, ``shapes``, ``solver``, ``series`` and
@@ -241,10 +245,12 @@ def _cmd_check_invariants(args) -> int:
         ok = ok and not violations
 
     kernels = iter_kernel_permutations(args.max_n)
-    sweep = structure_sweep(args.max_n, kernels)
+    # before the sweep, so that forked workers inherit the filled cell cache
+    order_violations = cell_order_totality(kernels)
+    sweep = structure_sweep(args.max_n, kernels, threads=args.threads)
     for name, scope in STRUCTURE_CHECKS.items():
         report(f"{name} ({scope} <= {args.max_n})", sweep[name])
-    report("feasible-cell order total", cell_order_totality(kernels))
+    report("feasible-cell order total", order_violations)
     report("one-sided infeasibility criterion subsumed", one_sided_criterion_subsumed(kernels))
     return 0 if ok else 1
 
@@ -291,9 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     # A string default goes through _thread_count only when --threads is absent.
     threads_default = os.environ.get("OCC132_THREADS") or str(os.cpu_count() or 1)
 
-    def add_common(p, *, order: bool = False, catalog: bool = True):
+    def add_threads(p):
         p.add_argument("--threads", type=_thread_count, default=threads_default,
                        help="worker processes, >= 1 (default: env OCC132_THREADS, else the CPU count)")
+
+    def add_common(p, *, order: bool = False, catalog: bool = True):
+        add_threads(p)
         if order:
             p.add_argument("--order", type=int, default=32, help="series truncation (default 32)")
         if catalog:
@@ -334,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-invariants", help="exhaustive structural checks")
     p.add_argument("--max-n", type=int, default=8)
+    add_threads(p)
     p.set_defaults(func=_cmd_check_invariants)
 
     p = sub.add_parser("conjectures", help="informational reports")

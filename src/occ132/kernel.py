@@ -252,13 +252,9 @@ def southwest_dominated_cells(rho: Permutation) -> frozenset[tuple[int, int]]:
     grid.
     """
     s = rho.n
-    out = set()
-    for k in range(1, s + 1):
-        rk = rho(k)
-        for m in range(rk + 1, s + 1):
-            for l in range(k + 1, s + 2):
-                out.add((m, l))
-    return frozenset(out)
+    # some entry k < l has rho(k) < m iff the minimum of entries 1..l-1 does
+    lows = accumulate(rho.values, min)  # that minimum for l = 2..s+1
+    return frozenset((m, l) for l, low in enumerate(lows, 2) for m in range(low + 1, s + 1))
 
 
 def _ordered_cells(values: tuple[int, ...], feasible: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

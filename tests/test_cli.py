@@ -183,10 +183,12 @@ def test_check_invariants(capsys):
 
 
 def test_check_invariants_matches_benchmark_reference(capsys):
-    code, out, _ = run(capsys, "check-invariants", "--max-n", "7")
-    assert code == 0
     path = Path(__file__).resolve().parents[1] / "perfbench" / "references" / "invariants7.out"
-    assert out.encode() == path.read_bytes()
+    # the default thread count, one process, and a pool of two
+    for threads in ((), ("--threads", "1"), ("--threads", "2")):
+        code, out, _ = run(capsys, "check-invariants", "--max-n", "7", *threads)
+        assert code == 0, threads
+        assert out.encode() == path.read_bytes(), threads
 
 
 # the closed form of level 1 times a factor that breaks its integer split
@@ -703,6 +705,14 @@ def test_bad_threads_rejected(capsys, threads):
     assert captured.out == "" and "error:" in captured.err and "--threads" in captured.err
 
 
+def test_check_invariants_rejects_zero_threads(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-invariants", "--max-n", "3", "--threads", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err and "--threads" in captured.err
+
+
 def test_bad_threads_env_rejected_only_where_threads_apply(capsys, monkeypatch):
     monkeypatch.setenv("OCC132_THREADS", "abc")
     with pytest.raises(SystemExit) as exc:
@@ -712,7 +722,12 @@ def test_bad_threads_env_rejected_only_where_threads_apply(capsys, monkeypatch):
     # an explicit --threads overrides the environment
     code, out, _ = run(capsys, "gf", "--occ", "1", "--order", "4", "--threads", "1")
     assert code == 0 and json.loads(out) == [0, 0, 0, 1, 5]
-    code, out, _ = run(capsys, "check-invariants", "--max-n", "3")
+    # check-invariants takes --threads too, so the environment applies to it
+    with pytest.raises(SystemExit) as exc:
+        main(["check-invariants", "--max-n", "3"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    code, out, _ = run(capsys, "check-invariants", "--max-n", "3", "--threads", "1")
     assert code == 0 and "FAIL" not in out
     with pytest.raises(SystemExit) as exc:
         main(["gf", "--help"])

@@ -3,9 +3,10 @@
 A clean sweep only shows something if the checks can fail, so every
 check in ``STRUCTURE_CHECKS`` gets a planted defect here: the analysis
 record, the cell order, ``decompose`` or ``assemble`` is replaced through
-monkeypatch.
+monkeypatch.  A sweep in a worker pool reports the serial sweep's lists.
 """
 
+import multiprocessing
 from dataclasses import replace
 from itertools import combinations
 
@@ -16,6 +17,7 @@ import occ132.kernel
 from occ132.invariants import STRUCTURE_CHECKS, structure_sweep
 from occ132.kernel import CellOrderError, analyze
 from occ132.perms import Permutation
+from occ132.shapes import iter_kernel_permutations
 
 
 def _plant_analysis(monkeypatch, edit):
@@ -108,3 +110,22 @@ def test_planted_defect_is_reported_by_its_check_only(monkeypatch, defect):
     plant(monkeypatch)
     sweep = structure_sweep(max_n)
     assert [name for name in STRUCTURE_CHECKS if sweep[name]] == [check]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the plant is a monkeypatch, which only forked workers inherit")
+def test_pooled_sweep_joins_violations_in_sweep_order(monkeypatch):
+    # the plant fires in every job of n >= 2, so the order of the joined lists is checked
+    monkeypatch.setattr(occ132.invariants, "assemble", _swap_first_two(occ132.invariants.assemble))
+    pooled = structure_sweep(7, threads=2)
+    assert len(pooled["roundtrip decompose-assemble"]) > 5000
+    assert pooled == structure_sweep(7, threads=1)
+
+
+def test_pooled_sweep_reads_the_given_kernels():
+    # without the kernels of size 5 the domain misses their pairs, so the
+    # inverse check fires in jobs of every n >= 5, whatever the start method
+    kernels = [rho for rho in iter_kernel_permutations(7) if rho.n != 5]
+    pooled = structure_sweep(7, kernels, threads=2)
+    assert len(pooled["assemble/decompose inverse"]) > 100
+    assert pooled == structure_sweep(7, kernels, threads=1)

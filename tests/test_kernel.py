@@ -223,6 +223,14 @@ class TestOneSidedCriterion:
         for rec in catalog3.records:
             assert not southwest_dominated_cells(rec.shape).intersection(rec.cells), rec.shape
 
+    def test_matches_definition(self):
+        # cell (m, l), m <= s, has an entry k < l with rho(k) < m to its southwest
+        for rho in iter_kernel_permutations(6):
+            s = rho.n
+            want = {(m, l) for k in range(1, s + 1) for m in range(rho(k) + 1, s + 1)
+                    for l in range(k + 1, s + 2)}
+            assert southwest_dominated_cells(rho) == want, rho
+
 
 class TestDecompose:
     def test_worked_example(self):
