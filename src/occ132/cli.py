@@ -295,11 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # A string default goes through _thread_count only when --threads is absent.
-    threads_default = os.environ.get("OCC132_THREADS") or str(os.cpu_count() or 1)
+    # The CPUs this process may run on, where the platform can tell.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads_default = os.environ.get("OCC132_THREADS") or str(cpus or 1)
 
     def add_threads(p):
         p.add_argument("--threads", type=_thread_count, default=threads_default,
-                       help="worker processes, >= 1 (default: env OCC132_THREADS, else the CPU count)")
+                       help="worker processes, >= 1 (default: env OCC132_THREADS, "
+                            "else the CPUs this process may use)")
 
     def add_common(p, *, order: bool = False, catalog: bool = True):
         add_threads(p)

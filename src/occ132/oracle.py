@@ -225,10 +225,6 @@ def _sweep_class(n: int, first: int, start_index: int, budget: int) -> list[int]
     return tally
 
 
-def _sweep_class_args(args) -> list[int]:
-    return _sweep_class(*args)
-
-
 def joint_tables(
     ns: Iterable[int], *, threads: int = 1, max_occ: int | None = None
 ) -> dict[int, dict[tuple[int, int], int]]:
@@ -256,7 +252,7 @@ def joint_tables(
         from multiprocessing import Pool
 
         with Pool(min(threads, len(jobs))) as pool:
-            parts = pool.map(_sweep_class_args, jobs, chunksize=1)
+            parts = pool.starmap(_sweep_class, jobs, chunksize=1)
     else:
         parts = [_sweep_class(*job) for job in jobs]
     merged = {n: [0] * _tally_size(n) for n in ns}

@@ -113,11 +113,6 @@ class ShapeFold(NamedTuple):
     max_occ: int
     classes: dict[FoldClass, int]
 
-    @property
-    def maximal_cells(self) -> dict[int, int]:
-        """Cell count of each budget r's maximal shape, the class of size 2r+1."""
-        return {c: len(runs) for s, c, _, runs in self.classes if s == 2 * c + 1}
-
 
 class Census(NamedTuple):
     """Shape counts by size and by capacity, plus per-budget counts of
@@ -237,10 +232,6 @@ def _frontier(depth: int, max_occ: int) -> tuple[list[tuple[int, ...]], list[_St
     return found, level
 
 
-def _dfs_job(args) -> list[tuple[int, ...]]:
-    return _dfs(*args)
-
-
 def _search(max_size: int, max_occ: int, threads: int = 1) -> list[tuple[int, ...]]:
     """Every kernel pattern of size <= max_size with at most max_occ occurrences."""
     # Up to size 9 (budget 4) one process is faster than a pool: 6 ms against 15.
@@ -252,7 +243,7 @@ def _search(max_size: int, max_occ: int, threads: int = 1) -> list[tuple[int, ..
     step = min(4 * threads, len(frontier))
     jobs = [(max_size, max_occ, frontier[i::step]) for i in range(step)]
     with Pool(min(threads, len(jobs))) as pool:
-        for part in pool.map(_dfs_job, jobs):
+        for part in pool.starmap(_dfs, jobs):
             found.extend(part)
     return found
 

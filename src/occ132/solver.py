@@ -16,14 +16,15 @@ f-fold product is taken with truncation, and the wanted coefficient is
 read off.  Shapes that contribute identically are folded into classes
 once, by ``shapes.fold_catalog``: (size, capacity, shape lis, sorted
 northeast runs) with a multiplicity.  A Solver is built from that fold,
-read from a catalog's sidecar or made from its records, and keeps it and
-each budget's maximal-shape cell count, never the records.  Each ring
-keeps its marker products for the whole Solver, next to its levels,
-keyed by the cells' own monotone budgets (None when unrestricted): every
-level and every monotone budget reuses them, and a product grows from
-the product of its key's prefix.  A product is extended only to the
-marker degree a caller reads, which is r - c for a class of capacity c
-at level r.
+read from a catalog's sidecar or made from its records, and keeps the
+fold's class table as it is, never the records.  Each level step merges
+the classes whose cells see the same budgets and takes one product per
+merged key.  Each ring keeps its marker products for the whole Solver,
+next to its levels, keyed by the cells' own monotone budgets (None when
+unrestricted): every level and every monotone budget reuses them, and a
+product grows from the product of its key's prefix.  A product is
+extended only to the marker degree a caller reads, which is r - c for a
+class of capacity c at level r.
 
 The level step is written once and runs over truncated integer series
 and over closed forms in Q(x)[sqrt(1-4x)]; the two rings check each
@@ -117,31 +118,15 @@ class Solver:
         self._closed = _Ring(
             AlgebraicFunction.from_poly((1,)), AlgebraicFunction((1,), (-1,), (0, 2))
         )
-        # The size-1 shape is handled algebraically, so the classes leave it
-        # out, but it is level 0's maximal shape.
-        self._restricted_fold = Counter({cls: m for cls, m in fold.classes.items() if cls[0] > 1})
-        self._maximal_cells = fold.maximal_cells
-        self._fold: Counter = Counter()
-        for (s, c, _, runs), mult in self._restricted_fold.items():
-            self._fold[(s, c, len(runs))] += mult
+        self._table = fold.classes
 
-    # -- the fold ---------------------------------------------------------------
+    # -- budgets ----------------------------------------------------------------
 
     def _require(self, r: int) -> None:
         if r < 0:
             raise ValueError(f"r must be >= 0, got {r}")
         if r > self.max_occ:
             raise CatalogError(f"catalog holds shapes for budgets <= {self.max_occ}, requested {r}")
-
-    def _classes(self, r: int) -> Counter:
-        """Unrestricted classes (size, capacity, cell count) of capacity <= r."""
-        return Counter({cls: m for cls, m in self._fold.items() if cls[1] <= r})
-
-    def _restricted_classes(self, r: int) -> Counter:
-        """Restricted classes (size, capacity, shape lis, sorted northeast
-        runs) of capacity <= r.  The shape's lis rides along because the
-        shape contributes nothing to budgets k <= lis."""
-        return Counter({cls: m for cls, m in self._restricted_fold.items() if cls[1] <= r})
 
     # -- public levels ----------------------------------------------------------
 
@@ -184,17 +169,15 @@ class Solver:
             return levels[(i, k - drop)] if k - drop > 0 else zero
 
         total = one if r == 0 else zero  # the empty permutation; unrestricted level 0 is seeded
-        if k is None:
-            classes = [(s, c, (None,) * f, m) for (s, c, f), m in sorted(self._classes(r).items())]
-        else:
-            # the kernel alone holds the forbidden increasing run when lis >= k;
-            # otherwise lis >= every run, so each cell budget k - run is >= 1
-            classes = [
-                (s, c, tuple(k - run for run in runs), m)
-                for (s, c, lis, runs), m in sorted(self._restricted_classes(r).items())
-                if lis < k
-            ]
-        for s, c, key, mult in classes:
+        # Classes whose cells see the same budgets contribute alike.  The
+        # size-1 shape is handled below; the kernel alone holds the forbidden
+        # increasing run when lis >= k, and otherwise lis >= every run, so
+        # each cell budget k - run is >= 1.
+        terms: Counter = Counter()
+        for (s, c, lis, runs), mult in self._table.items():
+            if s > 1 and c <= r and (k is None or lis < k):
+                terms[(s, c, tuple(None if k is None else k - run for run in runs))] += mult
+        for (s, c, key), mult in terms.items():
             total = total + (mult * ring.product(key, r - c)[r - c]).shifted(s)
         # Size-1 shape: its cells see budgets k-1 and k and split all of r.
         # A split end that holds the unknown level (r, k) moves into the
@@ -211,8 +194,9 @@ class Solver:
             raise SolverError("1 - 2x*S_0 did not reduce to sqrt(1-4x)")
         if k is None:
             # The maximal shape's term must equal x^(2r+1) * S_0^(r+2).
-            if r not in self._maximal_cells:
+            cells = next((len(runs) for s, c, _, runs in self._table if (s, c) == (2 * r + 1, r)), None)
+            if cells is None:
                 raise CatalogError(f"catalog lacks the maximal shape for budget {r}")
-            if ring.product((None,) * self._maximal_cells[r], 0)[0] != level(0) ** (r + 2):
+            if ring.product((None,) * cells, 0)[0] != level(0) ** (r + 2):
                 raise SolverError(f"maximal-shape contribution mismatch at level {r}")
         return result

@@ -43,7 +43,7 @@ def search_without_maximal_shape(monkeypatch):
 @pytest.fixture
 def serial_pool(monkeypatch):
     """multiprocessing.Pool replaced by one that starts no process: it
-    records the process count it was asked for and maps in this process.
+    records the process count it was asked for and starmaps in this process.
     Returns the list of recorded counts."""
     import multiprocessing
 
@@ -59,8 +59,8 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, jobs, chunksize=None):
-            return [func(job) for job in jobs]
+        def starmap(self, func, jobs, chunksize=None):
+            return [func(*job) for job in jobs]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     return sizes

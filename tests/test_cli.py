@@ -734,6 +734,21 @@ def test_bad_threads_env_rejected_only_where_threads_apply(capsys, monkeypatch):
     assert exc.value.code == 0
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and more than one usable CPU")
+def test_default_threads_counts_the_cpus_the_process_may_use():
+    cpu = min(os.sched_getaffinity(0))
+    env = cli_env()
+    env.pop("OCC132_THREADS", None)
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "from occ132.cli import build_parser; print(build_parser().parse_args(['gf', '--occ', '1']).threads)"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "1\n"
+
+
 def test_closed_form_refuses_level_0_before_any_catalog_work(capsys, monkeypatch):
     def no_catalog(*args):
         raise AssertionError("closed-form --occ 0 built a catalog")

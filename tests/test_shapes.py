@@ -303,7 +303,10 @@ def test_budget6_fold(catalog6):
     assert sum(fold.classes.values()) == len(catalog6.records) == 3214
     # the size-1 shape is a class of its own next to the 295 the recursion sums over
     assert len(fold.classes) == 296
-    assert fold.maximal_cells == {r: r + 2 for r in range(7)}
+    # each budget r's maximal shape, the class of size 2r+1, has r + 2 cells
+    assert {c: len(runs) for s, c, _, runs in fold.classes if s == 2 * c + 1} == {
+        r: r + 2 for r in range(7)
+    }
 
 
 class TestSearchSoundness:

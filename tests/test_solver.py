@@ -11,7 +11,7 @@ from occ132 import (
     catalan_series,
     occurrence_counts,
 )
-from occ132.shapes import CatalogError, ShapeCatalog, fold_catalog
+from occ132.shapes import CatalogError, ShapeCatalog, ShapeFold, fold_catalog
 
 from helpers import af_to_series, reassemble_pq
 
@@ -73,16 +73,18 @@ class TestCatalogChecks:
     @pytest.mark.parametrize("order", [1, 5, 13])
     def test_maximal_shape_with_a_cell_too_many(self, catalog6, order):
         # at these orders the shift by x^13 would carry any difference past the order
-        solver = Solver(fold_catalog(catalog6), order)
-        solver._maximal_cells[6] += 1
+        classes = dict(fold_catalog(catalog6).classes)
+        s, c, lis, runs = maximal = next(cls for cls in classes if cls[:2] == (13, 6))
+        classes[(s, c, lis, (0,) + runs)] = classes.pop(maximal)
+        solver = Solver(ShapeFold(6, classes), order)
         solver.occurrence_series(5)
         with pytest.raises(SolverError, match="maximal-shape contribution mismatch at level 6"):
             solver.occurrence_series(6)
 
     def test_negative_class_multiplicity(self, catalog1):
         # the shape 132 counted -5 times drives level 1 below zero
-        solver = Solver(catalog1, 6)
-        solver._fold[(3, 1, 3)] = -5
+        classes = {**fold_catalog(catalog1).classes, (3, 1, 2, (0, 1, 1)): -5}
+        solver = Solver(ShapeFold(1, classes), 6)
         with pytest.raises(SolverError, match=r"level \(1, None\) series is not a counting series"):
             solver.occurrence_series(1)
 
@@ -118,7 +120,10 @@ def test_solver_reads_its_catalog_once(catalog6):
         solver.occurrence_closed_form(r)
     solver.restricted_series(6, 6)
     assert records.iterations == 1
-    assert (len(solver._classes(6)), len(solver._restricted_classes(6))) == (74, 295)
+    # the fold's own table, the size-1 shape included, and nothing built from it
+    assert len(solver._table) == 296
+    fold = fold_catalog(catalog6)
+    assert Solver(fold)._table is fold.classes
 
 
 class TestClosedForms:
@@ -171,12 +176,12 @@ class TestRestricted:
         s = Solver(catalog1, 10).restricted_series(0, 3)
         assert s.integer_coeffs() == [1] + [2 ** max(n - 1, 0) for n in range(1, 11)]
 
-    def test_oracle_agreement(self, catalog2, full_tables):
-        solver = Solver(catalog2, 8)
-        for r in range(3):
-            for k in range(1, 7):
+    def test_oracle_agreement(self, catalog6, full_tables):
+        solver = Solver(catalog6, 9)
+        for r in range(7):
+            for k in range(1, 11):
                 series = solver.restricted_series(r, k)
-                for n in range(9):
+                for n in range(10):
                     want = occurrence_counts(full_tables[n], k).get(r, 0)
                     assert series[n] == want, (r, k, n)
 
