@@ -1,8 +1,10 @@
 """Exhaustive structural checks over small symmetric groups.
 
-Each check sweeps every permutation up to a size bound and returns a
-list of violation descriptions (empty means the property held).  They
-back the `check-invariants` CLI command and the acceptance suite.
+``structure_sweep(N)`` runs every check that `check-invariants` prints
+and returns each one's list of violation descriptions (empty means the
+property held), keyed as in ``STRUCTURE_CHECKS``.  The cell order and
+the one-sided criterion are checked once per kernel permutation of size
+<= N, the others in one analysis of each permutation of size <= N.
 
 The count rests on decompose/assemble being a bijection between the
 permutations of size <= N and the domain D of pairs (rho, c): a kernel
@@ -35,17 +37,19 @@ no permutation, and then, if forward holds, D has more than n! pairs of
 its size.  Each check isolates one property: forward is the left
 inverse, the inverse check is "decompose lands exactly on D".  A
 permutation that does not decompose at all is reported by the cell
-check only, since the inverse check counts D from the kernels.
+check, or by the order check when its shape's cells are not totally
+ordered, and not by the inverse check, which counts D from the kernels.
 
 The sweep is split into jobs of (n, first entry), as the brute-force
 oracle splits its sweep.  Each job returns its violations in sweep
 order, and the lists are joined in (n, first) order, which is the
 lexicographic order of the permutations: with a worker pool of any size
 every list, and every message's place in it, is the one a serial sweep
-gives.  The domain sizes are counted and compared in the calling
-process.  The workers get the cell counts and the size bound as pool
-initializer arguments, not from module state, so the result does not
-depend on the start method.
+gives.  The kernel pass and the domain count run in the calling
+process, the kernel pass before the pool starts, so that forked workers
+inherit the filled cell cache.  The workers get the cell counts and the
+size bound as pool initializer arguments, not from module state, so the
+result does not depend on the start method.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import permutations as iter_permutations
 from math import factorial
-from typing import Sequence
 
 from .kernel import (
     CellOrderError,
@@ -68,7 +71,8 @@ from .kernel import (
 from .perms import Permutation
 from .shapes import iter_kernel_permutations
 
-# Each check of structure_sweep, with what its size bound N ranges over.
+# Each check of structure_sweep in report order, with what its size bound N
+# ranges over; None for the two checks made once per kernel permutation.
 STRUCTURE_CHECKS = {
     "component size bound": "all sizes",
     "kernel size bound": "all sizes",
@@ -77,13 +81,17 @@ STRUCTURE_CHECKS = {
     "column position dominance": "all sizes",
     "roundtrip decompose-assemble": "all sizes",
     "assemble/decompose inverse": "assembled size",
+    "feasible-cell order total": None,
+    "one-sided infeasibility criterion subsumed": None,
 }
 
 
-def structure_sweep(
-    max_n: int, kernels: Sequence[Permutation] | None = None, threads: int = 1
-) -> dict[str, list[str]]:
-    """Run all structural checks over S_1..S_max_n, one analysis per permutation.
+def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
+    """Run all structural checks up to size max_n, one analysis per permutation.
+
+    - the feasible cells of each kernel permutation of size <= max_n are
+      totally ordered by dominance, and none has a kernel entry to its
+      southwest;
 
     - every occurrence-graph component has at most 2t + 1 entries when it
       holds t occurrences;
@@ -92,20 +100,29 @@ def structure_sweep(
     - within a grid row, cells further left hold strictly larger values;
     - within a grid column, cells further up sit strictly further left;
     - assemble(decompose(pi)) == pi;
-    - decompose(pi) lies in the domain D counted from `kernels` (all
-      kernel permutations of size <= max_n, searched when not given), and
-      D has n! pairs of each assembled size n.
+    - decompose(pi) lies in the domain D counted from the kernel
+      permutations, and D has n! pairs of each assembled size n.
 
     The permutations are swept as jobs of (n, first entry); with
     threads > 1 and max_n >= 7 the jobs run in a worker pool.
     """
-    if kernels is None:
-        kernels = iter_kernel_permutations(max_n)
-    cell_count = {rho.values: len(_feasible_cells(rho.values)) for rho in kernels}
+    violations: dict[str, list[str]] = {name: [] for name in STRUCTURE_CHECKS}
+    cell_count = {}
+    for rho in iter_kernel_permutations(max_n):
+        try:
+            cells = _shape_cells(rho.values)[1]
+        except CellOrderError as exc:
+            violations["feasible-cell order total"].append(str(exc))
+            cells = _feasible_cells(rho.values)
+        cell_count[rho.values] = len(cells)
+        overlap = southwest_dominated_cells(rho).intersection(cells)
+        if overlap:
+            violations["one-sided infeasibility criterion subsumed"].append(
+                f"{rho}: southwest-dominated cells marked feasible: {sorted(overlap)}")
     # A kernel of size s with f cells holds [x^e] (sum_j j! x^j)^f pairs of
     # assembled size s + e.
     domain_sizes: Counter[int] = Counter()
-    for (s, f), kernels_alike in Counter((rho.n, cell_count[rho.values]) for rho in kernels).items():
+    for (s, f), kernels_alike in Counter((len(values), f) for values, f in cell_count.items()).items():
         pairs = [1] + [0] * (max_n - s)
         for _ in range(f):
             pairs = [sum(pairs[i] * factorial(e - i) for i in range(e + 1)) for e in range(len(pairs))]
@@ -125,7 +142,6 @@ def structure_sweep(
             parts = pool.map(_sweep_job, jobs[::-1], chunksize=1)[::-1]
     else:
         parts = [_sweep_class(n, first, cell_count, max_n) for n, first in jobs]
-    violations: dict[str, list[str]] = {name: [] for name in STRUCTURE_CHECKS}
     for part in parts:
         for name, message in part:
             violations[name].append(message)
@@ -169,8 +185,11 @@ def _sweep_class(
             violations.append(("kernel size bound", f"{pi}: kernel size {kernel.size}, r={r}"))
         try:
             shape, contents = decompose(pi, analysis)
-        except (DecompositionError, CellOrderError) as exc:
+        except DecompositionError as exc:
             violations.append(("components inside single cells", f"{pi}: {exc}"))
+            continue
+        except CellOrderError as exc:
+            violations.append(("feasible-cell order total", f"{pi}: {exc}"))
             continue
         placed = analysis.placed
         for (m1, l1), entries1 in placed.items():
@@ -189,25 +208,4 @@ def _sweep_class(
                 "assemble/decompose inverse",
                 f"decompose({pi}) = ({shape}, {[str(a) for a in contents]}) lies outside the domain",
             ))
-    return violations
-
-
-def cell_order_totality(shapes) -> list[str]:
-    """Dominance order must be total on the feasible cells of each shape."""
-    violations = []
-    for rho in shapes:
-        try:
-            _shape_cells(rho.values)
-        except CellOrderError as exc:
-            violations.append(str(exc))
-    return violations
-
-
-def one_sided_criterion_subsumed(shapes) -> list[str]:
-    """Cells with a kernel entry to the southwest must come out infeasible."""
-    violations = []
-    for rho in shapes:
-        overlap = southwest_dominated_cells(rho).intersection(_shape_cells(rho.values)[1])
-        if overlap:
-            violations.append(f"{rho}: southwest-dominated cells marked feasible: {sorted(overlap)}")
     return violations

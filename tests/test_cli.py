@@ -23,6 +23,7 @@ from occ132 import (
 from occ132.cli import main
 from occ132.oracle import SWEEP_GUARD
 from occ132.shapes import CatalogError, fold_catalog, fold_path, load_fold
+from test_invariants import PLANTS
 from test_shapes import MALFORMED
 
 
@@ -180,6 +181,19 @@ def test_check_invariants(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") == 9
+
+
+def test_check_invariants_reports_a_failing_check(capsys, monkeypatch):
+    # the roundtrip fails for each of the 32 permutations of sizes 2 to 4
+    check, _, plant = PLANTS["assemble swaps two entries"]
+    plant(monkeypatch)
+    code, out, _ = run(capsys, "check-invariants", "--max-n", "4", "--threads", "1")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index(f"FAIL  {check} (all sizes <= 4)")
+    assert lines[at + 1:at + 11] == [
+        f"      {pi}" for pi in ("12", "21", "123", "132", "213", "231", "312", "321", "1234", "1243")]
+    assert [line[:4] for line in lines[:at] + lines[at + 11:]] == ["PASS"] * 8
 
 
 def test_check_invariants_matches_benchmark_reference(capsys):
@@ -677,7 +691,7 @@ def test_check_invariants_refuses_beyond_sweep_guard(capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep started")
 
-    monkeypatch.setattr(cli, "iter_kernel_permutations", no_sweep)
+    monkeypatch.setattr(invariants, "iter_kernel_permutations", no_sweep)
     monkeypatch.setattr(invariants, "structure_sweep", no_sweep)
     code, out, err = run(capsys, "check-invariants", "--max-n", str(SWEEP_GUARD + 2))
     assert code == 2 and out == ""
@@ -798,6 +812,16 @@ def test_catalog_in_a_missing_directory_fails_before_the_search(capsys, monkeypa
     code, out, err = run(capsys, "gf", "--occ", "6", "--catalog", str(target))
     assert_one_error_line(code, out, err)
     assert not target.parent.exists()
+
+
+def test_out_that_is_a_directory_fails_before_any_work(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
+    monkeypatch.setattr(oracle, "joint_tables", _fail("joint_tables"))
+    for argv in (("gf", "--occ", "1", "--order", "5"), ("verify", "--occ", "1", "--max-n", "4"),
+                 ("shapes", "--max-occ", "1")):
+        code, out, err = run(capsys, *argv, "--threads", "1", "--out", str(tmp_path))
+        assert_one_error_line(code, out, err)
+        assert err == f"error: --out {tmp_path} is a directory\n", argv
 
 
 def test_out_in_a_missing_directory_fails_before_the_search(capsys, monkeypatch, tmp_path):

@@ -2,8 +2,9 @@
 
 A clean sweep only shows something if the checks can fail, so every
 check in ``STRUCTURE_CHECKS`` gets a planted defect here: the analysis
-record, the cell order, ``decompose`` or ``assemble`` is replaced through
-monkeypatch.  A sweep in a worker pool reports the serial sweep's lists.
+record, the cell order, the one-sided criterion, ``decompose`` or
+``assemble`` is replaced through monkeypatch.  A sweep in a worker pool
+reports the serial sweep's lists.
 """
 
 import multiprocessing
@@ -15,9 +16,8 @@ import pytest
 import occ132.invariants
 import occ132.kernel
 from occ132.invariants import STRUCTURE_CHECKS, structure_sweep
-from occ132.kernel import CellOrderError, analyze
+from occ132.kernel import CellOrderError, _feasible_cells, analyze
 from occ132.perms import Permutation
-from occ132.shapes import iter_kernel_permutations
 
 
 def _plant_analysis(monkeypatch, edit):
@@ -88,7 +88,11 @@ PLANTS = {
     "oversized kernel": ("kernel size bound", 4, lambda mp: _plant_analysis(mp, _oversized_kernel)),
     "entry in infeasible cell": (
         "components inside single cells", 4, lambda mp: _plant_analysis(mp, _off_by_one_cells)),
-    "cell order error": ("components inside single cells", 4, _incomparable_cells),
+    "cell order error": ("feasible-cell order total", 4, _incomparable_cells),
+    "southwest-dominated feasible cells": (
+        "one-sided infeasibility criterion subsumed", 4,
+        lambda mp: mp.setattr(occ132.invariants, "southwest_dominated_cells",
+                              lambda rho: _feasible_cells(rho.values))),
     "swapped value blocks": (
         "row value dominance", 4, lambda mp: _plant_analysis(mp, _swap_one_entry_cells(0))),
     "swapped position blocks": (
@@ -122,10 +126,15 @@ def test_pooled_sweep_joins_violations_in_sweep_order(monkeypatch):
     assert pooled == structure_sweep(7, threads=1)
 
 
-def test_pooled_sweep_reads_the_given_kernels():
+def test_pooled_sweep_reads_the_given_kernels(monkeypatch):
     # without the kernels of size 5 the domain misses their pairs, so the
-    # inverse check fires in jobs of every n >= 5, whatever the start method
-    kernels = [rho for rho in iter_kernel_permutations(7) if rho.n != 5]
-    pooled = structure_sweep(7, kernels, threads=2)
-    assert len(pooled["assemble/decompose inverse"]) > 100
-    assert pooled == structure_sweep(7, kernels, threads=1)
+    # inverse check fires in jobs of every n >= 5.  Spawned workers import
+    # the modules afresh and never see the planted search, so they report
+    # the serial lists only if the kernels' cell counts reach them.
+    search = occ132.invariants.iter_kernel_permutations
+    monkeypatch.setattr(occ132.invariants, "iter_kernel_permutations",
+                        lambda max_n: [rho for rho in search(max_n) if rho.n != 5])
+    serial = structure_sweep(7, threads=1)
+    assert len(serial["assemble/decompose inverse"]) > 100
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    assert structure_sweep(7, threads=2) == serial
