@@ -22,9 +22,11 @@ an unsound one, or one written for other bytes) is reported as
 budget as ``... rebuilding``; either is searched again and both files
 are written anew.  ``shapes --out FILE`` writes the sidecar too.
 Every command that takes ``--out FILE`` writes its output there instead
-of stdout.  Negative bounds, a ``--catalog`` or ``--out`` in a missing
-directory, an ``--out`` that is a directory, and an ``--out`` that is
-the ``--catalog`` file or its sidecar are refused before any work.  A
+of stdout.  Negative bounds, an ``--occ`` or ``--max-occ`` above the
+search guard ``shapes.SEARCH_GUARD`` (10), a ``--catalog`` or ``--out``
+in a missing directory, an ``--out`` that is a directory, and an
+``--out`` that is the ``--catalog`` file or its sidecar are refused
+before any work.  A
 closed stdout (as under ``occ132 ... | head -1``) ends a command with
 exit 1 and no message.
 
@@ -38,7 +40,8 @@ failing one, and exit 1 when any check fails.
 
 ``--threads`` runs the shape search, the oracle sweep and, from
 ``check-invariants --max-n 7`` on, the structure sweep in a worker
-pool.
+pool.  The search's workers return finished catalog rows, so a cold
+build leaves the parent only sorting, checking and writing them.
 
 The oracle and the structure checks are imported by ``verify`` and
 ``check-invariants``, the commands that run them, so a solver command
@@ -56,6 +59,7 @@ from pathlib import Path
 
 from .algebraic import IntPoly, extract_pq, poly_eval
 from .shapes import (
+    SEARCH_GUARD,
     CatalogError,
     ShapeFold,
     catalog_to_text,
@@ -345,14 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_arguments(args) -> None:
-    """Refuse a negative budget or order, a --catalog or --out in a
-    missing directory, an --out that is a directory, and an --out that
-    names the --catalog file or its sidecar, before any search, sweep or
-    solve."""
+    """Refuse a negative budget or order, a budget above the search guard,
+    a --catalog or --out in a missing directory, an --out that is a
+    directory, and an --out that names the --catalog file or its sidecar,
+    before any search, sweep or solve."""
     for name in ("occ", "max_occ", "order"):
         value = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
         if value is not None and value < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+            raise ValueError(f"{flag} must be >= 0, got {value}")
+        if name != "order" and value is not None and value > SEARCH_GUARD:
+            raise ValueError(f"{flag} {value} exceeds the search guard {SEARCH_GUARD}")
     for name in ("catalog", "out"):
         path = getattr(args, name, None)
         if path and not Path(path).parent.is_dir():

@@ -110,7 +110,7 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
     cell_count = {}
     for rho in iter_kernel_permutations(max_n):
         try:
-            cells = _shape_cells(rho.values)[1]
+            cells = _shape_cells(rho.values)
         except CellOrderError as exc:
             violations["feasible-cell order total"].append(str(exc))
             cells = _feasible_cells(rho.values)

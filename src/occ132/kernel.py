@@ -27,11 +27,14 @@ permutation to its shape plus the content pattern of each feasible cell
 in that order; ``assemble`` is the inverse construction, one sort of
 position and value keys.
 
-A shape's capacity and its feasible cells in dominance order are held in
-one cache keyed by the values tuple (``_shape_cells``).  ``shape_record``,
-``decompose``, ``assemble`` and the cell checks of ``invariants`` all read
-it; a non-kernel or an incomparable pair of cells raises again on every
-call.
+A shape's feasible cells in dominance order are held in one cache keyed
+by the values tuple (``_shape_cells``).  ``decompose``, ``assemble`` and
+the cell checks of ``invariants`` read it; a non-kernel or an
+incomparable pair of cells raises again on every call.  A catalog row's
+cells and northeast runs come from one uncached helper
+(``_cells_and_runs``).  The shape search's jobs call it beside the
+capacity they counted themselves; ``shape_record`` calls it beside the
+capacity of the union-find.
 
 ``analyze`` is the single pass over an arbitrary permutation behind this:
 one component search, and from it the kernel and the cell of every
@@ -275,38 +278,45 @@ def _ordered_cells(values: tuple[int, ...], feasible: frozenset[tuple[int, int]]
 
 
 @lru_cache(maxsize=None)
-def _shape_cells(values: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Capacity of the kernel permutation `values` and its feasible cells
-    in dominance order: the one per-shape cache.
+def _shape_cells(values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Feasible cells of the kernel permutation `values` in dominance
+    order: the one per-shape cache.
 
-    For 1423 this is capacity 2 and cells C_41, C_13, C_14, C_15.  A
-    ``ValueError`` (not a kernel) or :class:`CellOrderError` is raised
-    again on every call: ``lru_cache`` keeps only results.
+    For 1423 these are C_41, C_13, C_14, C_15.  A ``ValueError`` (not a
+    kernel) or :class:`CellOrderError` is raised again on every call:
+    ``lru_cache`` keeps only results.
     """
-    capacity = _kernel_capacity(values)
-    if capacity is None:
+    if _kernel_capacity(values) is None:
         raise ValueError(f"not a kernel permutation: {values}")
-    return capacity, _ordered_cells(values, _feasible_cells(values))
+    return _ordered_cells(values, _feasible_cells(values))
+
+
+def _cells_and_runs(values: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The catalog fields of the kernel permutation `values` that its
+    capacity does not give: its feasible cells in dominance order and each
+    cell's northeast run.
+
+    The entries northeast of a feasible cell increase (two of them in
+    inversion would let an entry of the cell open a 132), so a cell's
+    ``lis_ne``, the longest increasing subsequence of `values` weakly to
+    its northeast, is the number of those entries: entry index k with
+    k >= l and values[k-1] >= m.  For 1423 the runs are (1, 2, 1, 0).
+    Raises :class:`CellOrderError` as :func:`_ordered_cells` does; it
+    does not check that `values` is a kernel permutation.
+    """
+    cells = _ordered_cells(values, _feasible_cells(values))
+    return cells, tuple(len([r for r in values[l - 1 :] if r >= m]) for m, l in cells)
 
 
 def shape_record(rho: Permutation) -> KernelShapeRecord:
-    """Full catalog record of a kernel permutation.
-
-    The entries northeast of a feasible cell increase (two of them in
-    inversion would let an entry of the cell open a 132), so each cell's
-    ``lis_ne``, the longest increasing subsequence of rho weakly to its
-    northeast, is the number of those entries: entry index k with
-    k >= l and rho(k) >= m.  For rho = 1423 this gives (1, 2, 1, 0).
+    """Full catalog record of a kernel permutation, its capacity counted
+    by the occurrence graph's union-find.  Raises ``ValueError`` when rho
+    is not a kernel permutation.
     """
-    values = rho.values
-    capacity, cells = _shape_cells(values)
-    return KernelShapeRecord(
-        shape=rho,
-        size=rho.n,
-        capacity=capacity,
-        cells=cells,
-        lis_ne=tuple(len([r for r in values[l - 1 :] if r >= m]) for m, l in cells),
-    )
+    capacity = _kernel_capacity(rho.values)
+    if capacity is None:
+        raise ValueError(f"not a kernel permutation: {rho.values}")
+    return KernelShapeRecord(rho, rho.n, capacity, *_cells_and_runs(rho.values))
 
 
 _EMPTY = Permutation(())  # the content of most cells
@@ -321,7 +331,7 @@ def decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[P
     or a non-kernel component does not sit inside a single cell.
     """
     kernel, placed = analysis.kernel, analysis.placed
-    cells = _shape_cells(kernel.shape.values)[1]
+    cells = _shape_cells(kernel.shape.values)
     for cell, entries in placed.items():
         if cell not in cells:
             raise DecompositionError(
@@ -358,7 +368,7 @@ def assemble(rho: Permutation, contents: Sequence[Permutation]) -> Permutation:
     forced by the grid, so the pattern of the value keys taken in
     position-key order is canonical and inverts :func:`decompose`.
     """
-    cells = _shape_cells(rho.values)[1]
+    cells = _shape_cells(rho.values)
     if len(contents) != len(cells):
         raise ValueError(f"expected {len(cells)} cell contents, got {len(contents)}")
     keys = [((2 * k, 0, 0), (2 * r, 0, 0)) for k, r in enumerate(rho.values, start=1)]

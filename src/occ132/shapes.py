@@ -31,7 +31,25 @@ one search over sizes <= 2r+1.  It finds the maximal shape of size 2r+1
 too, and its count check proves that shape unique at every budget it
 builds.  The last level costs little: it keeps only the children that
 close into one component, and lists their patterns without building
-their states or expanding them.
+their states or expanding them.  Budgets above :data:`SEARCH_GUARD` are
+refused before the search starts.
+
+Each search job, run in this process or in the worker pool, turns every
+connected pattern it finds into a finished catalog row: the pattern, its
+capacity, its feasible cells in dominance order and their northeast runs
+(``lis_ne``).  The capacity is the occurrence count the search state
+carries to the pattern, since a connected pattern's occurrences all lie
+in its one component.  The cells and runs come from
+``kernel._cells_and_runs``, which raises CellOrderError on cells that
+are not totally ordered.  The parent only sorts the rows, checks their
+counts and wraps them in records; it runs no union-find and calls no
+:func:`~occ132.kernel.shape_record`.  What guards the counted capacities
+is the count check every build runs (``_check_counts``): a count off by
+one moves its shape to another capacity, which the census catches
+through capacity 6.  The tests compare every row of budget 6 with the
+record ``shape_record`` builds, whose capacity the occurrence graph's
+union-find counts.  :func:`iter_kernel_permutations` asks the same
+search for bare patterns and builds no rows.
 
 A catalog file holds one JSON line per record.  Every field but the
 shape is derived from it, so :func:`load_catalog` rebuilds each record
@@ -56,6 +74,7 @@ import gc
 import json
 from collections import Counter
 from math import comb
+from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -84,6 +103,12 @@ FOLD_FORMAT_VERSION = 2
 KNOWN_CAPACITY_CENSUS = (1, 1, 5, 21, 105, 504, 2577)
 
 _FOLD_KEYS = {"format_version", "max_occ", "catalog_sha256", "fold_sha256", "classes"}
+
+# The largest budget a catalog is searched for.  Search time grows 6-8x
+# per budget: budget 9 took 35 s with 2 processes, so budget 11 would take
+# half an hour or more, and the search's stack grows with the size bound
+# 2r+1 (budget 100 000 passed 5 GiB before it was stopped).
+SEARCH_GUARD = 10
 
 # Depth at which the search tree is split into parallel jobs.
 _SPLIT_DEPTH = 5
@@ -182,66 +207,84 @@ def _children(state: _State, max_occ: int, final: bool):
 def _child(state: _State, v: int, ncnt: int, touched) -> _State:
     pat, _, D, comp = state
     k = len(pat)
-    npat = tuple(x if x < v else x + 1 for x in pat) + (v,)
-    # D'[w] = D[w or w-1 across the bump] plus the pairs ending at the
-    # new entry, which contribute w-1 whenever w <= v.
-    nD = [0] * (k + 3)
-    for w in range(1, v + 1):
-        nD[w] = D[w] + w - 1
-    for w in range(v + 1, k + 3):
-        nD[w] = D[w - 1]
-    ncomp = tuple(k if c in touched else c for c in comp) + (k,)
-    return (npat, ncnt, tuple(nD), ncomp)
+    npat = (*[x if x < v else x + 1 for x in pat], v)
+    # D'[w] = D[w] + w - 1 for w <= v, the pairs ending at the new entry
+    # added, and D[w - 1] above v, across the bump.
+    nD = (0, *map(add, D[1 : v + 1], range(v)), *D[v:])
+    if touched:
+        merged = dict.fromkeys(touched, k)
+        return (npat, ncnt, nD, (*map(merged.get, comp, comp), k))
+    return (npat, ncnt, nD, comp + (k,))
 
 
-def _dfs(max_size: int, max_occ: int, roots: list[_State]) -> list[tuple[int, ...]]:
-    """Every connected pattern in the subtrees."""
+def _dfs(max_size: int, max_occ: int, roots: list[_State], rows: bool) -> list:
+    """Every connected pattern in the subtrees, as :func:`_leaves` gives it."""
     found = []
     stack = list(roots)
     while stack:
         state = stack.pop()
-        pat, _, _, comp = state
+        pat, cnt, _, comp = state
         k = len(pat)
         if len(set(comp)) == 1 and k <= max_size:
-            found.append(pat)
+            found.append((pat, cnt))
         if k >= max_size:
             continue
         final = k + 1 == max_size
         for v, ncnt, touched in _children(state, max_occ, final):
             if final:
                 # Every child kept at the last level is connected.
-                found.append(tuple(x if x < v else x + 1 for x in pat) + (v,))
+                found.append(((*[x if x < v else x + 1 for x in pat], v), ncnt))
             else:
                 stack.append(_child(state, v, ncnt, touched))
-    return found
+    return _leaves(found, rows)
 
 
-def _frontier(depth: int, max_occ: int) -> tuple[list[tuple[int, ...]], list[_State]]:
-    """Connected patterns above `depth`, plus all surviving states at it."""
+def _leaves(found: list[tuple[tuple[int, ...], int]], rows: bool) -> list:
+    """The connected patterns of the (pattern, occurrence count) pairs
+    `found`, bare, or with `rows` as catalog rows (pattern, capacity,
+    cells, lis_ne) whose capacity is that count (see the module
+    docstring)."""
+    if not rows:
+        return [pat for pat, _ in found]
+    from .kernel import _cells_and_runs
+
+    return [(pat, cnt, *_cells_and_runs(pat)) for pat, cnt in found]
+
+
+def _frontier(depth: int, max_occ: int) -> tuple[list[tuple[tuple[int, ...], int]], list[_State]]:
+    """(pattern, occurrence count) of the connected patterns above
+    `depth`, plus all surviving states at it."""
     found = []
     level = [_root_state()]
     for _ in range(1, depth):
         nxt = []
         for state in level:
-            pat, _, _, comp = state
+            pat, cnt, _, comp = state
             if len(set(comp)) == 1:
-                found.append(pat)
+                found.append((pat, cnt))
             for v, ncnt, touched in _children(state, max_occ, False):
                 nxt.append(_child(state, v, ncnt, touched))
         level = nxt
     return found, level
 
 
-def _search(max_size: int, max_occ: int, threads: int = 1) -> list[tuple[int, ...]]:
-    """Every kernel pattern of size <= max_size with at most max_occ occurrences."""
-    # Up to size 9 (budget 4) one process is faster than a pool: 6 ms against 15.
+def _search(max_size: int, max_occ: int, threads: int = 1, rows: bool = False) -> list:
+    """Every kernel pattern of size <= max_size with at most max_occ
+    occurrences, bare or as catalog rows (see :func:`_leaves`); with
+    rows, each job builds the rows of the patterns it finds."""
+    # Up to size 9 (budget 4) one process is faster than a pool, rows
+    # included: 5-8 ms against 26 ms with 2 workers (medians of 7-9 runs,
+    # shared 2-vCPU Xeon, Python 3.11.7).  There one process still won at
+    # size 11 (33-52 against 56-77 ms), and the pool won at 13 (0.22 s
+    # against 0.33 s).
     if threads <= 1 or max_size <= 9:
-        return _dfs(max_size, max_occ, [_root_state()])
+        return _dfs(max_size, max_occ, [_root_state()], rows)
     from multiprocessing import Pool
 
     found, frontier = _frontier(_SPLIT_DEPTH, max_occ)
+    found = _leaves(found, rows)
     step = min(4 * threads, len(frontier))
-    jobs = [(max_size, max_occ, frontier[i::step]) for i in range(step)]
+    jobs = [(max_size, max_occ, frontier[i::step], rows) for i in range(step)]
     with Pool(min(threads, len(jobs))) as pool:
         for part in pool.starmap(_dfs, jobs):
             found.extend(part)
@@ -259,29 +302,33 @@ def iter_kernel_permutations(max_size: int) -> list[Permutation]:
 
 def enumerate_kernel_shapes(r: int, *, threads: int = 1) -> ShapeCatalog:
     """Catalog of every kernel shape with capacity <= r, found by one
-    pruned search over sizes <= 2r+1.
+    pruned search over sizes <= 2r+1 whose jobs return finished rows.
 
-    Raises CatalogError when the shapes found fail the count checks of
+    Raises ValueError when r is negative or above :data:`SEARCH_GUARD`,
+    and CatalogError when the shapes found fail the count checks of
     :func:`load_catalog`, such as a budget without exactly one maximal
     shape.
     """
-    from .kernel import shape_record
+    from .kernel import KernelShapeRecord
     from .perms import Permutation
 
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    found = sorted(_search(2 * r + 1, r, threads), key=lambda pat: (len(pat), pat))
+    if r > SEARCH_GUARD:
+        raise ValueError(f"budget {r} exceeds the search guard {SEARCH_GUARD}")
+    rows = sorted(_search(2 * r + 1, r, threads, rows=True), key=lambda row: (len(row[0]), row[0]))
+    _check_counts(f"the search for budget {r}", r, Counter((len(row[0]), row[1]) for row in rows))
     # The records hold no reference cycles, so the cyclic collector would
-    # only rescan them as they pile up: about a tenth of the time at budget 8.
+    # only rescan them as they pile up: at budget 8 the wrapping took 0.36 s
+    # with it and 0.24 s without.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        records = tuple(shape_record(Permutation(pat)) for pat in found)
+        records = tuple(KernelShapeRecord(Permutation(pat), len(pat), capacity, cells, runs)
+                        for pat, capacity, cells, runs in rows)
     finally:
         if collecting:
             gc.enable()
-    _check_counts(f"the search for budget {r}", r,
-                  Counter((rec.size, rec.capacity) for rec in records))
     return ShapeCatalog(r, records)
 
 
@@ -315,16 +362,13 @@ def catalog_to_text(catalog: ShapeCatalog) -> str:
 
 def _record_line(rec: KernelShapeRecord) -> str:
     """The catalog line of one record, the only form :func:`load_catalog`
-    accepts."""
-    return json.dumps(
-        {
-            "shape": list(rec.shape.values),
-            "size": rec.size,
-            "capacity": rec.capacity,
-            "cells": [list(cell) for cell in rec.cells],
-            "lis_ne": list(rec.lis_ne),
-        },
-        separators=(",", ":"),
+    accepts: compact JSON with the keys in this order."""
+    return '{"shape":[%s],"size":%d,"capacity":%d,"cells":[%s],"lis_ne":[%s]}' % (
+        ",".join(map(str, rec.shape.values)),
+        rec.size,
+        rec.capacity,
+        ",".join("[%d,%d]" % cell for cell in rec.cells),
+        ",".join(map(str, rec.lis_ne)),
     )
 
 

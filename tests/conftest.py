@@ -34,10 +34,25 @@ def search_without_maximal_shape(monkeypatch):
     """A shape search that loses every pattern of its largest size."""
     real = shapes._search
 
-    def lossy(max_size, max_occ, threads=1):
-        return [pat for pat in real(max_size, max_occ, threads) if len(pat) < max_size]
+    def lossy(max_size, max_occ, threads=1, rows=False):
+        found = real(max_size, max_occ, threads, rows)
+        return [leaf for leaf in found if len(leaf[0] if rows else leaf) < max_size]
 
     monkeypatch.setattr(shapes, "_search", lossy)
+
+
+@pytest.fixture
+def search_with_a_count_off_by_one(monkeypatch):
+    """A search job that reports the capacity of one row, that of 1423, as
+    3 instead of 2: the capacities of budget 3 become (1, 1, 4, 22) against
+    the census (1, 1, 5, 21)."""
+    real = shapes._dfs
+
+    def miscounting(max_size, max_occ, roots, rows):
+        return [(pat, capacity + 1, *rest) if pat == (1, 4, 2, 3) else (pat, capacity, *rest)
+                for pat, capacity, *rest in real(max_size, max_occ, roots, rows)]
+
+    monkeypatch.setattr(shapes, "_dfs", miscounting)
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from occ132 import (
 )
 from occ132.cli import main
 from occ132.oracle import SWEEP_GUARD
-from occ132.shapes import CatalogError, fold_catalog, fold_path, load_fold
+from occ132.shapes import SEARCH_GUARD, CatalogError, fold_catalog, fold_path, load_fold
 from test_invariants import PLANTS
 from test_shapes import MALFORMED
 
@@ -509,6 +509,15 @@ def test_search_that_loses_the_maximal_shape_fails_the_build(
     assert not path.exists() and not fold_path(path).exists()
 
 
+def test_search_job_with_a_count_off_by_one_fails_the_build(
+        capsys, tmp_path, search_with_a_count_off_by_one):
+    path = tmp_path / "cat.jsonl"
+    code, out, err = run(capsys, *GF3, "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "differ from the census" in err
+    assert not path.exists() and not fold_path(path).exists()
+
+
 @pytest.mark.usefixtures("no_record_reads")
 def test_catalog_without_sidecar_is_searched_again_and_gains_one(capsys, monkeypatch, tmp_path):
     path = tmp_path / "cat.jsonl"
@@ -679,6 +688,20 @@ def test_verify_refuses_beyond_oracle_guard(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--occ", "1", "--max-n", str(SWEEP_GUARD + 1))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "sweep guard" in err
+
+
+def test_budget_above_the_search_guard_is_refused_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_kernel_shapes", _fail("the shape search"))
+    monkeypatch.setattr(shapes, "_search", _fail("the shape search"))
+    monkeypatch.setattr(oracle, "joint_tables", _fail("joint_tables"))
+    over = str(SEARCH_GUARD + 1)
+    for argv in (("gf", "--occ", over, "--order", "3"), ("closed-form", "--occ", over),
+                 ("restricted", "--occ", over, "--k", "3"), ("verify", "--occ", over, "--max-n", "9"),
+                 ("shapes", "--max-occ", over), ("conjectures", "--max-occ", over)):
+        code, out, err = run(capsys, *argv, "--threads", "1")
+        flag = "--max-occ" if "--max-occ" in argv else "--occ"
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {flag} {over} exceeds the search guard {SEARCH_GUARD}\n", argv
 
 
 def test_check_invariants_rejects_empty_range(capsys):

@@ -22,6 +22,7 @@ from occ132.kernel import _kernel_capacity, analyze
 from occ132.perms import count_132_values
 from occ132.shapes import (
     KNOWN_CAPACITY_CENSUS,
+    SEARCH_GUARD,
     CatalogError,
     _check_counts,
     catalog_to_text,
@@ -114,21 +115,42 @@ class TestEnumerate:
         # budget 4 at size 10 is the smallest search that takes the pool;
         # its depth-5 frontier is far smaller than 500
         jobs = len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])
-        found = shapes._search(10, 4, threads=500)
+        found = shapes._search(10, 4, threads=500, rows=True)
         assert serial_pool == [jobs] and jobs < 500
-        assert sorted(found) == sorted(shapes._search(10, 4))
+        assert sorted(found) == sorted(shapes._search(10, 4, rows=True))
 
     def test_huge_thread_count_splits_only_the_frontier(self, serial_pool):
         # 4 * threads empty job lists would take about 25 MiB here
         tracemalloc.start()
         try:
-            found = shapes._search(10, 4, threads=10**5)
+            found = shapes._search(10, 4, threads=10**5, rows=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert serial_pool == [len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])]
-        assert sorted(found) == sorted(shapes._search(10, 4))
+        assert sorted(found) == sorted(shapes._search(10, 4, rows=True))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_equal_the_records_the_union_find_gives(self, catalog6, threads):
+        # the search's own occurrence count against the union-find capacity,
+        # and its cells and runs against shape_record's, on every shape of
+        # budget 6, from one process and from the pool's jobs
+        catalog = catalog6 if threads == 1 else enumerate_kernel_shapes(6, threads=threads)
+        assert len(catalog.records) == 3214
+        for rec in catalog.records:
+            assert rec == shape_record(rec.shape), rec.shape
+
+    def test_search_guard(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the shape search started")
+
+        monkeypatch.setattr(shapes, "_search", no_search)
+        with pytest.raises(ValueError, match=f"budget {SEARCH_GUARD + 1} exceeds the search guard"):
+            enumerate_kernel_shapes(SEARCH_GUARD + 1)
+        # the guard itself is searched
+        with pytest.raises(AssertionError, match="the shape search started"):
+            enumerate_kernel_shapes(SEARCH_GUARD)
 
 
 class TestExceptionalShape:
@@ -168,6 +190,11 @@ class TestExceptionalShape:
 
     def test_search_that_loses_the_maximal_shape_fails(self, search_without_maximal_shape):
         with pytest.raises(CatalogError, match="no maximal shape for budget 3"):
+            enumerate_kernel_shapes(3)
+
+    def test_search_job_with_a_count_off_by_one_fails(self, search_with_a_count_off_by_one):
+        # the census check is what guards the capacities the search counts
+        with pytest.raises(CatalogError, match=re.escape("(1, 1, 4, 22) differ from the census")):
             enumerate_kernel_shapes(3)
 
 
