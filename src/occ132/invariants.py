@@ -5,6 +5,9 @@ and returns each one's list of violation descriptions (empty means the
 property held), keyed as in ``STRUCTURE_CHECKS``.  The cell order and
 the one-sided criterion are checked once per kernel permutation of size
 <= N, the others in one analysis of each permutation of size <= N.
+The one-sided criterion is read per feasible cell.  A permutation is
+the tuple of its one-line values, which ``analyze``, ``decompose`` and
+``assemble``, the functions checked, take and return.
 
 The count rests on decompose/assemble being a bijection between the
 permutations of size <= N and the domain D of pairs (rho, c): a kernel
@@ -55,8 +58,10 @@ result does not depend on the start method.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from itertools import permutations as iter_permutations
 from math import factorial
+from typing import Iterable
 
 from .kernel import (
     CellOrderError,
@@ -66,9 +71,8 @@ from .kernel import (
     analyze,
     assemble,
     decompose,
-    southwest_dominated_cells,
 )
-from .perms import Permutation
+from .perms import perm_to_str
 from .shapes import iter_kernel_permutations
 
 # Each check of structure_sweep in report order, with what its size bound N
@@ -115,7 +119,7 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
             violations["feasible-cell order total"].append(str(exc))
             cells = _feasible_cells(rho.values)
         cell_count[rho.values] = len(cells)
-        overlap = southwest_dominated_cells(rho).intersection(cells)
+        overlap = _southwest_dominated(rho.values, cells)
         if overlap:
             violations["one-sided infeasibility criterion subsumed"].append(
                 f"{rho}: southwest-dominated cells marked feasible: {sorted(overlap)}")
@@ -130,9 +134,9 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
             domain_sizes[s + e] += kernels_alike * count
     # (n, first) in lexicographic order, the order of the permutations
     jobs = [(n, first) for n in range(1, max_n + 1) for first in range(1, n + 1)]
-    # Below n = 7 one process is faster than two: check-invariants took 0.057
-    # against 0.073 s at max_n = 5 and 0.082 against 0.095 s at 6, but 0.279
-    # against 0.219 s at 7 (medians of 8, 2-core Xeon, Python 3.11).
+    # Below n = 7 one process is faster than two: check-invariants took 0.105 against
+    # 0.123 s at max_n = 6 (8 of 10 alternating runs), but 0.273 against 0.222 s at 7
+    # (10 of 10; medians, 2-vCPU Xeon, two-process speedup 1.8-2.1, Python 3.11.7).
     if threads > 1 and max_n >= 7:
         from multiprocessing import Pool
 
@@ -166,6 +170,13 @@ def _sweep_job(job: tuple[int, int]) -> list[tuple[str, str]]:
     return _sweep_class(*job, *_worker_context)
 
 
+def _southwest_dominated(values: tuple[int, ...], cells: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The cells (m, l) among `cells` with a kernel entry strictly to their
+    southwest, that is, with the minimum of entries 1..l-1 below m."""
+    lows = [len(values) + 1, *accumulate(values, min)]  # lows[l-1]: minimum of entries 1..l-1
+    return [(m, l) for m, l in cells if lows[l - 1] < m]
+
+
 def _sweep_class(
     n: int, first: int, cell_count: dict[tuple[int, ...], int], max_n: int
 ) -> list[tuple[str, str]]:
@@ -174,38 +185,39 @@ def _sweep_class(
     violations = []
     rest = [v for v in range(1, n + 1) if v != first]
     for tail in iter_permutations(rest):
-        pi = Permutation((first, *tail))
+        pi = (first, *tail)
         analysis = analyze(pi)
         r = analysis.occurrences
-        for comp in analysis.components:
-            if len(comp.positions) > 2 * comp.occurrences + 1:
-                violations.append(("component size bound", f"{pi}: component {comp.positions}"))
+        for positions, occurrences in analysis.components:
+            if len(positions) > 2 * occurrences + 1:
+                violations.append(("component size bound", f"{perm_to_str(pi)}: component {positions}"))
         kernel = analysis.kernel
         if kernel.size > 2 * r + 1:
-            violations.append(("kernel size bound", f"{pi}: kernel size {kernel.size}, r={r}"))
+            violations.append(("kernel size bound", f"{perm_to_str(pi)}: kernel size {kernel.size}, r={r}"))
         try:
             shape, contents = decompose(pi, analysis)
         except DecompositionError as exc:
-            violations.append(("components inside single cells", f"{pi}: {exc}"))
+            violations.append(("components inside single cells", f"{perm_to_str(pi)}: {exc}"))
             continue
         except CellOrderError as exc:
-            violations.append(("feasible-cell order total", f"{pi}: {exc}"))
+            violations.append(("feasible-cell order total", f"{perm_to_str(pi)}: {exc}"))
             continue
         placed = analysis.placed
         for (m1, l1), entries1 in placed.items():
             for (m2, l2), entries2 in placed.items():
                 if m1 == m2 and l1 < l2:
                     if min(v for _, v in entries1) <= max(v for _, v in entries2):
-                        violations.append(("row value dominance", f"{pi}: C{m1},{l1} vs C{m2},{l2}"))
+                        violations.append(("row value dominance", f"{perm_to_str(pi)}: C{m1},{l1} vs C{m2},{l2}"))
                 if l1 == l2 and m1 < m2:
                     if min(p for p, _ in entries1) <= max(p for p, _ in entries2):
-                        violations.append(("column position dominance", f"{pi}: C{m1},{l1} vs C{m2},{l2}"))
+                        violations.append(
+                            ("column position dominance", f"{perm_to_str(pi)}: C{m1},{l1} vs C{m2},{l2}"))
         if assemble(shape, contents) != pi:
-            violations.append(("roundtrip decompose-assemble", f"{pi}"))
-        if (cell_count.get(shape.values) != len(contents)
-                or shape.n + sum(map(len, contents)) > max_n):
+            violations.append(("roundtrip decompose-assemble", perm_to_str(pi)))
+        if cell_count.get(shape) != len(contents) or len(shape) + sum(map(len, contents)) > max_n:
             violations.append((
                 "assemble/decompose inverse",
-                f"decompose({pi}) = ({shape}, {[str(a) for a in contents]}) lies outside the domain",
+                f"decompose({perm_to_str(pi)}) = ({perm_to_str(shape)}, "
+                f"{[perm_to_str(a) for a in contents]}) lies outside the domain",
             ))
     return violations

@@ -8,7 +8,7 @@ is a *kernel permutation* when it is its own kernel shape, that is, when
 its occurrence graph is connected.  One union-find, read straight off
 the values in O(n^2) steps without listing the occurrences
 (``_occurrence_components``), gives the components and their occurrence
-counts to ``build_occurrence_graph`` and the shape records.
+counts to ``analyze`` and the shape records.
 
 For a kernel permutation rho of size s, the plane splits into an
 s x (s+1) grid of open cells: column l (1 <= l <= s+1) sits strictly
@@ -39,6 +39,9 @@ capacity of the union-find.
 ``analyze`` is the single pass over an arbitrary permutation behind this:
 one component search, and from it the kernel and the cell of every
 non-kernel entry.  ``decompose`` and the structure sweep read its record.
+These three take and return tuples of one-line values, as the cell
+helpers do, and their records are named tuples: the exhaustive sweep
+calls them once per permutation and builds no ``Permutation``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from itertools import accumulate
 from operator import or_
 from typing import NamedTuple, Sequence
 
-from .perms import Permutation, reduce_to_pattern
+from .perms import Permutation, perm_to_str, reduce_to_pattern
 
 
 class CellOrderError(RuntimeError):
@@ -62,20 +65,12 @@ class DecompositionError(RuntimeError):
     straddled two cells.  Either signals an implementation bug."""
 
 
-class GraphComponent(NamedTuple):
-    """One connected component: entry positions and occurrence count."""
-
-    positions: tuple[int, ...]
-    occurrences: int
-
-
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(NamedTuple):
     """Kernel of a permutation: the component of the maximal entry."""
 
     positions: tuple[int, ...]
     values: tuple[int, ...]
-    shape: Permutation
+    shape: tuple[int, ...]
     size: int
     capacity: int
 
@@ -91,56 +86,60 @@ class KernelShapeRecord:
     lis_ne: tuple[int, ...]  # per cell: longest increasing run to its northeast
 
 
-def build_occurrence_graph(pi: Permutation) -> tuple[GraphComponent, ...]:
-    """Components of the occurrence graph of pi, sorted by smallest position.
+def build_occurrence_graph(pi: Permutation) -> list[tuple[tuple[int, ...], int]]:
+    """Components of the occurrence graph of pi as (positions, occurrences),
+    sorted by smallest position: those of :func:`analyze`.
 
     For pi = 57614283 these are (1, 2, 3), holding one occurrence, and
     (4, 5, 6, 7, 8), holding four.
     """
-    roots, counts = _occurrence_components(pi.values)
-    by_root: dict[int, list[int]] = {}
-    for pos, root in enumerate(roots, start=1):
-        by_root.setdefault(root, []).append(pos)
-    return tuple(GraphComponent(tuple(positions), counts[root]) for root, positions in by_root.items())
+    return analyze(pi.values).components if pi.n else []
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """One pass over a permutation: its number of occurrences of 132, the
-    components of its occurrence graph, its kernel, and the grid cell of
-    every non-kernel entry (cell -> [(position, value), ...] in position
+    components of its occurrence graph as (positions, occurrences) sorted
+    by smallest position, its kernel, and the grid cell of every
+    non-kernel entry (cell -> [(position, value), ...] in position
     order)."""
 
     occurrences: int
-    components: tuple[GraphComponent, ...]
+    components: list[tuple[tuple[int, ...], int]]
     kernel: Kernel
     placed: dict[tuple[int, int], list[tuple[int, int]]]
 
 
-def analyze(pi: Permutation) -> Analysis:
+def analyze(pi: tuple[int, ...]) -> Analysis:
     """Components, occurrence count, kernel and cell placement of a
     nonempty permutation, each derived once.
 
     The kernel's capacity is its component's occurrence count: the
     occurrences among kernel entries are exactly those of its shape.
-    Each non-kernel entry lands in exactly one open cell (m, l), keyed
-    against the kernel's positions and sorted values.
+    Each non-kernel entry lands in exactly one open cell (m, l): l - 1
+    kernel entries precede it and m - 1 kernel values lie below it.
     """
-    if pi.n < 1:
+    if not pi:
         raise ValueError("the empty permutation has no kernel")
-    components = build_occurrence_graph(pi)
-    pos_of_max = pi.values.index(pi.n) + 1
-    comp = next(c for c in components if pos_of_max in c.positions)
-    kpos = comp.positions
-    values = tuple(pi(p) for p in kpos)
-    kernel = Kernel(kpos, values, reduce_to_pattern(values), len(kpos), comp.occurrences)
+    roots, counts = _occurrence_components(pi)
+    top = roots[pi.index(len(pi))]
+    kpos: list[int] = []
+    values: list[int] = []
+    others = []  # (position, value, column) of each non-kernel entry
+    by_root: dict[int, list[int]] = {}
+    for pos, (val, root) in enumerate(zip(pi, roots), start=1):
+        if root == top:
+            kpos.append(pos)
+            values.append(val)
+        else:
+            others.append((pos, val, len(kpos) + 1))
+        by_root.setdefault(root, []).append(pos)
     kvals = sorted(values)
     placed: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for pos, val in enumerate(pi.values, start=1):
-        if pos not in kpos:
-            cell = (bisect_left(kvals, val) + 1, bisect_left(kpos, pos) + 1)
-            placed.setdefault(cell, []).append((pos, val))
-    return Analysis(sum(c.occurrences for c in components), components, kernel, placed)
+    for pos, val, l in others:
+        placed.setdefault((bisect_left(kvals, val) + 1, l), []).append((pos, val))
+    components = [(tuple(positions), counts[root]) for root, positions in by_root.items()]
+    kernel = Kernel(tuple(kpos), tuple(values), reduce_to_pattern(values), len(kpos), counts[top])
+    return Analysis(sum(counts), components, kernel, placed)
 
 
 def _kernel_capacity(values: tuple[int, ...]) -> int | None:
@@ -166,35 +165,41 @@ def _occurrence_components(values: Sequence[int]) -> tuple[list[int], list[int]]
     """
     n = len(values)
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     at_two = [0] * n
     seen: list[int] = []  # sorted values before j
     low = n + 1  # their minimum
+    # finds inlined, halving the path: a call per find cost a fifth of the read at n = 7
     for j, vj in enumerate(values):
         if low < vj:
-            rj = find(j)  # stays a root: only other roots are hung under it
+            rj = j
+            while parent[rj] != rj:
+                rj = parent[rj]  # stays a root: only other roots are hung under it
             top = 0
             for k in range(j + 1, n):
                 vk = values[k]
                 if low < vk < vj:
                     at_two[j] += bisect_left(seen, vk)
-                    parent[find(k)] = rj
+                    a = k
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    parent[a] = rj
                     if vk > top:
                         top = vk
             if top:
                 for i in range(j):
                     if values[i] < top:
-                        parent[find(i)] = rj
+                        a = i
+                        while parent[a] != a:
+                            parent[a] = a = parent[parent[a]]
+                        parent[a] = rj
         elif vj < low:
             low = vj
         insort(seen, vj)
-    roots = [find(p) for p in range(n)]
+    roots = []
+    for a in range(n):
+        while parent[a] != a:
+            a = parent[a]
+        roots.append(a)
     counts = [0] * n
     for root, count in zip(roots, at_two):
         counts[root] += count
@@ -245,19 +250,6 @@ def _feasible_cells(values: tuple[int, ...]) -> frozenset[tuple[int, int]]:
                 cells.append((m, l))
                 rows ^= 1 << m
     return frozenset(cells)
-
-
-def southwest_dominated_cells(rho: Permutation) -> frozenset[tuple[int, int]]:
-    """Cells with some kernel entry strictly to their southwest.
-
-    This one-sided criterion implies infeasibility; it is kept as a
-    cross-check on the pairwise procedure and is not used to build the
-    grid.
-    """
-    s = rho.n
-    # some entry k < l has rho(k) < m iff the minimum of entries 1..l-1 does
-    lows = accumulate(rho.values, min)  # that minimum for l = 2..s+1
-    return frozenset((m, l) for l, low in enumerate(lows, 2) for m in range(low + 1, s + 1))
 
 
 def _ordered_cells(values: tuple[int, ...], feasible: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -319,10 +311,7 @@ def shape_record(rho: Permutation) -> KernelShapeRecord:
     return KernelShapeRecord(rho, rho.n, capacity, *_cells_and_runs(rho.values))
 
 
-_EMPTY = Permutation(())  # the content of most cells
-
-
-def decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[Permutation, ...]]:
+def decompose(pi: tuple[int, ...], analysis: Analysis) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Kernel shape of pi plus the content pattern of each feasible cell,
     read from ``analysis = analyze(pi)``.
 
@@ -331,29 +320,29 @@ def decompose(pi: Permutation, analysis: Analysis) -> tuple[Permutation, tuple[P
     or a non-kernel component does not sit inside a single cell.
     """
     kernel, placed = analysis.kernel, analysis.placed
-    cells = _shape_cells(kernel.shape.values)
+    cells = _shape_cells(kernel.shape)
     for cell, entries in placed.items():
         if cell not in cells:
             raise DecompositionError(
-                f"entries {entries} of {pi} fell in infeasible cell {cell}"
+                f"entries {entries} of {perm_to_str(pi)} fell in infeasible cell {cell}"
             )
     cell_of_pos = {pos: cell for cell, entries in placed.items() for pos, _ in entries}
-    for comp in analysis.components:
-        if comp.positions == kernel.positions:
-            continue
-        comp_cells = {cell_of_pos[p] for p in comp.positions}
-        if len(comp_cells) != 1:
-            raise DecompositionError(
-                f"component {comp.positions} of {pi} straddles cells {sorted(comp_cells)}"
-            )
+    for positions, _ in analysis.components:
+        # one entry sits in one cell, and the kernel's entries sit in none
+        if len(positions) > 1 and positions != kernel.positions:
+            comp_cells = {cell_of_pos[p] for p in positions}
+            if len(comp_cells) != 1:
+                raise DecompositionError(
+                    f"component {positions} of {perm_to_str(pi)} straddles cells {sorted(comp_cells)}"
+                )
     contents = tuple(
-        reduce_to_pattern([val for _, val in placed[cell]]) if cell in placed else _EMPTY
+        reduce_to_pattern([val for _, val in placed[cell]]) if cell in placed else ()
         for cell in cells
     )
     return kernel.shape, contents
 
 
-def assemble(rho: Permutation, contents: Sequence[Permutation]) -> Permutation:
+def assemble(rho: tuple[int, ...], contents: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The unique permutation with kernel shape rho whose cell contents
     are order-isomorphic to `contents` (one per feasible cell, in
     dominance order).
@@ -368,11 +357,11 @@ def assemble(rho: Permutation, contents: Sequence[Permutation]) -> Permutation:
     forced by the grid, so the pattern of the value keys taken in
     position-key order is canonical and inverts :func:`decompose`.
     """
-    cells = _shape_cells(rho.values)
+    cells = _shape_cells(rho)
     if len(contents) != len(cells):
         raise ValueError(f"expected {len(cells)} cell contents, got {len(contents)}")
-    keys = [((2 * k, 0, 0), (2 * r, 0, 0)) for k, r in enumerate(rho.values, start=1)]
+    keys = [((2 * k, 0, 0), (2 * r, 0, 0)) for k, r in enumerate(rho, start=1)]
     keys += [((2 * l - 1, -m, t), (2 * m - 1, -l, a))
-             for (m, l), alpha in zip(cells, contents) for t, a in enumerate(alpha.values)]
+             for (m, l), alpha in zip(cells, contents) for t, a in enumerate(alpha)]
     keys.sort()
     return reduce_to_pattern([value for _, value in keys])

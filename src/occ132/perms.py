@@ -44,7 +44,7 @@ class Permutation:
         n = len(self.values)
         seen = [False] * (n + 1)
         for v in self.values:
-            if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
+            if type(v) is not int or not 1 <= v <= n or seen[v]:
                 raise ValueError(f"not a permutation of 1..{n}: {self.values!r}")
             seen[v] = True
 
@@ -65,14 +65,12 @@ class Permutation:
         return self.values[i - 1]
 
     def __str__(self) -> str:
-        return perm_to_str(self)
+        return perm_to_str(self.values)
 
 
-def perm_to_str(pi: Permutation) -> str:
-    """Digit string for n <= 9, comma-separated integers otherwise."""
-    if pi.n <= 9:
-        return "".join(str(v) for v in pi.values)
-    return ",".join(str(v) for v in pi.values)
+def perm_to_str(values: Sequence[int]) -> str:
+    """One-line values as a digit string for n <= 9, comma-separated otherwise."""
+    return ("" if len(values) <= 9 else ",").join(map(str, values))
 
 
 def occurrences_132(pi: Permutation) -> list[Occurrence]:
@@ -132,18 +130,18 @@ def count_132(pi: Permutation) -> int:
     return count_132_values(pi.values)
 
 
-def reduce_to_pattern(values: Sequence[int]) -> Permutation:
-    """The permutation order-isomorphic to a sequence of distinct integers.
+def reduce_to_pattern(values: Sequence[int]) -> tuple[int, ...]:
+    """One-line values of the permutation order-isomorphic to distinct integers.
 
-    >>> reduce_to_pattern([1, 4, 2, 8, 3]).values
+    >>> reduce_to_pattern([1, 4, 2, 8, 3])
     (1, 4, 2, 5, 3)
-    >>> reduce_to_pattern([7]).values
+    >>> reduce_to_pattern([7])
     (1,)
     """
-    if len(set(values)) != len(values):
-        raise ValueError(f"values must be distinct: {list(values)!r}")
     rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return Permutation(tuple(rank[v] for v in values))
+    if len(rank) != len(values):
+        raise ValueError(f"values must be distinct: {list(values)!r}")
+    return tuple(map(rank.__getitem__, values))
 
 
 def lis_length(values: Sequence[int]) -> int:

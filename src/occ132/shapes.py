@@ -272,12 +272,12 @@ def _search(max_size: int, max_occ: int, threads: int = 1, rows: bool = False) -
     """Every kernel pattern of size <= max_size with at most max_occ
     occurrences, bare or as catalog rows (see :func:`_leaves`); with
     rows, each job builds the rows of the patterns it finds."""
-    # Up to size 9 (budget 4) one process is faster than a pool, rows
-    # included: 5-8 ms against 26 ms with 2 workers (medians of 7-9 runs,
-    # shared 2-vCPU Xeon, Python 3.11.7).  There one process still won at
-    # size 11 (33-52 against 56-77 ms), and the pool won at 13 (0.22 s
-    # against 0.33 s).
-    if threads <= 1 or max_size <= 9:
+    # Up to size 11 (budget 5) one process is faster than a pool, rows
+    # included: 45 against 60 ms with 2 workers at size 11, one process
+    # ahead in 9 of 10 alternating runs; at size 13 (budget 6) the pool won
+    # all 10, 0.19 against 0.24 s (medians, fresh processes, shared 2-vCPU
+    # Xeon whose two-process speedup read 1.3-2.0, Python 3.11.7).
+    if threads <= 1 or max_size <= 11:
         return _dfs(max_size, max_occ, [_root_state()], rows)
     from multiprocessing import Pool
 

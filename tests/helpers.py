@@ -6,6 +6,7 @@ None of these is package API; the tests import them from here.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 from occ132.algebraic import (
@@ -57,6 +58,20 @@ def avoids_monotone(pi: Permutation, k: int) -> bool:
     if k <= 0:
         return False
     return lis_length(pi.values) < k
+
+
+def southwest_dominated_cells(rho: Permutation) -> frozenset[tuple[int, int]]:
+    """Cells (m, l) of the grid of the kernel permutation rho with some
+    kernel entry strictly to their southwest.
+
+    This one-sided criterion implies infeasibility; the tests hold it
+    against the feasible cells and against the structure sweep's per-cell
+    predicate.
+    """
+    s = rho.n
+    # some entry k < l has rho(k) < m iff the minimum of entries 1..l-1 does
+    lows = accumulate(rho.values, min)  # that minimum for l = 2..s+1
+    return frozenset((m, l) for l, low in enumerate(lows, 2) for m in range(low + 1, s + 1))
 
 
 class PoleAtOriginError(ArithmeticError):

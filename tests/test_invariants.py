@@ -2,22 +2,23 @@
 
 A clean sweep only shows something if the checks can fail, so every
 check in ``STRUCTURE_CHECKS`` gets a planted defect here: the analysis
-record, the cell order, the one-sided criterion, ``decompose`` or
-``assemble`` is replaced through monkeypatch.  A sweep in a worker pool
-reports the serial sweep's lists.
+record, the cell order, the per-cell one-sided predicate, ``decompose``
+or ``assemble`` is replaced through monkeypatch.  A sweep in a worker
+pool reports the serial sweep's lists.
 """
 
 import multiprocessing
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 import occ132.invariants
 import occ132.kernel
-from occ132.invariants import STRUCTURE_CHECKS, structure_sweep
-from occ132.kernel import CellOrderError, _feasible_cells, analyze
-from occ132.perms import Permutation
+from occ132.invariants import STRUCTURE_CHECKS, _southwest_dominated, structure_sweep
+from occ132.kernel import CellOrderError, analyze
+from occ132.shapes import iter_kernel_permutations
+
+from helpers import southwest_dominated_cells
 
 
 def _plant_analysis(monkeypatch, edit):
@@ -25,15 +26,15 @@ def _plant_analysis(monkeypatch, edit):
 
 
 def _lost_occurrences(a):
-    return replace(a, components=tuple(c._replace(occurrences=0) for c in a.components))
+    return a._replace(components=[(positions, 0) for positions, _ in a.components])
 
 
 def _oversized_kernel(a):
-    return replace(a, kernel=replace(a.kernel, size=a.kernel.size + 2))
+    return a._replace(kernel=a.kernel._replace(size=a.kernel.size + 2))
 
 
 def _off_by_one_cells(a):
-    return replace(a, placed={(m - 1, l - 1): entries for (m, l), entries in a.placed.items()})
+    return a._replace(placed={(m - 1, l - 1): entries for (m, l), entries in a.placed.items()})
 
 
 def _swap_one_entry_cells(axis):
@@ -46,7 +47,7 @@ def _swap_one_entry_cells(axis):
             if c1[axis] == c2[axis] and len(placed[c1]) == len(placed[c2]) == 1:
                 (p1, v1), (p2, v2) = placed[c1][0], placed[c2][0]
                 e1, e2 = ((p1, v2), (p2, v1)) if axis == 0 else ((p2, v1), (p1, v2))
-                return replace(a, placed={**placed, c1: [e1], c2: [e2]})
+                return a._replace(placed={**placed, c1: [e1], c2: [e2]})
         return a
 
     return edit
@@ -62,8 +63,8 @@ def _incomparable_cells(mp):
 
 def _swap_first_two(assemble):
     def planted(rho, contents):
-        values = assemble(rho, contents).values
-        return Permutation(values[1::-1] + values[2:]) if len(values) > 1 else Permutation(values)
+        values = assemble(rho, contents)
+        return values[1::-1] + values[2:]
 
     return planted
 
@@ -75,7 +76,7 @@ def _extra_empty_content(mp):
 
     def planted(pi, analysis):
         shape, contents = decompose(pi, analysis)
-        return shape, (*contents, Permutation(()))
+        return shape, (*contents, ())
 
     mp.setattr(occ132.invariants, "decompose", planted)
     mp.setattr(occ132.invariants, "assemble", lambda rho, contents: assemble(rho, contents[:-1]))
@@ -91,8 +92,7 @@ PLANTS = {
     "cell order error": ("feasible-cell order total", 4, _incomparable_cells),
     "southwest-dominated feasible cells": (
         "one-sided infeasibility criterion subsumed", 4,
-        lambda mp: mp.setattr(occ132.invariants, "southwest_dominated_cells",
-                              lambda rho: _feasible_cells(rho.values))),
+        lambda mp: mp.setattr(occ132.invariants, "_southwest_dominated", lambda values, cells: list(cells))),
     "swapped value blocks": (
         "row value dominance", 4, lambda mp: _plant_analysis(mp, _swap_one_entry_cells(0))),
     "swapped position blocks": (
@@ -102,6 +102,16 @@ PLANTS = {
         lambda mp: mp.setattr(occ132.invariants, "assemble", _swap_first_two(occ132.invariants.assemble))),
     "extra empty content": ("assemble/decompose inverse", 4, _extra_empty_content),
 }
+
+
+def test_sweep_predicate_picks_the_southwest_dominated_cells():
+    # on the whole grid, so that the predicate has cells to pick: on the
+    # feasible cells both sides are empty
+    for rho in iter_kernel_permutations(8):
+        s = rho.n
+        grid = [(m, l) for l in range(1, s + 2) for m in range(s, 0, -1)]
+        dominated = southwest_dominated_cells(rho)
+        assert _southwest_dominated(rho.values, grid) == [cell for cell in grid if cell in dominated], rho
 
 
 def test_every_check_has_a_plant():

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -19,12 +20,11 @@ from occ132.kernel import (
     _kernel_capacity,
     _ordered_cells,
     analyze,
-    southwest_dominated_cells,
 )
-from occ132.perms import lis_length, occurrences_132
+from occ132.perms import count_132_values, lis_length, occurrences_132
 from occ132.shapes import iter_kernel_permutations
 
-from helpers import perm_from_str
+from helpers import perm_from_str, southwest_dominated_cells
 
 
 def _cell_is_feasible(ranks, m, l):
@@ -93,51 +93,48 @@ def occurrence_components_oracle(pi):
 class TestOccurrenceGraph:
     def test_worked_example(self):
         comps = build_occurrence_graph(perm_from_str("57614283"))
-        assert comps == (((1, 2, 3), 1), ((4, 5, 6, 7, 8), 4))
-        assert sum(c.occurrences for c in comps) == 5
+        assert comps == [((1, 2, 3), 1), ((4, 5, 6, 7, 8), 4)]
 
     def test_increasing_is_isolated(self):
         comps = build_occurrence_graph(Permutation((1, 2, 3, 4)))
-        assert comps == tuple(((p,), 0) for p in range(1, 5))
+        assert comps == [((p,), 0) for p in range(1, 5)]
 
     def test_pattern_is_one_component(self):
-        comps = build_occurrence_graph(Permutation((1, 3, 2)))
-        assert len(comps) == 1
-        assert comps[0].positions == (1, 2, 3)
-        assert comps[0].occurrences == 1
+        assert build_occurrence_graph(Permutation((1, 3, 2))) == [((1, 2, 3), 1)]
+        assert build_occurrence_graph(Permutation(())) == []
 
     def test_agrees_with_occurrence_listing(self):
         for n in range(1, 9):
             for vals in permutations(range(1, n + 1)):
                 pi = Permutation(vals)
                 comps = build_occurrence_graph(pi)
-                assert list(comps) == occurrence_components_oracle(pi), pi
-                assert sum(c.occurrences for c in comps) == count_132(pi), pi
+                assert comps == occurrence_components_oracle(pi), pi
+                assert sum(occurrences for _, occurrences in comps) == count_132(pi), pi
 
 
 class TestKernelOf:
     def test_worked_example(self):
-        k = analyze(perm_from_str("57614283")).kernel
+        k = analyze(perm_from_str("57614283").values).kernel
         assert k.values == (1, 4, 2, 8, 3)
-        assert k.shape == perm_from_str("14253")
+        assert k.shape == (1, 4, 2, 5, 3)
         assert k.size == 5
         assert k.capacity == 4
 
     def test_second_example(self):
-        k = analyze(perm_from_str("67382451")).kernel
+        k = analyze(perm_from_str("67382451").values).kernel
         assert k.values == (3, 8, 4, 5)
-        assert k.shape == perm_from_str("1423")
+        assert k.shape == (1, 4, 2, 3)
 
     def test_identity_kernel_is_max_entry(self):
         for n in range(1, 7):
-            k = analyze(Permutation(tuple(range(1, n + 1)))).kernel
+            k = analyze(tuple(range(1, n + 1))).kernel
             assert k.positions == (n,)
-            assert k.shape == Permutation((1,))
+            assert k.shape == (1,)
             assert k.capacity == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            analyze(Permutation(()))
+            analyze(())
 
 
 class TestIsKernelPermutation:
@@ -153,10 +150,9 @@ class TestIsKernelPermutation:
         # occurrence count of its shape
         for n in range(1, 8):
             for vals in permutations(range(1, n + 1)):
-                pi = Permutation(vals)
-                kernel = analyze(pi).kernel
-                assert (_kernel_capacity(vals) is not None) == (kernel.shape == pi)
-                assert kernel.capacity == count_132(kernel.shape)
+                kernel = analyze(vals).kernel
+                assert (_kernel_capacity(vals) is not None) == (kernel.shape == vals)
+                assert kernel.capacity == count_132_values(kernel.shape)
 
 
 class TestCellDecomposition:
@@ -192,8 +188,7 @@ class TestCellDecomposition:
         # decompose raises otherwise, so a clean sweep is the assertion
         for n in range(1, 8):
             for vals in permutations(range(1, n + 1)):
-                pi = Permutation(vals)
-                decompose(pi, analyze(pi))
+                decompose(vals, analyze(vals))
 
 
 class TestCellOrder:
@@ -235,68 +230,91 @@ class TestOneSidedCriterion:
 
 class TestDecompose:
     def test_worked_example(self):
-        pi = perm_from_str("67382451")
+        pi = perm_from_str("67382451").values
         shape, contents = decompose(pi, analyze(pi))
-        assert shape == perm_from_str("1423")
-        assert [c.values for c in contents] == [(1, 2), (1,), (), (1,)]
+        assert shape == (1, 4, 2, 3)
+        assert contents == ((1, 2), (1,), (), (1,))
 
     def test_larger_example(self):
-        pi = perm_from_str("10,11,7,12,4,6,5,8,3,9,2,1")
+        pi = perm_from_str("10,11,7,12,4,6,5,8,3,9,2,1").values
         shape, contents = decompose(pi, analyze(pi))
-        assert shape == perm_from_str("1423")
-        by_cell = dict(zip(shape_record(shape).cells, contents))
-        assert by_cell[(1, 3)] == perm_from_str("132")  # entries 4, 6, 5
-        assert by_cell[(1, 4)] == perm_from_str("1")  # entry 3
-        assert by_cell[(1, 5)] == perm_from_str("21")  # entries 2, 1
-        assert by_cell[(4, 1)] == perm_from_str("12")  # entries 10, 11
+        assert shape == (1, 4, 2, 3)
+        by_cell = dict(zip(shape_record(Permutation(shape)).cells, contents))
+        assert by_cell[(1, 3)] == (1, 3, 2)  # entries 4, 6, 5
+        assert by_cell[(1, 4)] == (1,)  # entry 3
+        assert by_cell[(1, 5)] == (2, 1)  # entries 2, 1
+        assert by_cell[(4, 1)] == (1, 2)  # entries 10, 11
 
     def test_kernel_permutation_has_empty_contents(self, catalog2):
         for rec in catalog2.records:
-            shape, contents = decompose(rec.shape, analyze(rec.shape))
-            assert shape == rec.shape
-            assert all(c.n == 0 for c in contents)
+            values = rec.shape.values
+            shape, contents = decompose(values, analyze(values))
+            assert shape == values
+            assert contents == ((),) * len(rec.cells)
 
 
 class TestAssemble:
     def test_worked_example(self):
-        contents = [perm_from_str("12"), perm_from_str("1"), perm_from_str(""), perm_from_str("1")]
-        assert assemble(perm_from_str("1423"), contents) == perm_from_str("67382451")
+        contents = [(1, 2), (1,), (), (1,)]
+        assert assemble((1, 4, 2, 3), contents) == perm_from_str("67382451").values
 
     def test_all_empty_returns_shape(self, catalog2):
         for rec in catalog2.records:
-            empties = [Permutation(())] * len(rec.cells)
-            assert assemble(rec.shape, empties) == rec.shape
+            empties = [()] * len(rec.cells)
+            assert assemble(rec.shape.values, empties) == rec.shape.values
 
     def test_unit_shape_right_content(self):
-        got = assemble(Permutation((1,)), [Permutation(()), Permutation((1,))])
-        assert got == perm_from_str("21")
+        assert assemble((1,), [(), (1,)]) == (2, 1)
 
     def test_blocks_never_merge_into_kernel(self):
         # both cells filled: contents stay separate components, so the
         # result is 231 (not 132, which is its own kernel)
-        got = assemble(Permutation((1,)), [Permutation((1,)), Permutation((1,))])
-        assert got == perm_from_str("231")
-        assert decompose(got, analyze(got))[1] == (Permutation((1,)), Permutation((1,)))
+        got = assemble((1,), [(1,), (1,)])
+        assert got == (2, 3, 1)
+        assert decompose(got, analyze(got))[1] == ((1,), (1,))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            assemble(Permutation((1,)), [Permutation((1,))])
+            assemble((1,), [(1,)])
 
 
 class TestRoundtrip:
     def test_forward_exhaustive_small(self):
         for n in range(1, 7):
             for vals in permutations(range(1, n + 1)):
-                pi = Permutation(vals)
-                shape, contents = decompose(pi, analyze(pi))
-                assert assemble(shape, contents) == pi
+                shape, contents = decompose(vals, analyze(vals))
+                assert assemble(shape, contents) == vals
 
     @settings(max_examples=60, deadline=None)
     @given(st.permutations(list(range(1, 9))))
     def test_forward_random_larger(self, vals):
-        pi = Permutation(tuple(vals))
+        pi = tuple(vals)
         shape, contents = decompose(pi, analyze(pi))
         assert assemble(shape, contents) == pi
+
+
+def test_random_assembly_past_the_sweep(catalog6):
+    # Random contents in random budget-6 shapes, at sizes n = 60..150 that no
+    # exhaustive sweep reaches: decompose inverts assemble, the occurrences
+    # add up over the kernel and the cells, and the LIS is the shape's or a
+    # content's plus its cell's northeast run.
+    rng = random.Random(2001)
+    for _ in range(300):
+        rec = rng.choice(catalog6.records)
+        rest = rng.randint(60, 150) - rec.size
+        cuts = sorted(rng.randint(0, rest) for _ in range(len(rec.cells) - 1))
+        contents = []
+        for size in (b - a for a, b in zip([0, *cuts], [*cuts, rest])):
+            content = list(range(1, size + 1))
+            rng.shuffle(content)
+            contents.append(tuple(content))
+        contents = tuple(contents)
+        pi = assemble(rec.shape.values, contents)
+        assert Permutation(pi).n == rec.size + rest
+        assert decompose(pi, analyze(pi)) == (rec.shape.values, contents), pi
+        assert count_132_values(pi) == rec.capacity + sum(map(count_132_values, contents)), pi
+        runs = [lis_length(alpha) + ne for alpha, ne in zip(contents, rec.lis_ne) if alpha]
+        assert lis_length(pi) == max(lis_length(rec.shape.values), *runs), pi
 
 
 def test_shape_record_fields(catalog2):

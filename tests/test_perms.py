@@ -39,6 +39,12 @@ class TestMakePermutation:
         with pytest.raises(ValueError):
             Permutation((1, 5, 2))
 
+    @pytest.mark.parametrize("values", [(True,), (1, False), (2, True)])
+    def test_booleans_rejected(self, values):
+        # bool is a subclass of int, so (2, True) would pass a plain isinstance check
+        with pytest.raises(ValueError):
+            Permutation(values)
+
     def test_position_out_of_range(self):
         with pytest.raises(IndexError):
             Permutation((1, 2))(3)
@@ -78,9 +84,10 @@ class TestCount:
 
 class TestReduce:
     def test_examples(self):
-        assert reduce_to_pattern([1, 4, 2, 8, 3]).values == (1, 4, 2, 5, 3)
-        assert reduce_to_pattern([3, 8, 4, 5]).values == (1, 4, 2, 3)
-        assert reduce_to_pattern([7]).values == (1,)
+        assert reduce_to_pattern([1, 4, 2, 8, 3]) == (1, 4, 2, 5, 3)
+        assert reduce_to_pattern([3, 8, 4, 5]) == (1, 4, 2, 3)
+        assert reduce_to_pattern([7]) == (1,)
+        assert reduce_to_pattern([]) == ()
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -89,7 +96,8 @@ class TestReduce:
     @given(st.lists(st.integers(-100, 100), max_size=12, unique=True))
     def test_idempotent(self, values):
         once = reduce_to_pattern(values)
-        assert reduce_to_pattern(once.values) == once
+        assert Permutation(once).n == len(values)
+        assert reduce_to_pattern(once) == once
 
 
 class TestLis:

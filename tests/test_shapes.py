@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occ132 import (
-    Permutation,
     census,
     count_132,
     enumerate_kernel_shapes,
@@ -89,9 +88,9 @@ class TestEnumerate:
             found = set()
             for t in range(1, 2 * r + 2):
                 for vals in permutations(range(1, t + 1)):
-                    shape = analyze(Permutation(vals)).kernel.shape
-                    if count_132(shape) <= r:
-                        found.add(shape.values)
+                    shape = analyze(vals).kernel.shape
+                    if count_132_values(shape) <= r:
+                        found.add(shape)
             cat = catalog if catalog is not None else enumerate_kernel_shapes(r)
             assert found == {rec.shape.values for rec in cat.records}
 
@@ -105,31 +104,29 @@ class TestEnumerate:
         got = {rec.shape.values for rec in enumerate_kernel_shapes(r).records if rec.size <= 2 * r}
         assert got == want
 
-    def test_threads_give_identical_catalog(self):
-        # budget 5 searches sizes up to 11, deep enough to start the pool
-        a = enumerate_kernel_shapes(5, threads=1)
-        b = enumerate_kernel_shapes(5, threads=2)
-        assert catalog_to_text(a) == catalog_to_text(b)
+    def test_threads_give_identical_catalog(self, catalog6):
+        # budget 6 searches sizes up to 13, deep enough to start the pool
+        assert catalog_to_text(catalog6) == catalog_to_text(enumerate_kernel_shapes(6, threads=2))
 
     def test_pool_has_no_more_workers_than_jobs(self, serial_pool):
-        # budget 4 at size 10 is the smallest search that takes the pool;
+        # budget 4 at size 12 is the smallest search that takes the pool;
         # its depth-5 frontier is far smaller than 500
         jobs = len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])
-        found = shapes._search(10, 4, threads=500, rows=True)
+        found = shapes._search(12, 4, threads=500, rows=True)
         assert serial_pool == [jobs] and jobs < 500
-        assert sorted(found) == sorted(shapes._search(10, 4, rows=True))
+        assert sorted(found) == sorted(shapes._search(12, 4, rows=True))
 
     def test_huge_thread_count_splits_only_the_frontier(self, serial_pool):
         # 4 * threads empty job lists would take about 25 MiB here
         tracemalloc.start()
         try:
-            found = shapes._search(10, 4, threads=10**5, rows=True)
+            found = shapes._search(12, 4, threads=10**5, rows=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert serial_pool == [len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])]
-        assert sorted(found) == sorted(shapes._search(10, 4, rows=True))
+        assert sorted(found) == sorted(shapes._search(12, 4, rows=True))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rows_equal_the_records_the_union_find_gives(self, catalog6, threads):
