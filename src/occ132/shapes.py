@@ -26,6 +26,42 @@ the budget left.  Every search has a budget: listing all kernel
 permutations of size <= s uses C(s, 3), which no pattern of that size
 exceeds.
 
+Most of what that prune keeps is *tight*: its room, the budget left,
+is exactly q - 1.  Three more cuts work there, on two facts.
+
+- A tight node stays tight.  A child that closes d pairs touching t
+  labels has q - t + 1 components and room - d left, so it is kept only
+  if t >= d + 1; since t <= d + 1 always, t = d + 1 and the child is
+  tight again.  A silent append (d = 0) adds a component and is cut.
+- Uncleanness is hereditary.  Call slot v unclean when its D[v] >= 1
+  pairs carry at most D[v] distinct labels: their graph has a cycle,
+  or two of their positions share a component.  Child slot w <= v comes
+  from parent slot w, child slot v + 1 from parent slot v, and child
+  slot w >= v + 2 from parent slot w - 1.  Each child slot's pairs
+  include its parent slot's (the positions stay, the values are only
+  bumped), and components only merge, so a cycle or a shared component
+  stays.
+
+So a tight subtree only ever appends at clean slots.  The search state
+carries a bit mask of slots known to be unclean: every touched set with
+at most d labels sets its slot's bit, and an append at v with d >= 1
+merges the positions of its pairs into one component, so it also sets
+the bit of every child slot that has one of those pairs among its own.
+Those are child slots lo + 1 .. hi + 1, with lo the least value of a
+participating position below v and hi the greatest at or above it: a
+pair (i, j) of v with pat[i] < w lies in child slot w <= v, one with
+pat[j] >= w - 1 in child slot w >= v + 2, and all lie in slot v + 1.
+
+- Cut A: a tight node skips its masked slots without computing their
+  touched labels.
+- Cut B, the look-ahead: a tight child with q' > 1 components is not
+  built when none of its slots is both unmasked and closes 1 .. room'
+  pairs.  It could keep no child, and it is not connected, so its
+  subtree holds no pattern.
+
+At budgets 6 / 7 / 8 these cuts take the search from 28 339 / 194 794 /
+1 366 028 nodes to 14 734 / 97 491 / 665 552.
+
 The catalog the generating-function solver consumes for budget r is
 one search over sizes <= 2r+1.  It finds the maximal shape of size 2r+1
 too, and its count check proves that shape unique at every budget it
@@ -104,16 +140,19 @@ KNOWN_CAPACITY_CENSUS = (1, 1, 5, 21, 105, 504, 2577)
 
 _FOLD_KEYS = {"format_version", "max_occ", "catalog_sha256", "fold_sha256", "classes"}
 
-# The largest budget a catalog is searched for.  Search time grows 6-8x
-# per budget: budget 9 took 35 s with 2 processes, so budget 11 would take
-# half an hour or more, and the search's stack grows with the size bound
-# 2r+1 (budget 100 000 passed 5 GiB before it was stopped).
+# The largest budget a catalog is searched for.  Build time grows 5-8x
+# per budget: with 2 processes budget 8 took 5.4-5.9 s and budget 9 about
+# 40 s (shared 2-vCPU Xeon, Python 3.11.7), so budget 11 would take half
+# an hour or more, and the search's stack grows with the size bound 2r+1
+# (budget 100 000 passed 5 GiB before it was stopped).
 SEARCH_GUARD = 10
 
 # Depth at which the search tree is split into parallel jobs.
 _SPLIT_DEPTH = 5
 
-_State = tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]
+# A search state: the pattern, its occurrence count, D, the component label
+# of each position, the number of components and the unclean-slot mask.
+_State = tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...], int, int]
 
 
 class CatalogError(RuntimeError):
@@ -150,71 +189,138 @@ class Census(NamedTuple):
 
 
 def _root_state() -> _State:
-    # Pattern (1,): no occurrences, D[1] = D[2] = 0, one singleton component.
-    return ((1,), 0, (0, 0, 0), (0,))
+    # Pattern (1,): no occurrences, D[1] = D[2] = 0, one singleton component
+    # and no slot known to be unclean.
+    return ((1,), 0, (0, 0, 0), (0,), 1, 0)
 
 
-def _touched_labels(pat: tuple[int, ...], comp: tuple[int, ...], v: int) -> set[int]:
-    """Component labels merged when appending v creates occurrences.
+def _touched_labels(pat: tuple[int, ...], comp: tuple[int, ...], v: int) -> tuple[set[int], int]:
+    """Component labels merged when appending v creates occurrences, and
+    the mask of the child's slots those occurrences leave unclean.
 
     The new triples are (i, j, new) over all i < j with pat[i] < v <=
     pat[j]; the participating positions are exactly the below-v entries
-    with a later above-v partner and vice versa.
+    with a later above-v partner and vice versa.  After the append they
+    share one component, so a child slot is unclean when one of these
+    pairs is among its own: that is child slot w for lo < w <= hi + 1,
+    with lo the least participating value below v and hi the greatest
+    at or above it (see the module docstring).  Call only with D[v] >= 1.
     """
     touched = set()
+    hi = 0
     seen_below = False
     for q, x in enumerate(pat):
         if x < v:
             seen_below = True
         elif seen_below:
             touched.add(comp[q])
+            if x > hi:
+                hi = x
+    lo = v
     seen_above = False
     for q in range(len(pat) - 1, -1, -1):
-        if pat[q] >= v:
+        x = pat[q]
+        if x >= v:
             seen_above = True
         elif seen_above:
             touched.add(comp[q])
-    return touched
+            if x < lo:
+                lo = x
+    return touched, (2 << hi + 1) - (2 << lo)
 
 
-def _children(state: _State, max_occ: int, final: bool):
-    """Yield (v, count, touched labels) for every child worth visiting.
+def _children(state: _State, max_occ: int, final: bool) -> list:
+    """The children of `state` worth visiting: their states, or at the
+    last level, where only connected children count, their (pattern,
+    occurrence count) pairs.
 
     A child with q components needs at least q - 1 more occurrences to
     become connected (see the module docstring), so it is kept only if
-    q - 1 <= room, the occurrences it may still gain: max_occ minus its
-    count, and none at the last level.  Since an append touches at most
-    min(D[v] + 1, q) components, a child is skipped before its touched
-    labels are computed when even that many cannot bring it within room.
+    q - 1 <= room, the occurrences it may still gain.  A connected child
+    at the last level closes d <= room pairs touching all q components,
+    so d >= q - 1.  A tight node (q - 1 == room) keeps only children that
+    touch d + 1 labels with their d >= 1 pairs; it skips the slots its
+    mask marks unclean, and marks those it finds unclean (cut A).  The
+    others pass through :func:`_child`, which drops the tight children
+    that can have no child (cut B).
     """
-    pat, cnt, D, comp = state
+    pat, cnt, D, comp, q, mask = state
     k = len(pat)
-    q = len(set(comp))
-    for v in range(1, k + 2):
-        d = D[v]
-        ncnt = cnt + d
-        room = min(max_occ - ncnt, 0) if final else max_occ - ncnt
-        if d == 0:
-            # A silent append leaves the new entry isolated: q + 1 components.
-            if q <= room:
-                yield v, ncnt, ()
-        elif room >= 0 and q - d - 1 <= room:
-            touched = _touched_labels(pat, comp, v)
-            if q - len(touched) <= room:
-                yield v, ncnt, touched
+    room = max_occ - cnt
+    if final:
+        return [((*[x if x < v else x + 1 for x in pat], v), cnt + D[v])
+                for v in range(1, k + 2)
+                if max(q - 1, 1) <= D[v] <= room and len(_touched_labels(pat, comp, v)[0]) == q]
+    kept = []
+    if q - 1 == room:
+        for v in range(1, k + 2):
+            d = D[v]
+            if 0 < d <= room and not mask >> v & 1:
+                touched, span = _touched_labels(pat, comp, v)
+                if len(touched) > d:
+                    kept.append((v, d, touched, span))
+                else:
+                    mask |= 1 << v
+    else:
+        for v in range(1, k + 2):
+            d = D[v]
+            if d == 0:
+                # A silent append leaves the new entry isolated: q + 1 components.
+                if q <= room:
+                    kept.append((v, 0, (), 0))
+            elif d <= room:
+                touched, span = _touched_labels(pat, comp, v)
+                if len(touched) <= d:
+                    mask |= 1 << v
+                if q - len(touched) <= room - d:
+                    kept.append((v, d, touched, span))
+    children = []
+    for v, d, touched, span in kept:
+        child = _child(state, mask, v, d, touched, span, max_occ)
+        if child is not None:
+            children.append(child)
+    return children
 
 
-def _child(state: _State, v: int, ncnt: int, touched) -> _State:
-    pat, _, D, comp = state
+def _child(state: _State, mask: int, v: int, d: int, touched, span: int, max_occ: int) -> _State | None:
+    """The state after appending v, which closes d pairs touching the
+    component labels `touched`, or None when the look-ahead proves its
+    subtree holds no connected pattern.
+
+    `mask` is the parent's unclean-slot mask with what its own scan
+    found, and `span` the child slots the append leaves unclean.  A
+    tight child with more than one component is dropped when none of its
+    slots is both unmasked and closes 1..nroom pairs (cut B): it could
+    keep no child, and it is not connected.
+    """
+    pat, cnt, D, comp, q, _ = state
     k = len(pat)
-    npat = (*[x if x < v else x + 1 for x in pat], v)
+    # Child slots w <= v keep the parent's bit w, child slot v + 1 takes
+    # bit v, and slots above take the bit below them.
+    nmask = mask & ((2 << v) - 1) | mask >> v << v + 1 | span
+    nq = q - len(touched) + 1 if touched else q + 1
+    nroom = max_occ - cnt - d
+    if nq - 1 == nroom and nq > 1:
+        # The child's unmasked slots 2..k+1, each read for D'[w] (below)
+        # until one closes 1..nroom pairs; slot 1 and the top slot k+2
+        # close none.
+        free = ~nmask & (4 << k) - 4
+        while free:
+            low = free & -free
+            w = low.bit_length() - 1
+            if 0 < (D[w] + w - 1 if w <= v else D[w - 1]) <= nroom:
+                break
+            free ^= low
+        else:
+            return None
     # D'[w] = D[w] + w - 1 for w <= v, the pairs ending at the new entry
     # added, and D[w - 1] above v, across the bump.
     nD = (0, *map(add, D[1 : v + 1], range(v)), *D[v:])
+    npat = (*[x if x < v else x + 1 for x in pat], v)
     if touched:
         merged = dict.fromkeys(touched, k)
-        return (npat, ncnt, nD, (*map(merged.get, comp, comp), k))
-    return (npat, ncnt, nD, comp + (k,))
+        return (npat, cnt + d, nD, (*map(merged.get, comp, comp), k), nq, nmask)
+    return (npat, cnt + d, nD, comp + (k,), nq, nmask)
 
 
 def _dfs(max_size: int, max_occ: int, roots: list[_State], rows: bool) -> list:
@@ -223,19 +329,14 @@ def _dfs(max_size: int, max_occ: int, roots: list[_State], rows: bool) -> list:
     stack = list(roots)
     while stack:
         state = stack.pop()
-        pat, cnt, _, comp = state
+        pat, cnt, _, _, q, _ = state
         k = len(pat)
-        if len(set(comp)) == 1 and k <= max_size:
+        if q == 1 and k <= max_size:
             found.append((pat, cnt))
-        if k >= max_size:
-            continue
-        final = k + 1 == max_size
-        for v, ncnt, touched in _children(state, max_occ, final):
-            if final:
-                # Every child kept at the last level is connected.
-                found.append(((*[x if x < v else x + 1 for x in pat], v), ncnt))
-            else:
-                stack.append(_child(state, v, ncnt, touched))
+        if k + 1 < max_size:
+            stack.extend(_children(state, max_occ, False))
+        elif k + 1 == max_size:
+            found.extend(_children(state, max_occ, True))
     return _leaves(found, rows)
 
 
@@ -259,11 +360,10 @@ def _frontier(depth: int, max_occ: int) -> tuple[list[tuple[tuple[int, ...], int
     for _ in range(1, depth):
         nxt = []
         for state in level:
-            pat, cnt, _, comp = state
-            if len(set(comp)) == 1:
+            pat, cnt, _, _, q, _ = state
+            if q == 1:
                 found.append((pat, cnt))
-            for v, ncnt, touched in _children(state, max_occ, False):
-                nxt.append(_child(state, v, ncnt, touched))
+            nxt.extend(_children(state, max_occ, False))
         level = nxt
     return found, level
 
@@ -273,10 +373,10 @@ def _search(max_size: int, max_occ: int, threads: int = 1, rows: bool = False) -
     occurrences, bare or as catalog rows (see :func:`_leaves`); with
     rows, each job builds the rows of the patterns it finds."""
     # Up to size 11 (budget 5) one process is faster than a pool, rows
-    # included: 45 against 60 ms with 2 workers at size 11, one process
-    # ahead in 9 of 10 alternating runs; at size 13 (budget 6) the pool won
-    # all 10, 0.19 against 0.24 s (medians, fresh processes, shared 2-vCPU
-    # Xeon whose two-process speedup read 1.3-2.0, Python 3.11.7).
+    # included: 54 against 71 ms with 2 workers at size 11, one process
+    # ahead in 10 of 10 alternating runs; at size 13 (budget 6) the pool won
+    # 9 of 10, 0.17 against 0.27 s (medians, fresh processes, shared 2-vCPU
+    # Xeon whose two-process speedup read 1.4-2.2, Python 3.11.7).
     if threads <= 1 or max_size <= 11:
         return _dfs(max_size, max_occ, [_root_state()], rows)
     from multiprocessing import Pool

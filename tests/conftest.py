@@ -1,3 +1,6 @@
+import __future__
+import inspect
+
 import pytest
 
 from occ132 import enumerate_kernel_shapes, joint_tables, shapes
@@ -53,6 +56,49 @@ def search_with_a_count_off_by_one(monkeypatch):
                 for pat, capacity, *rest in real(max_size, max_occ, roots, rows)]
 
     monkeypatch.setattr(shapes, "_dfs", miscounting)
+
+
+# Off-by-one plants in the cuts of the shape search's tight subtrees: the
+# function, a text of its source and the text planted in its place.
+SEARCH_CUT_PLANTS = {
+    # cut B reads the child's slots that close 1..room' - 1 pairs only
+    "look_ahead_range": ("_child", "w - 1]) <= nroom:", "w - 1]) < nroom:"),
+    # cut B takes every child for tight
+    "look_ahead_tight_test": ("_child", "if nq - 1 == nroom and", "if nq - 1 <= nroom + 1 and"),
+    # cut A reads the bit of the slot above
+    "skip_reads_the_next_bit": ("_children", "not mask >> v & 1:", "not mask >> v + 1 & 1:"),
+    # a slot whose d pairs touch d + 1 labels is marked unclean too
+    "mark_clean_slots": ("_children", "if len(touched) <= d:", "if len(touched) <= d + 1:"),
+    # the append marks child slot lo as well, whose pairs it may not share
+    "span_one_slot_low": ("_touched_labels", "- (2 << lo)", "- (1 << lo)"),
+    # child slot v + 1 takes the parent's bit v + 1 as well as bit v
+    "mask_keeps_one_bit_too_many": ("_child", "mask & ((2 << v) - 1)", "mask & ((4 << v) - 1)"),
+}
+
+
+@pytest.fixture(params=sorted(SEARCH_CUT_PLANTS))
+def search_with_a_planted_cut(request, monkeypatch, catalog6):
+    """The shape search with one plant of SEARCH_CUT_PLANTS compiled into
+    the module in place of the function it edits (catalog6 is built
+    first, without it).  Returns the list of what each ``_search`` call
+    found."""
+    name, text, planted = SEARCH_CUT_PLANTS[request.param]
+    source = inspect.getsource(getattr(shapes, name))
+    assert source.count(text) == 1, f"{name} no longer holds {text!r} once"
+    namespace = {}
+    code = compile(source.replace(text, planted), shapes.__file__, "exec",
+                   __future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, vars(shapes), namespace)
+    monkeypatch.setattr(shapes, name, namespace[name])
+    real = shapes._search
+    found = []
+
+    def recording(*args, **kwargs):
+        found.append(real(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(shapes, "_search", recording)
+    return found
 
 
 @pytest.fixture

@@ -115,6 +115,14 @@ def reassemble_pq(form: PQForm) -> AlgebraicFunction:
     return AlgebraicFunction(poly_mul(form.two_P, scale), form.two_Q, poly_mul((2,), scale))
 
 
+def inverse_values(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line notation of the inverse permutation."""
+    inv = [0] * len(values)
+    for i, v in enumerate(values, start=1):
+        inv[v - 1] = i
+    return tuple(inv)
+
+
 def exceptional_shape(r: int) -> Permutation:
     """The unique kernel permutation of capacity r with maximal size 2r+1.
 

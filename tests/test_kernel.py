@@ -183,6 +183,19 @@ class TestCellDecomposition:
             northeast = [[r for r in rho.values[l - 1 :] if r >= m] for m, l in rec.cells]
             assert rec.lis_ne == tuple(map(lis_length, northeast)), rho
 
+    def test_every_budget6_record_agrees_with_the_oracles(self, catalog6):
+        # the same oracles on the rows the search builds, for every shape of
+        # budget 6: 2 116 of them are past size 8 and 386 past the brute-force sweep
+        for rec in catalog6.records:
+            values = rec.shape.values
+            assert set(rec.cells) == feasible_cells_oracle(values), values
+            assert list(rec.cells) == sorted(rec.cells, key=lambda ml: (ml[1], -ml[0])), values
+            assert rec.capacity == count_132_values(values), values
+            northeast = [[r for r in values[l - 1 :] if r >= m] for m, l in rec.cells]
+            assert rec.lis_ne == tuple(map(lis_length, northeast)), values
+            one_component = [(tuple(range(1, rec.size + 1)), rec.capacity)]
+            assert occurrence_components_oracle(rec.shape) == one_component, values
+
     def test_infeasible_cells_empty_for_all_members(self):
         # every permutation's entries must land in feasible cells only;
         # decompose raises otherwise, so a clean sweep is the assertion

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import re
 import tracemalloc
@@ -31,7 +32,7 @@ from occ132.shapes import (
     load_fold,
     save_catalog,
 )
-from helpers import exceptional_shape, perm_from_str
+from helpers import exceptional_shape, inverse_values, perm_from_str
 from test_kernel import feasible_cells_oracle
 
 
@@ -150,6 +151,36 @@ class TestEnumerate:
             enumerate_kernel_shapes(SEARCH_GUARD)
 
 
+# The sha256 of the budget-7 catalog as the search wrote it when this test
+# was added: a frozen reference, since no census covers capacity 7.
+CATALOG7_SHA256 = "e2283ad175833e00890d325907254c86c5bdac11bd569535e96bab3fd132ead2"
+
+
+@pytest.fixture(scope="module")
+def catalog7():
+    return enumerate_kernel_shapes(7, threads=2)
+
+
+class TestInversionClosure:
+    """The search adds positions left to right, and inversion turns them
+    into values bottom to top, so a shape a prune loses is caught here
+    unless its inverse is lost too: the guard past the census."""
+
+    @pytest.mark.parametrize("budget", [6, 7])
+    def test_every_inverse_is_in_the_catalog_with_the_same_class(self, request, budget):
+        catalog = request.getfixturevalue(f"catalog{budget}")
+        by_shape = {rec.shape.values: rec for rec in catalog.records}
+        for values, rec in by_shape.items():
+            inv = by_shape.get(inverse_values(values))
+            assert inv is not None, values
+            assert (inv.size, inv.capacity, len(inv.cells), sorted(inv.lis_ne)) == (
+                rec.size, rec.capacity, len(rec.cells), sorted(rec.lis_ne)), values
+
+    def test_budget7_catalog_matches_its_frozen_reference(self, catalog7):
+        assert len(catalog7.records) == 16442
+        assert hashlib.sha256(catalog_to_text(catalog7).encode()).hexdigest() == CATALOG7_SHA256
+
+
 class TestExceptionalShape:
     def test_small_cases(self):
         assert exceptional_shape(1) == perm_from_str("132")
@@ -193,6 +224,15 @@ class TestExceptionalShape:
         # the census check is what guards the capacities the search counts
         with pytest.raises(CatalogError, match=re.escape("(1, 1, 4, 22) differ from the census")):
             enumerate_kernel_shapes(3)
+
+
+class TestTightCuts:
+    def test_search_with_a_planted_cut_fails_the_build(self, search_with_a_planted_cut, catalog6):
+        with pytest.raises(CatalogError, match="the search for budget 6"):
+            enumerate_kernel_shapes(6)
+        # the plant changed the search: it lost shapes, and found nothing new
+        [rows] = search_with_a_planted_cut
+        assert {row[0] for row in rows} < {rec.shape.values for rec in catalog6.records}
 
 
 class TestCensus:
