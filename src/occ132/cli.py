@@ -62,7 +62,7 @@ from .shapes import (
     SEARCH_GUARD,
     CatalogError,
     ShapeFold,
-    catalog_to_text,
+    catalog_lines,
     census,
     enumerate_kernel_shapes,
     fold_catalog,
@@ -131,7 +131,9 @@ def _cmd_shapes(args) -> int:
     if args.out:
         save_catalog(catalog, args.out)
     else:
-        sys.stdout.write(catalog_to_text(catalog))
+        # line by line through write, the one method _GuardedStdout guards
+        for line in catalog_lines(catalog):
+            sys.stdout.write(line)
     return 0
 
 

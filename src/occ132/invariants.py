@@ -114,15 +114,15 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
     cell_count = {}
     for rho in iter_kernel_permutations(max_n):
         try:
-            cells = _shape_cells(rho.values)
+            cells = _shape_cells(rho)
         except CellOrderError as exc:
             violations["feasible-cell order total"].append(str(exc))
-            cells = _feasible_cells(rho.values)
-        cell_count[rho.values] = len(cells)
-        overlap = _southwest_dominated(rho.values, cells)
+            cells = _feasible_cells(rho)
+        cell_count[rho] = len(cells)
+        overlap = _southwest_dominated(rho, cells)
         if overlap:
             violations["one-sided infeasibility criterion subsumed"].append(
-                f"{rho}: southwest-dominated cells marked feasible: {sorted(overlap)}")
+                f"{perm_to_str(rho)}: southwest-dominated cells marked feasible: {sorted(overlap)}")
     # A kernel of size s with f cells holds [x^e] (sum_j j! x^j)^f pairs of
     # assembled size s + e.
     domain_sizes: Counter[int] = Counter()

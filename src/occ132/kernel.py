@@ -39,15 +39,16 @@ capacity of the union-find.
 ``analyze`` is the single pass over an arbitrary permutation behind this:
 one component search, and from it the kernel and the cell of every
 non-kernel entry.  ``decompose`` and the structure sweep read its record.
-These three take and return tuples of one-line values, as the cell
-helpers do, and their records are named tuples: the exhaustive sweep
-calls them once per permutation and builds no ``Permutation``.
+These three and ``shape_record`` take and return tuples of one-line
+values, as the cell helpers do, and their records are named tuples: the
+exhaustive sweep calls them once per permutation and builds no
+``Permutation``, and a catalog record (``KernelShapeRecord``) is the
+very row a search job returns, its shape the tuple of one-line values.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import or_
@@ -69,21 +70,23 @@ class Kernel(NamedTuple):
     """Kernel of a permutation: the component of the maximal entry."""
 
     positions: tuple[int, ...]
-    values: tuple[int, ...]
     shape: tuple[int, ...]
     size: int
     capacity: int
 
 
-@dataclass(frozen=True)
-class KernelShapeRecord:
-    """A catalogued kernel shape with everything the solver needs."""
+class KernelShapeRecord(NamedTuple):
+    """A catalogued kernel shape with everything the solver needs: the
+    row a search job returns."""
 
-    shape: Permutation
-    size: int
+    shape: tuple[int, ...]  # one-line values
     capacity: int
     cells: tuple[tuple[int, int], ...]  # feasible cells in dominance order
     lis_ne: tuple[int, ...]  # per cell: longest increasing run to its northeast
+
+    @property
+    def size(self) -> int:
+        return len(self.shape)
 
 
 def build_occurrence_graph(pi: Permutation) -> list[tuple[tuple[int, ...], int]]:
@@ -138,7 +141,7 @@ def analyze(pi: tuple[int, ...]) -> Analysis:
     for pos, val, l in others:
         placed.setdefault((bisect_left(kvals, val) + 1, l), []).append((pos, val))
     components = [(tuple(positions), counts[root]) for root, positions in by_root.items()]
-    kernel = Kernel(tuple(kpos), tuple(values), reduce_to_pattern(values), len(kpos), counts[top])
+    kernel = Kernel(tuple(kpos), reduce_to_pattern(values), len(kpos), counts[top])
     return Analysis(sum(counts), components, kernel, placed)
 
 
@@ -300,15 +303,15 @@ def _cells_and_runs(values: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...
     return cells, tuple(len([r for r in values[l - 1 :] if r >= m]) for m, l in cells)
 
 
-def shape_record(rho: Permutation) -> KernelShapeRecord:
-    """Full catalog record of a kernel permutation, its capacity counted
-    by the occurrence graph's union-find.  Raises ``ValueError`` when rho
-    is not a kernel permutation.
+def shape_record(values: tuple[int, ...]) -> KernelShapeRecord:
+    """Full catalog record of the kernel permutation `values`, its
+    capacity counted by the occurrence graph's union-find.  Raises
+    ``ValueError`` when `values` is not a kernel permutation.
     """
-    capacity = _kernel_capacity(rho.values)
+    capacity = _kernel_capacity(values)
     if capacity is None:
-        raise ValueError(f"not a kernel permutation: {rho.values}")
-    return KernelShapeRecord(rho, rho.n, capacity, *_cells_and_runs(rho.values))
+        raise ValueError(f"not a kernel permutation: {values}")
+    return KernelShapeRecord(values, capacity, *_cells_and_runs(values))
 
 
 def decompose(pi: tuple[int, ...], analysis: Analysis) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

@@ -77,26 +77,29 @@ capacity, its feasible cells in dominance order and their northeast runs
 carries to the pattern, since a connected pattern's occurrences all lie
 in its one component.  The cells and runs come from
 ``kernel._cells_and_runs``, which raises CellOrderError on cells that
-are not totally ordered.  The parent only sorts the rows, checks their
-counts and wraps them in records; it runs no union-find and calls no
-:func:`~occ132.kernel.shape_record`.  What guards the counted capacities
-is the count check every build runs (``_check_counts``): a count off by
-one moves its shape to another capacity, which the census catches
-through capacity 6.  The tests compare every row of budget 6 with the
-record ``shape_record`` builds, whose capacity the occurrence graph's
-union-find counts.  :func:`iter_kernel_permutations` asks the same
-search for bare patterns and builds no rows.
+are not totally ordered.  The parent only sorts the rows and checks
+their counts: a row is a record as it stands, the named tuple
+``KernelShapeRecord`` of the same four fields, so the parent runs no
+union-find, calls no :func:`~occ132.kernel.shape_record` and builds no
+``Permutation``.  What guards the counted capacities is the count check
+every build runs (``_check_counts``): a count off by one moves its shape
+to another capacity, which the census catches through capacity 6.  The
+tests compare every row of budget 6 with the record ``shape_record``
+builds, whose capacity the occurrence graph's union-find counts.
+:func:`iter_kernel_permutations` reads the serial walk under the jobs
+(``_walk``) and builds no rows.
 
-A catalog file holds one JSON line per record.  Every field but the
-shape is derived from it, so :func:`load_catalog` rebuilds each record
-from its shape and accepts only the line :func:`catalog_to_text` writes
-for it.  The solver reads only the catalog's fold (:func:`fold_catalog`):
-shapes counted by (size, capacity, lis of the shape, sorted northeast
-runs), 296 classes for the 3 214 records of budget 6.
-:func:`save_catalog` writes the fold beside the catalog as the sidecar
-``<file>.fold``, a small JSON file holding the sha256 of the catalog's
-bytes and a second sha256 over that digest, the budget and the class
-rows.  :func:`load_fold` hashes the catalog,
+A catalog file holds one JSON line per record, written line by line
+from one generator (:func:`catalog_lines`).  Every field but the shape
+is derived from it, so :func:`load_catalog` checks that each shape is a
+permutation, rebuilds its record from it and accepts only the line
+:func:`catalog_lines` writes for it.  The solver reads only the
+catalog's fold (:func:`fold_catalog`): shapes counted by (size,
+capacity, lis of the shape, sorted northeast runs), 296 classes for the
+3 214 records of budget 6.  :func:`save_catalog` writes the fold beside
+the catalog as the sidecar ``<file>.fold``, a small JSON file holding
+the sha256 of the catalog's bytes and a second sha256 over that digest,
+the budget and the class rows.  :func:`load_fold` hashes the catalog,
 reads the sidecar instead of parsing the records and runs the count
 checks of :func:`load_catalog` on the fold.  A changed catalog fails
 the first digest, an edited row the second.  The solver commands read a
@@ -106,20 +109,18 @@ nothing but tests and benchmark probes parses the records back.
 
 from __future__ import annotations
 
-import gc
 import json
 from collections import Counter
 from math import comb
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 # kernel, perms and multiprocessing are imported by the functions that
 # search, build, fold or parse records, so a solve from a fold sidecar
 # loads none of them.
 if TYPE_CHECKING:
     from .kernel import KernelShapeRecord
-    from .perms import Permutation
 
 # CPython's own sha256 for the catalog digest: hashlib's loads OpenSSL,
 # which adds about 3.5 MiB to the resident set of every warm run, while
@@ -179,12 +180,11 @@ class ShapeFold(NamedTuple):
 
 
 class Census(NamedTuple):
-    """Shape counts by size and by capacity, plus per-budget counts of
-    newly usable shapes: those of capacity exactly r, minus the single
-    maximal one of size 2r+1."""
+    """Shape counts by size, plus per-budget counts of newly usable
+    shapes: those of capacity exactly r, minus the single maximal one of
+    size 2r+1."""
 
     by_size: dict[int, int]
-    by_capacity: dict[int, int]
     new_nonexceptional: dict[int, int]
 
 
@@ -323,8 +323,8 @@ def _child(state: _State, mask: int, v: int, d: int, touched, span: int, max_occ
     return (npat, cnt + d, nD, comp + (k,), nq, nmask)
 
 
-def _dfs(max_size: int, max_occ: int, roots: list[_State], rows: bool) -> list:
-    """Every connected pattern in the subtrees, as :func:`_leaves` gives it."""
+def _walk(max_size: int, max_occ: int, roots: list[_State]) -> list[tuple[tuple[int, ...], int]]:
+    """(pattern, occurrence count) of every connected pattern in the subtrees."""
     found = []
     stack = list(roots)
     while stack:
@@ -337,67 +337,57 @@ def _dfs(max_size: int, max_occ: int, roots: list[_State], rows: bool) -> list:
             stack.extend(_children(state, max_occ, False))
         elif k + 1 == max_size:
             found.extend(_children(state, max_occ, True))
-    return _leaves(found, rows)
+    return found
 
 
-def _leaves(found: list[tuple[tuple[int, ...], int]], rows: bool) -> list:
-    """The connected patterns of the (pattern, occurrence count) pairs
-    `found`, bare, or with `rows` as catalog rows (pattern, capacity,
-    cells, lis_ne) whose capacity is that count (see the module
-    docstring)."""
-    if not rows:
-        return [pat for pat, _ in found]
+def _dfs(max_size: int, max_occ: int, roots: list[_State]) -> list:
+    """One search job: the catalog rows (pattern, capacity, cells,
+    lis_ne) of every connected pattern in the subtrees, the capacity the
+    occurrence count the search carries (see the module docstring)."""
     from .kernel import _cells_and_runs
 
-    return [(pat, cnt, *_cells_and_runs(pat)) for pat, cnt in found]
+    return [(pat, cnt, *_cells_and_runs(pat)) for pat, cnt in _walk(max_size, max_occ, roots)]
 
 
-def _frontier(depth: int, max_occ: int) -> tuple[list[tuple[tuple[int, ...], int]], list[_State]]:
-    """(pattern, occurrence count) of the connected patterns above
-    `depth`, plus all surviving states at it."""
-    found = []
+def _frontier(depth: int, max_occ: int) -> list[_State]:
+    """All surviving states at `depth`."""
     level = [_root_state()]
     for _ in range(1, depth):
-        nxt = []
-        for state in level:
-            pat, cnt, _, _, q, _ = state
-            if q == 1:
-                found.append((pat, cnt))
-            nxt.extend(_children(state, max_occ, False))
-        level = nxt
-    return found, level
+        level = [child for state in level for child in _children(state, max_occ, False)]
+    return level
 
 
-def _search(max_size: int, max_occ: int, threads: int = 1, rows: bool = False) -> list:
-    """Every kernel pattern of size <= max_size with at most max_occ
-    occurrences, bare or as catalog rows (see :func:`_leaves`); with
-    rows, each job builds the rows of the patterns it finds."""
-    # Up to size 11 (budget 5) one process is faster than a pool, rows
-    # included: 54 against 71 ms with 2 workers at size 11, one process
-    # ahead in 10 of 10 alternating runs; at size 13 (budget 6) the pool won
-    # 9 of 10, 0.17 against 0.27 s (medians, fresh processes, shared 2-vCPU
-    # Xeon whose two-process speedup read 1.4-2.2, Python 3.11.7).
+def _search(max_size: int, max_occ: int, threads: int = 1) -> list:
+    """The catalog rows (see :func:`_dfs`) of every kernel pattern of
+    size <= max_size with at most max_occ occurrences; each job builds
+    the rows of the patterns it finds."""
+    # Up to size 11 (budget 5) one process is faster than a pool: 54 against
+    # 71 ms with 2 workers at size 11, one process ahead in 10 of 10
+    # alternating runs; at size 13 (budget 6) the pool won 9 of 10, 0.17
+    # against 0.27 s (medians, fresh processes, shared 2-vCPU Xeon whose
+    # two-process speedup read 1.4-2.2, Python 3.11.7).
     if threads <= 1 or max_size <= 11:
-        return _dfs(max_size, max_occ, [_root_state()], rows)
+        return _dfs(max_size, max_occ, [_root_state()])
     from multiprocessing import Pool
 
-    found, frontier = _frontier(_SPLIT_DEPTH, max_occ)
-    found = _leaves(found, rows)
+    # the rows above the split depth, then one job per slice of its states
+    found = _dfs(_SPLIT_DEPTH - 1, max_occ, [_root_state()])
+    frontier = _frontier(_SPLIT_DEPTH, max_occ)
     step = min(4 * threads, len(frontier))
-    jobs = [(max_size, max_occ, frontier[i::step], rows) for i in range(step)]
+    jobs = [(max_size, max_occ, frontier[i::step]) for i in range(step)]
     with Pool(min(threads, len(jobs))) as pool:
         for part in pool.starmap(_dfs, jobs):
             found.extend(part)
     return found
 
 
-def iter_kernel_permutations(max_size: int) -> list[Permutation]:
-    """All kernel permutations of size <= max_size, sorted by (size,
-    one-line notation)."""
-    from .perms import Permutation
-
-    found = _search(max_size, comb(max_size, 3))
-    return [Permutation(pat) for pat in sorted(found, key=lambda pat: (len(pat), pat))]
+def iter_kernel_permutations(max_size: int) -> list[tuple[int, ...]]:
+    """All kernel permutations of size <= max_size as tuples of one-line
+    values, sorted by (size, values): one serial walk at the budget
+    C(max_size, 3), which no pattern of that size exceeds, building no
+    rows."""
+    found = _walk(max_size, comb(max_size, 3), [_root_state()])
+    return sorted((pat for pat, _ in found), key=lambda pat: (len(pat), pat))
 
 
 def enumerate_kernel_shapes(r: int, *, threads: int = 1) -> ShapeCatalog:
@@ -410,31 +400,19 @@ def enumerate_kernel_shapes(r: int, *, threads: int = 1) -> ShapeCatalog:
     shape.
     """
     from .kernel import KernelShapeRecord
-    from .perms import Permutation
 
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if r > SEARCH_GUARD:
         raise ValueError(f"budget {r} exceeds the search guard {SEARCH_GUARD}")
-    rows = sorted(_search(2 * r + 1, r, threads, rows=True), key=lambda row: (len(row[0]), row[0]))
+    rows = sorted(_search(2 * r + 1, r, threads), key=lambda row: (len(row[0]), row[0]))
     _check_counts(f"the search for budget {r}", r, Counter((len(row[0]), row[1]) for row in rows))
-    # The records hold no reference cycles, so the cyclic collector would
-    # only rescan them as they pile up: at budget 8 the wrapping took 0.36 s
-    # with it and 0.24 s without.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        records = tuple(KernelShapeRecord(Permutation(pat), len(pat), capacity, cells, runs)
-                        for pat, capacity, cells, runs in rows)
-    finally:
-        if collecting:
-            gc.enable()
-    return ShapeCatalog(r, records)
+    return ShapeCatalog(r, tuple(map(KernelShapeRecord._make, rows)))
 
 
 def census(catalog: ShapeCatalog) -> Census:
-    """Raw per-size and per-capacity shape counts, plus newly usable
-    non-maximal shapes per budget.
+    """Raw per-size shape counts, plus newly usable non-maximal shapes
+    per budget.
 
     A shape first enters the recursion at budget r = capacity; exactly
     one capacity-r shape, the maximal one, has size 2r+1, so the count
@@ -445,26 +423,28 @@ def census(catalog: ShapeCatalog) -> Census:
     new_nonexceptional = {
         r: by_capacity.get(r, 0) - 1 for r in range(2, catalog.max_occ + 1)
     }
-    return Census(
-        dict(sorted(by_size.items())),
-        dict(sorted(by_capacity.items())),
-        new_nonexceptional,
-    )
+    return Census(dict(sorted(by_size.items())), new_nonexceptional)
+
+
+def catalog_lines(catalog: ShapeCatalog) -> Iterator[str]:
+    """The catalog file line by line, each with its newline: a JSON
+    header, then one record per line, sorted by (size, one-line
+    notation)."""
+    yield json.dumps({"format_version": CATALOG_FORMAT_VERSION, "max_occ": catalog.max_occ}) + "\n"
+    for rec in catalog.records:
+        yield _record_line(rec) + "\n"
 
 
 def catalog_to_text(catalog: ShapeCatalog) -> str:
-    """JSON lines: a header, then one record per line, sorted by
-    (size, one-line notation)."""
-    lines = [json.dumps({"format_version": CATALOG_FORMAT_VERSION, "max_occ": catalog.max_occ})]
-    lines.extend(_record_line(rec) for rec in catalog.records)
-    return "\n".join(lines) + "\n"
+    """The whole catalog file as one string."""
+    return "".join(catalog_lines(catalog))
 
 
 def _record_line(rec: KernelShapeRecord) -> str:
     """The catalog line of one record, the only form :func:`load_catalog`
     accepts: compact JSON with the keys in this order."""
     return '{"shape":[%s],"size":%d,"capacity":%d,"cells":[%s],"lis_ne":[%s]}' % (
-        ",".join(map(str, rec.shape.values)),
+        ",".join(map(str, rec.shape)),
         rec.size,
         rec.capacity,
         ",".join("[%d,%d]" % cell for cell in rec.cells),
@@ -477,7 +457,7 @@ def fold_catalog(catalog: ShapeCatalog) -> ShapeFold:
     from .perms import lis_length
 
     classes = Counter(
-        (rec.size, rec.capacity, lis_length(rec.shape.values), tuple(sorted(rec.lis_ne)))
+        (rec.size, rec.capacity, lis_length(rec.shape), tuple(sorted(rec.lis_ne)))
         for rec in catalog.records
     )
     return ShapeFold(catalog.max_occ, dict(classes))
@@ -486,7 +466,8 @@ def fold_catalog(catalog: ShapeCatalog) -> ShapeFold:
 def save_catalog(catalog: ShapeCatalog, path: str | Path) -> ShapeFold:
     """Write the catalog, then its fold beside it as the sidecar, bound to
     the sha256 of the bytes just written; return the fold."""
-    Path(path).write_text(catalog_to_text(catalog))
+    with open(path, "w") as fh:
+        fh.writelines(catalog_lines(catalog))
     fold = fold_catalog(catalog)
     digest = _catalog_digest(path)
     rows = [[s, c, lis, list(runs), m] for (s, c, lis, runs), m in sorted(fold.classes.items())]
@@ -585,10 +566,12 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
     """Read a catalog written by :func:`save_catalog`.
 
     Each record is rebuilt with :func:`~occ132.kernel.shape_record` from
-    the shape on its line.  Raises CatalogError on a line that is not
-    exactly the one :func:`catalog_to_text` writes for that record (a
-    blank line included), on a shape that is not a kernel permutation,
-    on records that are duplicated or out of order, on per-capacity
+    the shape on its line, once ``Permutation`` has checked that shape:
+    records hold bare values, so this is the one check that a shape read
+    from outside is a permutation.  Raises CatalogError on a line that is
+    not exactly the one :func:`catalog_lines` writes for that record (a
+    blank line included), on a shape that is not a permutation or not a
+    kernel one, on records that are duplicated or out of order, on per-capacity
     counts that differ from the known census and on a budget without
     exactly one maximal shape.  The census stops at capacity 6, so a
     missing record of a higher capacity goes unseen.
@@ -620,14 +603,14 @@ def load_catalog(path: str | Path) -> ShapeCatalog:
         if not (isinstance(obj, dict) and _int_list(obj.get("shape"))):
             raise CatalogError(f"{path}:{lineno}: record has no shape")
         try:
-            rec = shape_record(Permutation(tuple(obj["shape"])))
+            rec = shape_record(Permutation(tuple(obj["shape"])).values)
         except ValueError as exc:
             # not a permutation, or not a kernel one
             raise CatalogError(f"{path}:{lineno}: {exc}") from None
         if _record_line(rec) != line:
             raise CatalogError(f"{path}:{lineno}: record differs from the one its shape gives")
         records.append(rec)
-    keys = [(rec.size, rec.shape.values) for rec in records]
+    keys = [(rec.size, rec.shape) for rec in records]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CatalogError(f"{path}: records are duplicated or not sorted by (size, shape)")
     _check_counts(path, max_occ, Counter((rec.size, rec.capacity) for rec in records))

@@ -37,9 +37,8 @@ def search_without_maximal_shape(monkeypatch):
     """A shape search that loses every pattern of its largest size."""
     real = shapes._search
 
-    def lossy(max_size, max_occ, threads=1, rows=False):
-        found = real(max_size, max_occ, threads, rows)
-        return [leaf for leaf in found if len(leaf[0] if rows else leaf) < max_size]
+    def lossy(max_size, max_occ, threads=1):
+        return [row for row in real(max_size, max_occ, threads) if len(row[0]) < max_size]
 
     monkeypatch.setattr(shapes, "_search", lossy)
 
@@ -51,9 +50,9 @@ def search_with_a_count_off_by_one(monkeypatch):
     the census (1, 1, 5, 21)."""
     real = shapes._dfs
 
-    def miscounting(max_size, max_occ, roots, rows):
+    def miscounting(max_size, max_occ, roots):
         return [(pat, capacity + 1, *rest) if pat == (1, 4, 2, 3) else (pat, capacity, *rest)
-                for pat, capacity, *rest in real(max_size, max_occ, roots, rows)]
+                for pat, capacity, *rest in real(max_size, max_occ, roots)]
 
     monkeypatch.setattr(shapes, "_dfs", miscounting)
 

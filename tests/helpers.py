@@ -60,17 +60,17 @@ def avoids_monotone(pi: Permutation, k: int) -> bool:
     return lis_length(pi.values) < k
 
 
-def southwest_dominated_cells(rho: Permutation) -> frozenset[tuple[int, int]]:
-    """Cells (m, l) of the grid of the kernel permutation rho with some
-    kernel entry strictly to their southwest.
+def southwest_dominated_cells(rho: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """Cells (m, l) of the grid of the kernel permutation rho, one-line
+    values, with some kernel entry strictly to their southwest.
 
     This one-sided criterion implies infeasibility; the tests hold it
     against the feasible cells and against the structure sweep's per-cell
     predicate.
     """
-    s = rho.n
+    s = len(rho)
     # some entry k < l has rho(k) < m iff the minimum of entries 1..l-1 does
-    lows = accumulate(rho.values, min)  # that minimum for l = 2..s+1
+    lows = accumulate(rho, min)  # that minimum for l = 2..s+1
     return frozenset((m, l) for l, low in enumerate(lows, 2) for m in range(low + 1, s + 1))
 
 
@@ -123,11 +123,12 @@ def inverse_values(values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def exceptional_shape(r: int) -> Permutation:
-    """The unique kernel permutation of capacity r with maximal size 2r+1.
+def exceptional_shape(r: int) -> tuple[int, ...]:
+    """The one-line values of the unique kernel permutation of capacity r
+    with maximal size 2r+1.
 
     Built in closed form as 2r-1, 2r+1, 2r-3, 2r, ..., 1, 4, 2, the
-    reference for the shape the search finds; the constructor re-derives
+    reference for the shape the search finds; its record re-derives
     size, capacity and the feasible cells as a postcondition.
     """
     if r < 1:
@@ -136,7 +137,7 @@ def exceptional_shape(r: int) -> Permutation:
     for j in range(r - 1):
         vals += [2 * r - 2 * j - 3, 2 * r - 2 * j]
     vals.append(2)
-    rho = Permutation(tuple(vals))
+    rho = Permutation(tuple(vals)).values
     rec = shape_record(rho)
     expected_cells = {(2 * r - 2 * j + 1, 2 * j + 1) for j in range(r + 1)} | {(1, 2 * r + 2)}
     if (

@@ -19,6 +19,7 @@ from occ132 import (
     extract_pq,
     joint_tables,
     occurrence_counts,
+    perm_to_str,
 )
 from occ132.algebraic import poly_eval
 from occ132.cli import main
@@ -81,7 +82,7 @@ def report(num: int, ok: bool, label: str) -> None:
 
 def test_criterion_01_shape_census(catalog6):
     cat2 = enumerate_kernel_shapes(2)
-    names = [str(rec.shape) for rec in cat2.records]
+    names = [perm_to_str(rec.shape) for rec in cat2.records]
     ok = names == ["1", "132", "1243", "1342", "1423", "2143", "35142"]
     new = census(catalog6).new_nonexceptional
     ok = ok and all(new[r] == want for r, want in ((3, 20), (4, 104), (5, 503), (6, 2576)))
@@ -118,10 +119,10 @@ def test_shape_set_closed_under_inversion(catalog6):
     # 132 is its own inverse, so inverting a permutation keeps its
     # occurrence count and its occurrence graph: kernel shapes of
     # capacity c invert to kernel shapes of capacity c
-    capacity = {rec.shape.values: rec.capacity for rec in catalog6.records}
+    capacity = {rec.shape: rec.capacity for rec in catalog6.records}
     assert all(capacity.get(inverse_values(shape)) == c for shape, c in capacity.items())
     # one maximal shape per budget 0..6, the size-1 shape being budget 0's
-    maximal = [rec.shape.values for rec in catalog6.records if rec.size == 2 * rec.capacity + 1]
+    maximal = [rec.shape for rec in catalog6.records if rec.size == 2 * rec.capacity + 1]
     assert len(maximal) == 7
     assert all(inverse_values(shape) == shape for shape in maximal)
 
@@ -256,7 +257,7 @@ def test_criterion_10_self_consistency(solver, catalog6):
 def test_criterion_11_conjecture_reports(solver, catalog6):
     # informational: report, list counterexamples, never block
     size_vs_cells = [
-        str(rec.shape) for rec in catalog6.records if rec.size > 1 and rec.size < len(rec.cells)
+        perm_to_str(rec.shape) for rec in catalog6.records if rec.size > 1 and rec.size < len(rec.cells)
     ]
     print(
         "report: size >= cell count for all catalogued shapes != 1:",

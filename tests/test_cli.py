@@ -17,6 +17,7 @@ from occ132 import (
     invariants,
     load_catalog,
     oracle,
+    perm_to_str,
     save_catalog,
     shapes,
 )
@@ -50,7 +51,7 @@ def test_shapes_catalog(capsys, tmp_path):
     code, _, err = run(capsys, "shapes", "--max-occ", "2", "--out", str(path))
     assert code == 0
     catalog = load_catalog(path)
-    assert [str(rec.shape) for rec in catalog.records] == [
+    assert [perm_to_str(rec.shape) for rec in catalog.records] == [
         "1", "132", "1243", "1342", "1423", "2143", "35142",
     ]
     assert "new non-maximal shapes by budget: {2: 4}" in err

@@ -108,10 +108,10 @@ def test_sweep_predicate_picks_the_southwest_dominated_cells():
     # on the whole grid, so that the predicate has cells to pick: on the
     # feasible cells both sides are empty
     for rho in iter_kernel_permutations(8):
-        s = rho.n
+        s = len(rho)
         grid = [(m, l) for l in range(1, s + 2) for m in range(s, 0, -1)]
         dominated = southwest_dominated_cells(rho)
-        assert _southwest_dominated(rho.values, grid) == [cell for cell in grid if cell in dominated], rho
+        assert _southwest_dominated(rho, grid) == [cell for cell in grid if cell in dominated], rho
 
 
 def test_every_check_has_a_plant():
@@ -143,7 +143,7 @@ def test_pooled_sweep_reads_the_given_kernels(monkeypatch):
     # the serial lists only if the kernels' cell counts reach them.
     search = occ132.invariants.iter_kernel_permutations
     monkeypatch.setattr(occ132.invariants, "iter_kernel_permutations",
-                        lambda max_n: [rho for rho in search(max_n) if rho.n != 5])
+                        lambda max_n: [rho for rho in search(max_n) if len(rho) != 5])
     serial = structure_sweep(7, threads=1)
     assert len(serial["assemble/decompose inverse"]) > 100
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)

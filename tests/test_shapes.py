@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import json
 import re
@@ -12,14 +11,13 @@ from hypothesis import strategies as st
 
 from occ132 import (
     census,
-    count_132,
     enumerate_kernel_shapes,
     load_catalog,
     shape_record,
     shapes,
 )
 from occ132.kernel import _kernel_capacity, analyze
-from occ132.perms import count_132_values
+from occ132.perms import count_132_values, perm_to_str
 from occ132.shapes import (
     KNOWN_CAPACITY_CENSUS,
     SEARCH_GUARD,
@@ -32,20 +30,20 @@ from occ132.shapes import (
     load_fold,
     save_catalog,
 )
-from helpers import exceptional_shape, inverse_values, perm_from_str
+from helpers import exceptional_shape, inverse_values
 from test_kernel import feasible_cells_oracle
 
 
 class TestEnumerate:
     def test_r0(self):
         cat = enumerate_kernel_shapes(0)
-        assert [str(r.shape) for r in cat.records] == ["1"]
+        assert [perm_to_str(r.shape) for r in cat.records] == ["1"]
 
     def test_r1(self, catalog1):
-        assert [str(r.shape) for r in catalog1.records] == ["1", "132"]
+        assert [perm_to_str(r.shape) for r in catalog1.records] == ["1", "132"]
 
     def test_r2_exact_set(self, catalog2):
-        assert [str(r.shape) for r in catalog2.records] == [
+        assert [perm_to_str(r.shape) for r in catalog2.records] == [
             "1",
             "132",
             "1243",
@@ -59,28 +57,17 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_kernel_shapes(-1)
 
-    @pytest.mark.parametrize("collecting", [True, False])
-    def test_collector_state_restored(self, collecting):
-        # the record loop pauses the cyclic collector and gives back the caller's state
-        was = gc.isenabled()
-        (gc.enable if collecting else gc.disable)()
-        try:
-            enumerate_kernel_shapes(2)
-            assert gc.isenabled() == collecting
-        finally:
-            (gc.enable if was else gc.disable)()
-
     def test_every_record_is_kernel_with_consistent_fields(self, catalog3):
         seen = set()
         for rec in catalog3.records:
-            assert _kernel_capacity(rec.shape.values) is not None
+            assert _kernel_capacity(rec.shape) is not None
             assert rec.capacity <= 3
             assert rec.size <= 2 * rec.capacity + 1
-            assert rec.capacity == count_132(rec.shape)
-            assert set(rec.cells) == feasible_cells_oracle(rec.shape.values)
+            assert rec.capacity == count_132_values(rec.shape)
+            assert set(rec.cells) == feasible_cells_oracle(rec.shape)
             assert list(rec.cells) == sorted(rec.cells, key=lambda ml: (ml[1], -ml[0]))
-            assert rec.shape.values not in seen
-            seen.add(rec.shape.values)
+            assert rec.shape not in seen
+            seen.add(rec.shape)
 
     def test_cross_check_against_full_scan(self, catalog2):
         # kernels of every permutation in S_t, t <= 2r+1, restricted to
@@ -93,7 +80,7 @@ class TestEnumerate:
                     if count_132_values(shape) <= r:
                         found.add(shape)
             cat = catalog if catalog is not None else enumerate_kernel_shapes(r)
-            assert found == {rec.shape.values for rec in cat.records}
+            assert found == {rec.shape for rec in cat.records}
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_pruned_search_matches_unbudgeted_search(self, r):
@@ -101,8 +88,8 @@ class TestEnumerate:
         # pattern of size 2r exceeds, so its prune cuts no kernel
         # permutation; this checks that budget r's prune cuts no shape
         # of capacity <= r
-        want = {p.values for p in iter_kernel_permutations(2 * r) if count_132(p) <= r}
-        got = {rec.shape.values for rec in enumerate_kernel_shapes(r).records if rec.size <= 2 * r}
+        want = {p for p in iter_kernel_permutations(2 * r) if count_132_values(p) <= r}
+        got = {rec.shape for rec in enumerate_kernel_shapes(r).records if rec.size <= 2 * r}
         assert got == want
 
     def test_threads_give_identical_catalog(self, catalog6):
@@ -112,22 +99,22 @@ class TestEnumerate:
     def test_pool_has_no_more_workers_than_jobs(self, serial_pool):
         # budget 4 at size 12 is the smallest search that takes the pool;
         # its depth-5 frontier is far smaller than 500
-        jobs = len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])
-        found = shapes._search(12, 4, threads=500, rows=True)
+        jobs = len(shapes._frontier(shapes._SPLIT_DEPTH, 4))
+        found = shapes._search(12, 4, threads=500)
         assert serial_pool == [jobs] and jobs < 500
-        assert sorted(found) == sorted(shapes._search(12, 4, rows=True))
+        assert sorted(found) == sorted(shapes._search(12, 4))
 
     def test_huge_thread_count_splits_only_the_frontier(self, serial_pool):
         # 4 * threads empty job lists would take about 25 MiB here
         tracemalloc.start()
         try:
-            found = shapes._search(12, 4, threads=10**5, rows=True)
+            found = shapes._search(12, 4, threads=10**5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert serial_pool == [len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])]
-        assert sorted(found) == sorted(shapes._search(12, 4, rows=True))
+        assert serial_pool == [len(shapes._frontier(shapes._SPLIT_DEPTH, 4))]
+        assert sorted(found) == sorted(shapes._search(12, 4))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rows_equal_the_records_the_union_find_gives(self, catalog6, threads):
@@ -169,7 +156,7 @@ class TestInversionClosure:
     @pytest.mark.parametrize("budget", [6, 7])
     def test_every_inverse_is_in_the_catalog_with_the_same_class(self, request, budget):
         catalog = request.getfixturevalue(f"catalog{budget}")
-        by_shape = {rec.shape.values: rec for rec in catalog.records}
+        by_shape = {rec.shape: rec for rec in catalog.records}
         for values, rec in by_shape.items():
             inv = by_shape.get(inverse_values(values))
             assert inv is not None, values
@@ -183,9 +170,9 @@ class TestInversionClosure:
 
 class TestExceptionalShape:
     def test_small_cases(self):
-        assert exceptional_shape(1) == perm_from_str("132")
-        assert exceptional_shape(2) == perm_from_str("35142")
-        assert exceptional_shape(3) == perm_from_str("5736142")
+        assert exceptional_shape(1) == (1, 3, 2)
+        assert exceptional_shape(2) == (3, 5, 1, 4, 2)
+        assert exceptional_shape(3) == (5, 7, 3, 6, 1, 4, 2)
 
     def test_postconditions_up_to_six(self):
         for r in range(1, 7):
@@ -232,7 +219,7 @@ class TestTightCuts:
             enumerate_kernel_shapes(6)
         # the plant changed the search: it lost shapes, and found nothing new
         [rows] = search_with_a_planted_cut
-        assert {row[0] for row in rows} < {rec.shape.values for rec in catalog6.records}
+        assert {row[0] for row in rows} < {rec.shape for rec in catalog6.records}
 
 
 class TestCensus:
@@ -311,6 +298,8 @@ EDITED_LINES = {
     "blank_line": (lambda line: "\n" + line, "bad JSON"),
     "nested_too_deep": (lambda line: "[" * 100_000 + "]" * 100_000, "bad JSON"),
     "not_a_kernel": (_edit_field("shape", lambda v: sorted(v)), "not a kernel permutation"),
+    # records hold bare values, so this is the one check that a shape read back is a permutation
+    "not_a_permutation": (_edit_field("shape", lambda v: [1, 3, 3, 2]), "not a permutation"),
 }
 
 
@@ -402,10 +391,10 @@ class TestSearchSoundness:
 
     def test_nothing_above_the_size_bound(self):
         assert iter_kernel_permutations(0) == []
-        assert [p.values for p in iter_kernel_permutations(1)] == [(1,)]
+        assert iter_kernel_permutations(1) == [(1,)]
 
     def test_unbounded_enumeration_matches_brute_force(self):
-        got = {p.values for p in iter_kernel_permutations(6)}
+        got = set(iter_kernel_permutations(6))
         want = set()
         for n in range(1, 7):
             for vals in permutations(range(1, n + 1)):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -63,7 +62,7 @@ class TestCatalogChecks:
 
     def test_maximal_shape_with_a_cell_missing(self, catalog3):
         records = tuple(
-            replace(rec, cells=rec.cells[:-1], lis_ne=rec.lis_ne[:-1])
+            rec._replace(cells=rec.cells[:-1], lis_ne=rec.lis_ne[:-1])
             if (rec.size, rec.capacity) == (7, 3) else rec
             for rec in catalog3.records
         )
