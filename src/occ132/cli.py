@@ -38,10 +38,14 @@ occurrences.
 PASS or FAIL for each of its checks, at most 10 violations under each
 failing one, and exit 1 when any check fails.
 
-``--threads`` runs the shape search, the oracle sweep and, from
-``check-invariants --max-n 7`` on, the structure sweep in a worker
-pool.  The search's workers return finished catalog rows, so a cold
-build leaves the parent only sorting, checking and writing them.
+``--threads`` runs in a worker pool each sweep large enough to repay
+the pool's start: the shape search from budget 6 on, the oracle sweep
+from ``verify --max-n 10`` on, or ``--max-n 9`` with an ``--occ`` of at
+least 5 (``oracle.POOL_FROM_BUDGET``), and the structure sweep from
+``check-invariants --max-n 7`` on; every smaller sweep runs in one
+process at any thread count.  The search's workers return finished
+catalog rows, so a cold build leaves the parent only sorting, checking
+and writing them.
 
 The oracle and the structure checks are imported by ``verify`` and
 ``check-invariants``, the commands that run them, so a solver command

@@ -5,7 +5,11 @@ and returns each one's list of violation descriptions (empty means the
 property held), keyed as in ``STRUCTURE_CHECKS``.  The cell order and
 the one-sided criterion are checked once per kernel permutation of size
 <= N, the others in one analysis of each permutation of size <= N.
-The one-sided criterion is read per feasible cell.  A permutation is
+The one-sided criterion is read per feasible cell.  A permutation whose
+analysis places no entry outside its kernel is a kernel permutation:
+its own shape with every cell empty, which is what ``decompose`` returns
+for it and what ``assemble`` turns back into it, so it is checked only
+to be one of the kernels the shape search found.  A permutation is
 the tuple of its one-line values, which ``analyze``, ``decompose`` and
 ``assemble``, the functions checked, take and return.
 
@@ -50,9 +54,12 @@ lexicographic order of the permutations: with a worker pool of any size
 every list, and every message's place in it, is the one a serial sweep
 gives.  The kernel pass and the domain count run in the calling
 process, the kernel pass before the pool starts, so that forked workers
-inherit the filled cell cache.  The workers get the cell counts and the
-size bound as pool initializer arguments, not from module state, so the
-result does not depend on the start method.
+inherit the filled cell cache.  The kernel pass fills that cache through
+``kernel._kernel_cells``: the search proved each of its permutations a
+kernel, so the union-find that guards ``_shape_cells`` against a
+non-kernel shape is not run on them again.  The workers get the cell
+counts and the size bound as pool initializer arguments, not from module
+state, so the result does not depend on the start method.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ from .kernel import (
     CellOrderError,
     DecompositionError,
     _feasible_cells,
-    _shape_cells,
+    _kernel_cells,
     analyze,
     assemble,
     decompose,
@@ -114,7 +121,7 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
     cell_count = {}
     for rho in iter_kernel_permutations(max_n):
         try:
-            cells = _shape_cells(rho)
+            cells = _kernel_cells(rho)  # the search proved rho a kernel
         except CellOrderError as exc:
             violations["feasible-cell order total"].append(str(exc))
             cells = _feasible_cells(rho)
@@ -134,9 +141,10 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
             domain_sizes[s + e] += kernels_alike * count
     # (n, first) in lexicographic order, the order of the permutations
     jobs = [(n, first) for n in range(1, max_n + 1) for first in range(1, n + 1)]
-    # Below n = 7 one process is faster than two: check-invariants took 0.105 against
-    # 0.123 s at max_n = 6 (8 of 10 alternating runs), but 0.273 against 0.222 s at 7
-    # (10 of 10; medians, 2-vCPU Xeon, two-process speedup 1.8-2.1, Python 3.11.7).
+    # Below n = 7 one process is faster than two: check-invariants took 0.111 against
+    # 0.137 s at max_n = 6 (medians of 12 runs), but 0.238 against 0.217 s at 7 (20
+    # alternating runs; 2-vCPU Xeon, Python 3.11.7).  The pool costs CPU time: 0.290
+    # against 0.238 s at 7.
     if threads > 1 and max_n >= 7:
         from multiprocessing import Pool
 
@@ -194,6 +202,14 @@ def _sweep_class(
         kernel = analysis.kernel
         if kernel.size > 2 * r + 1:
             violations.append(("kernel size bound", f"{perm_to_str(pi)}: kernel size {kernel.size}, r={r}"))
+        placed = analysis.placed
+        if not placed:
+            # a kernel permutation: its own shape, every cell empty, which
+            # decompose would return and assemble turn back into pi
+            if pi not in cell_count:
+                violations.append(("assemble/decompose inverse",
+                                   f"{perm_to_str(pi)}: a kernel permutation the search did not find"))
+            continue
         try:
             shape, contents = decompose(pi, analysis)
         except DecompositionError as exc:
@@ -202,16 +218,16 @@ def _sweep_class(
         except CellOrderError as exc:
             violations.append(("feasible-cell order total", f"{perm_to_str(pi)}: {exc}"))
             continue
-        placed = analysis.placed
-        for (m1, l1), entries1 in placed.items():
-            for (m2, l2), entries2 in placed.items():
-                if m1 == m2 and l1 < l2:
-                    if min(v for _, v in entries1) <= max(v for _, v in entries2):
-                        violations.append(("row value dominance", f"{perm_to_str(pi)}: C{m1},{l1} vs C{m2},{l2}"))
-                if l1 == l2 and m1 < m2:
-                    if min(p for p, _ in entries1) <= max(p for p, _ in entries2):
-                        violations.append(
-                            ("column position dominance", f"{perm_to_str(pi)}: C{m1},{l1} vs C{m2},{l2}"))
+        # per cell: the extremes of its positions (entries are in position order) and values
+        extremes = [(cell, entries[0][0], entries[-1][0], min(v for _, v in entries), max(v for _, v in entries))
+                    for cell, entries in placed.items()]
+        for (m1, l1), p_low, _, v_low, _ in extremes:
+            for (m2, l2), _, p_high, _, v_high in extremes:
+                if m1 == m2 and l1 < l2 and v_low <= v_high:
+                    violations.append(("row value dominance", f"{perm_to_str(pi)}: C{m1},{l1} vs C{m2},{l2}"))
+                if l1 == l2 and m1 < m2 and p_low <= p_high:
+                    violations.append(
+                        ("column position dominance", f"{perm_to_str(pi)}: C{m1},{l1} vs C{m2},{l2}"))
         if assemble(shape, contents) != pi:
             violations.append(("roundtrip decompose-assemble", perm_to_str(pi)))
         if cell_count.get(shape) != len(contents) or len(shape) + sum(map(len, contents)) > max_n:

@@ -30,8 +30,10 @@ position and value keys.
 A shape's feasible cells in dominance order are held in one cache keyed
 by the values tuple (``_shape_cells``).  ``decompose``, ``assemble`` and
 the cell checks of ``invariants`` read it; a non-kernel or an
-incomparable pair of cells raises again on every call.  A catalog row's
-cells and northeast runs come from one uncached helper
+incomparable pair of cells raises again on every call.  The structure
+sweep fills it for the shape search's kernels through ``_kernel_cells``,
+which skips the union-find that proves an argument is a kernel.  A
+catalog row's cells and northeast runs come from one uncached helper
 (``_cells_and_runs``).  The shape search's jobs call it beside the
 capacity they counted themselves; ``shape_record`` calls it beside the
 capacity of the union-find.
@@ -49,7 +51,6 @@ very row a search job returns, its shape the tuple of one-line values.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from functools import lru_cache
 from itertools import accumulate
 from operator import or_
 from typing import NamedTuple, Sequence
@@ -141,7 +142,9 @@ def analyze(pi: tuple[int, ...]) -> Analysis:
     for pos, val, l in others:
         placed.setdefault((bisect_left(kvals, val) + 1, l), []).append((pos, val))
     components = [(tuple(positions), counts[root]) for root, positions in by_root.items()]
-    kernel = Kernel(tuple(kpos), reduce_to_pattern(values), len(kpos), counts[top])
+    # a kernel permutation (no entry outside its kernel) is its own shape
+    shape = reduce_to_pattern(values) if others else tuple(pi)
+    kernel = Kernel(tuple(kpos), shape, len(kpos), counts[top])
     return Analysis(sum(counts), components, kernel, placed)
 
 
@@ -272,18 +275,34 @@ def _ordered_cells(values: tuple[int, ...], feasible: frozenset[tuple[int, int]]
     return tuple(cells)
 
 
-@lru_cache(maxsize=None)
+_CELL_CACHE: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+
+
 def _shape_cells(values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Feasible cells of the kernel permutation `values` in dominance
     order: the one per-shape cache.
 
     For 1423 these are C_41, C_13, C_14, C_15.  A ``ValueError`` (not a
     kernel) or :class:`CellOrderError` is raised again on every call:
-    ``lru_cache`` keeps only results.
+    the cache keeps only results.
     """
-    if _kernel_capacity(values) is None:
-        raise ValueError(f"not a kernel permutation: {values}")
-    return _ordered_cells(values, _feasible_cells(values))
+    cells = _CELL_CACHE.get(values)
+    if cells is None:
+        if _kernel_capacity(values) is None:
+            raise ValueError(f"not a kernel permutation: {values}")
+        cells = _kernel_cells(values)
+    return cells
+
+
+_shape_cells.cache_clear = _CELL_CACHE.clear
+
+
+def _kernel_cells(values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """:func:`_shape_cells` of a permutation already known to be a kernel
+    permutation, such as one the shape search produced: it runs no
+    union-find, and caches the cells for :func:`_shape_cells`."""
+    cells = _CELL_CACHE[values] = _ordered_cells(values, _feasible_cells(values))
+    return cells
 
 
 def _cells_and_runs(values: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -339,7 +358,9 @@ def decompose(pi: tuple[int, ...], analysis: Analysis) -> tuple[tuple[int, ...],
                     f"component {positions} of {perm_to_str(pi)} straddles cells {sorted(comp_cells)}"
                 )
     contents = tuple(
-        reduce_to_pattern([val for _, val in placed[cell]]) if cell in placed else ()
+        () if cell not in placed
+        else (1,) if len(placed[cell]) == 1
+        else reduce_to_pattern([val for _, val in placed[cell]])
         for cell in cells
     )
     return kernel.shape, contents

@@ -71,7 +71,10 @@ unless it exceeds the budget: the skip is checked, not trusted.
 Sweeps are partitioned by the leading entry, which makes them trivially
 data-parallel; partial tallies merge by addition, so results do not
 depend on the number of workers.  ``joint_tables`` sweeps several n as
-one batch of such jobs, through a single worker pool.
+one batch of such jobs.  With more than one thread the batch runs in a
+single worker pool when it is large enough to repay the pool's start,
+by one rule that reads only the largest swept size and the budget
+(``POOL_FROM_BUDGET``); every smaller batch runs in the calling process.
 """
 
 from __future__ import annotations
@@ -83,6 +86,16 @@ from typing import Iterable
 from .perms import Permutation, count_132_values, lis_length, occurrences_132
 
 SWEEP_GUARD = 10
+
+# With threads > 1, a sweep whose largest size n is a key here runs in a
+# worker pool from the budget given for n on (unbudgeted sweeps included);
+# every other sweep runs in one process, where it is faster.  Serial against
+# pooled (two workers) joint_tables, wall ms, medians of 5 fresh processes on
+# a shared 2-vCPU Xeon, Python 3.11.7: S_0..S_8 unbudgeted 32/48; S_0..S_9 at
+# budget 2, 4, 5, 6 and unbudgeted 54/57, 90/89, 102/83, 115/93, 294/193;
+# S_0..S_10 at budget 0, 2 and 6 106/85, 261/181, 686/399.  A pool always
+# costs more CPU time: 94 against 54 ms at S_9, budget 2.
+POOL_FROM_BUDGET = {9: 5, 10: 0}
 
 # Every 97th permutation (by lexicographic index) is re-counted with the
 # cubic listing scan and patience sorting as a cross-check on the sweep.
@@ -233,9 +246,10 @@ def joint_tables(
     most that many occurrences.
 
     Each call sweeps every n in `ns` in one pass: its first-entry classes
-    are jobs, largest n first so the longest jobs start first, and with
-    threads > 1 they all go through one worker pool of at most one
-    process per job.
+    are jobs, largest n first so the longest jobs start first.  With
+    threads > 1 and a sweep that ``POOL_FROM_BUDGET`` pools, they all go
+    through one worker pool of at most one process per job; otherwise
+    they run in this process.
     """
     if max_occ is not None and max_occ < 0:
         raise OracleError(f"max_occ must be nonnegative, got {max_occ}")
@@ -248,7 +262,8 @@ def joint_tables(
         for n in ns
         for first in range(1, n + 1)
     ]
-    if threads > 1 and jobs:
+    top = ns[0] if ns else None
+    if threads > 1 and top in POOL_FROM_BUDGET and budgets[top] >= POOL_FROM_BUDGET[top]:
         from multiprocessing import Pool
 
         with Pool(min(threads, len(jobs))) as pool:

@@ -67,6 +67,9 @@ class _Ring:
     coefficients, lowest degree first, of the product of those cells'
     families; a cell of budget b has the family levels[(., b)].  A
     product is extended only as far as some caller has asked.
+    ``powers`` lists the powers of the unrestricted level 0, from its
+    0-th, each one product on the one before: a chain apart from
+    ``products``, which the maximal-shape check compares it with.
     """
 
     def __init__(self, one, level0):
@@ -74,6 +77,13 @@ class _Ring:
         self.zero = one * 0
         self.levels: dict = {(0, None): level0}
         self.products: dict[tuple, list] = {}
+        self.powers = [one]
+
+    def power(self, e: int):
+        """The unrestricted level 0 to the e-th power."""
+        while len(self.powers) <= e:
+            self.powers.append(self.powers[-1] * self.levels[(0, None)])
+        return self.powers[e]
 
     def product(self, key: tuple, degree: int) -> list:
         """Marker coefficients 0..degree (the list may run further) of the
@@ -197,6 +207,6 @@ class Solver:
             cells = next((len(runs) for s, c, _, runs in self._table if (s, c) == (2 * r + 1, r)), None)
             if cells is None:
                 raise CatalogError(f"catalog lacks the maximal shape for budget {r}")
-            if ring.product((None,) * cells, 0)[0] != level(0) ** (r + 2):
+            if ring.product((None,) * cells, 0)[0] != ring.power(r + 2):
                 raise SolverError(f"maximal-shape contribution mismatch at level {r}")
         return result

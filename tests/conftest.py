@@ -124,3 +124,24 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     return sizes
+
+
+@pytest.fixture
+def every_sweep_pooled(monkeypatch):
+    """The oracle's pool rule set to pool every sweep of threads > 1, and
+    multiprocessing.Pool wrapped to record the process count of each pool
+    it starts.  Returns the list of recorded counts."""
+    import multiprocessing
+
+    from occ132 import oracle
+
+    monkeypatch.setattr(oracle, "POOL_FROM_BUDGET", dict.fromkeys(range(1, oracle.SWEEP_GUARD + 1), 0))
+    sizes = []
+    real = multiprocessing.Pool
+
+    def recording(processes, *args, **kwargs):
+        sizes.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording)
+    return sizes

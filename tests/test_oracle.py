@@ -33,10 +33,23 @@ def cut(table, budget):
 
 
 def test_pool_has_no_more_workers_than_jobs(serial_pool):
-    # S_1..S_7 make 1 + 2 + ... + 7 = 28 first-entry jobs
-    pooled = joint_tables(range(8), threads=500)
-    assert serial_pool == [28]
-    assert pooled == joint_tables(range(8))
+    # S_1..S_10 make 1 + 2 + ... + 10 = 55 first-entry jobs, and any
+    # sweep up to n = 10 is pooled
+    pooled = joint_tables(range(11), threads=500, max_occ=0)
+    assert serial_pool == [55]
+    assert pooled == joint_tables(range(11), max_occ=0)
+
+
+def test_pool_rule_reads_the_largest_size_and_the_budget(serial_pool):
+    # the sweeps of verify --max-n 9 at budgets up to 2 run in one process
+    # at any thread count, and one that reaches n = 10 starts a pool, as
+    # does verify --occ 6 --max-n 10 with its larger budget
+    for budget in range(3):
+        joint_tables(range(10), threads=2, max_occ=budget)
+    assert serial_pool == []
+    joint_tables(range(11), threads=2, max_occ=0)
+    assert serial_pool == [2]
+    assert oracle.POOL_FROM_BUDGET[10] <= 6
 
 
 def test_count_exact_examples(full_tables):
@@ -102,19 +115,21 @@ def test_guard():
         joint_tables([-1])
 
 
-def test_thread_count_does_not_change_results():
+def test_thread_count_does_not_change_results(every_sweep_pooled):
     # n = 8 gives 8 first-entry jobs for 2 workers, one job per task
     serial = joint_tables([8], threads=1)
     parallel = joint_tables([8], threads=2)
+    assert every_sweep_pooled == [2]
     assert serial == parallel
 
 
-def test_joint_tables_match_one_n_sweeps():
+def test_joint_tables_match_one_n_sweeps(every_sweep_pooled):
     # one batched sweep over several n, serial and through one pool,
     # gives each n the table of its own sweep
     singles = {n: joint_tables([n])[n] for n in range(8)}
     for threads in (1, 2):
         assert joint_tables(range(8), threads=threads) == singles
+    assert every_sweep_pooled == [2]
     with pytest.raises(OracleError):
         joint_tables([3, 11])
 
@@ -144,12 +159,14 @@ def test_spot_checks_reach_every_order_of_the_closed_leaf(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_budgeted_tables_are_the_full_tables_cut_at_the_budget(full_tables, threads):
-    for budget in range(math.comb(8, 3) + 2):
+def test_budgeted_tables_are_the_full_tables_cut_at_the_budget(full_tables, every_sweep_pooled, threads):
+    budgets = range(math.comb(8, 3) + 2)
+    for budget in budgets:
         # each n up to one past its largest budget C(n, 3), in one batch
         ns = [n for n in range(9) if budget <= math.comb(n, 3) + 1]
         got = joint_tables(ns, threads=threads, max_occ=budget)
         assert got == {n: cut(full_tables[n], budget) for n in ns}, budget
+    assert len(every_sweep_pooled) == (len(budgets) if threads > 1 else 0)
 
 
 def test_negative_budget_rejected():
