@@ -214,14 +214,6 @@ class AlgebraicFunction:
     def __truediv__(self, other: AlgebraicFunction) -> AlgebraicFunction:
         return self * other.inverse()
 
-    def __pow__(self, e: int) -> AlgebraicFunction:
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = AlgebraicFunction.from_poly((1,))
-        for _ in range(e):
-            out = out * self
-        return out
-
     def shifted(self, k: int) -> AlgebraicFunction:
         """Multiply by x^k."""
         if k < 0:

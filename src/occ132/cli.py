@@ -39,9 +39,11 @@ PASS or FAIL for each of its checks, at most 10 violations under each
 failing one, and exit 1 when any check fails.
 
 ``--threads`` runs in a worker pool each sweep large enough to repay
-the pool's start: the shape search from budget 6 on, the oracle sweep
-from ``verify --max-n 10`` on, or ``--max-n 9`` with an ``--occ`` of at
-least 5 (``oracle.POOL_FROM_BUDGET``), and the structure sweep from
+the pool's start; the three sweeps hand their jobs to one runner,
+``jobs.run_jobs``, each by its own pool rule: the shape search from
+budget 6 on, the oracle sweep from ``verify --max-n 10`` on, or
+``--max-n 9`` with an ``--occ`` of at least 5
+(``oracle.POOL_FROM_BUDGET``), and the structure sweep from
 ``check-invariants --max-n 7`` on; every smaller sweep runs in one
 process at any thread count.  The search's workers return finished
 catalog rows, so a cold build leaves the parent only sorting, checking
@@ -237,12 +239,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check_invariants(args) -> int:
     from .invariants import STRUCTURE_CHECKS, structure_sweep
-    from .oracle import SWEEP_GUARD
 
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
-    if args.max_n > SWEEP_GUARD:
-        raise ValueError(f"--max-n {args.max_n} exceeds the sweep guard {SWEEP_GUARD}")
     sweep = structure_sweep(args.max_n, threads=args.threads)
     for name, scope in STRUCTURE_CHECKS.items():
         label = name if scope is None else f"{name} ({scope} <= {args.max_n})"

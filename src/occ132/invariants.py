@@ -57,9 +57,10 @@ process, the kernel pass before the pool starts, so that forked workers
 inherit the filled cell cache.  The kernel pass fills that cache through
 ``kernel._kernel_cells``: the search proved each of its permutations a
 kernel, so the union-find that guards ``_shape_cells`` against a
-non-kernel shape is not run on them again.  The workers get the cell
-counts and the size bound as pool initializer arguments, not from module
-state, so the result does not depend on the start method.
+non-kernel shape is not run on them again.  The jobs go to
+``jobs.run_jobs``, which hands each worker the cell counts and the size
+bound through the pool initializer, so the result does not depend on the
+start method.
 """
 
 from __future__ import annotations
@@ -79,8 +80,12 @@ from .kernel import (
     assemble,
     decompose,
 )
+from .jobs import run_jobs
 from .perms import perm_to_str
 from .shapes import iter_kernel_permutations
+
+# The largest size bound structure_sweep accepts (S_10 has 3.6 M permutations).
+SWEEP_GUARD = 10
 
 # Each check of structure_sweep in report order, with what its size bound N
 # ranges over; None for the two checks made once per kernel permutation.
@@ -115,8 +120,11 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
       permutations, and D has n! pairs of each assembled size n.
 
     The permutations are swept as jobs of (n, first entry); with
-    threads > 1 and max_n >= 7 the jobs run in a worker pool.
+    threads > 1 and max_n >= 7 the jobs run in a worker pool.  Raises
+    ValueError before any work when max_n is not in 1..SWEEP_GUARD.
     """
+    if not 1 <= max_n <= SWEEP_GUARD:
+        raise ValueError(f"max_n must be in 1..{SWEEP_GUARD} (the sweep guard), got {max_n}")
     violations: dict[str, list[str]] = {name: [] for name in STRUCTURE_CHECKS}
     cell_count = {}
     for rho in iter_kernel_permutations(max_n):
@@ -144,17 +152,9 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
     # Below n = 7 one process is faster than two: check-invariants took 0.111 against
     # 0.137 s at max_n = 6 (medians of 12 runs), but 0.238 against 0.217 s at 7 (20
     # alternating runs; 2-vCPU Xeon, Python 3.11.7).  The pool costs CPU time: 0.290
-    # against 0.238 s at 7.
-    if threads > 1 and max_n >= 7:
-        from multiprocessing import Pool
-
-        with Pool(min(threads, len(jobs)), initializer=_init_worker,
-                  initargs=(cell_count, max_n)) as pool:
-            # largest n first, so the longest jobs start first
-            parts = pool.map(_sweep_job, jobs[::-1], chunksize=1)[::-1]
-    else:
-        parts = [_sweep_class(n, first, cell_count, max_n) for n, first in jobs]
-    for part in parts:
+    # against 0.238 s at 7.  Largest n first, so the longest jobs start first.
+    parts = run_jobs(_sweep_class, jobs[::-1], threads if max_n >= 7 else 1, (cell_count, max_n))
+    for part in reversed(parts):
         for name, message in part:
             violations[name].append(message)
     for n in range(1, max_n + 1):
@@ -163,19 +163,6 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
                 f"{domain_sizes[n]} pairs of assembled size {n} enumerated for {factorial(n)} permutations"
             )
     return violations
-
-
-# (cell_count, max_n) of the sweep, set in each worker by its pool's initializer
-_worker_context: tuple[dict[tuple[int, ...], int], int]
-
-
-def _init_worker(cell_count: dict[tuple[int, ...], int], max_n: int) -> None:
-    global _worker_context
-    _worker_context = (cell_count, max_n)
-
-
-def _sweep_job(job: tuple[int, int]) -> list[tuple[str, str]]:
-    return _sweep_class(*job, *_worker_context)
 
 
 def _southwest_dominated(values: tuple[int, ...], cells: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -294,9 +294,6 @@ def _shape_cells(values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return cells
 
 
-_shape_cells.cache_clear = _CELL_CACHE.clear
-
-
 def _kernel_cells(values: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """:func:`_shape_cells` of a permutation already known to be a kernel
     permutation, such as one the shape search produced: it runs no

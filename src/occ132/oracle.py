@@ -72,9 +72,10 @@ Sweeps are partitioned by the leading entry, which makes them trivially
 data-parallel; partial tallies merge by addition, so results do not
 depend on the number of workers.  ``joint_tables`` sweeps several n as
 one batch of such jobs.  With more than one thread the batch runs in a
-single worker pool when it is large enough to repay the pool's start,
-by one rule that reads only the largest swept size and the budget
-(``POOL_FROM_BUDGET``); every smaller batch runs in the calling process.
+single worker pool (``jobs.run_jobs``) when it is large enough to repay
+the pool's start, by one rule that reads only the largest swept size and
+the budget (``POOL_FROM_BUDGET``); every smaller batch runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ import math
 from bisect import bisect_left
 from typing import Iterable
 
+from .jobs import run_jobs
 from .perms import Permutation, count_132_values, lis_length, occurrences_132
 
 SWEEP_GUARD = 10
@@ -263,13 +265,8 @@ def joint_tables(
         for first in range(1, n + 1)
     ]
     top = ns[0] if ns else None
-    if threads > 1 and top in POOL_FROM_BUDGET and budgets[top] >= POOL_FROM_BUDGET[top]:
-        from multiprocessing import Pool
-
-        with Pool(min(threads, len(jobs))) as pool:
-            parts = pool.starmap(_sweep_class, jobs, chunksize=1)
-    else:
-        parts = [_sweep_class(*job) for job in jobs]
+    pooled = top in POOL_FROM_BUDGET and budgets[top] >= POOL_FROM_BUDGET[top]
+    parts = run_jobs(_sweep_class, jobs, threads if pooled else 1)
     merged = {n: [0] * _tally_size(n) for n in ns}
     for (n, *_), part in zip(jobs, parts):
         merged[n] = [x + y for x, y in zip(merged[n], part)]

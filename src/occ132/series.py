@@ -101,14 +101,6 @@ class PowerSeries:
             q[n] = acc
         return PowerSeries(tuple(q))
 
-    def __pow__(self, exponent: int) -> PowerSeries:
-        if exponent < 0:
-            raise ValueError("negative powers are not truncated series")
-        result = PowerSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def shifted(self, k: int) -> PowerSeries:
         """Multiply by x^k, keeping the order (high coefficients drop off)."""
         if k < 0:

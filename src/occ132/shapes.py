@@ -116,9 +116,9 @@ from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-# kernel, perms and multiprocessing are imported by the functions that
-# search, build, fold or parse records, so a solve from a fold sidecar
-# loads none of them.
+# kernel, perms and jobs (with the worker pool) are imported by the
+# functions that search, build, fold or parse records, so a solve from a
+# fold sidecar loads none of them.
 if TYPE_CHECKING:
     from .kernel import KernelShapeRecord
 
@@ -359,25 +359,22 @@ def _frontier(depth: int, max_occ: int) -> list[_State]:
 
 def _search(max_size: int, max_occ: int, threads: int = 1) -> list:
     """The catalog rows (see :func:`_dfs`) of every kernel pattern of
-    size <= max_size with at most max_occ occurrences; each job builds
-    the rows of the patterns it finds."""
+    size <= max_size with at most max_occ occurrences: the rows above the
+    split depth, then one job per slice of its states, each building the
+    rows of the patterns it finds."""
+    from .jobs import run_jobs
+
+    found = _dfs(min(max_size, _SPLIT_DEPTH - 1), max_occ, [_root_state()])
+    frontier = _frontier(_SPLIT_DEPTH, max_occ)
+    step = min(4 * max(threads, 1), len(frontier))
+    jobs = [(max_size, max_occ, frontier[i::step]) for i in range(step)]
     # Up to size 11 (budget 5) one process is faster than a pool: 54 against
     # 71 ms with 2 workers at size 11, one process ahead in 10 of 10
     # alternating runs; at size 13 (budget 6) the pool won 9 of 10, 0.17
     # against 0.27 s (medians, fresh processes, shared 2-vCPU Xeon whose
     # two-process speedup read 1.4-2.2, Python 3.11.7).
-    if threads <= 1 or max_size <= 11:
-        return _dfs(max_size, max_occ, [_root_state()])
-    from multiprocessing import Pool
-
-    # the rows above the split depth, then one job per slice of its states
-    found = _dfs(_SPLIT_DEPTH - 1, max_occ, [_root_state()])
-    frontier = _frontier(_SPLIT_DEPTH, max_occ)
-    step = min(4 * threads, len(frontier))
-    jobs = [(max_size, max_occ, frontier[i::step]) for i in range(step)]
-    with Pool(min(threads, len(jobs))) as pool:
-        for part in pool.starmap(_dfs, jobs):
-            found.extend(part)
+    for part in run_jobs(_dfs, jobs, threads if max_size > 11 else 1):
+        found.extend(part)
     return found
 
 

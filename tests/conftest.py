@@ -3,7 +3,7 @@ import inspect
 
 import pytest
 
-from occ132 import enumerate_kernel_shapes, joint_tables, shapes
+from occ132 import enumerate_kernel_shapes, jobs, joint_tables, shapes
 
 
 @pytest.fixture(scope="session")
@@ -103,15 +103,17 @@ def search_with_a_planted_cut(request, monkeypatch, catalog6):
 @pytest.fixture
 def serial_pool(monkeypatch):
     """multiprocessing.Pool replaced by one that starts no process: it
-    records the process count it was asked for and starmaps in this process.
-    Returns the list of recorded counts."""
+    records the process count the job runner asked for, runs the pool
+    initializer and maps in this process.  Returns the list of recorded
+    counts."""
     import multiprocessing
 
     sizes = []
 
     class SerialPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -119,9 +121,11 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, func, jobs, chunksize=None):
-            return [func(*job) for job in jobs]
+        def map(self, func, jobs, chunksize=None):
+            return [func(job) for job in jobs]
 
+    # the initializer sets the worker's task here, in this process
+    monkeypatch.setattr(jobs, "_task", None, raising=False)
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     return sizes
 
@@ -130,7 +134,7 @@ def serial_pool(monkeypatch):
 def every_sweep_pooled(monkeypatch):
     """The oracle's pool rule set to pool every sweep of threads > 1, and
     multiprocessing.Pool wrapped to record the process count of each pool
-    it starts.  Returns the list of recorded counts."""
+    the job runner starts.  Returns the list of recorded counts."""
     import multiprocessing
 
     from occ132 import oracle

@@ -234,16 +234,20 @@ def test_criterion_10_self_consistency(solver, catalog6):
     ok = True
     catalan = solver.occurrence_series(0)
     catalan_af = solver.occurrence_closed_form(0)
+    series_one = PowerSeries.one(catalan.order)
+    af_one = AlgebraicFunction.from_poly((1,))
     for r in range(1, 7):
         rec = next(
             rec for rec in catalog6.records if rec.size == 2 * r + 1 and rec.capacity == r
         )
         f = len(rec.cells)
-        series_term = (catalan ** f).shifted(rec.size)
-        series_direct = (catalan ** (r + 2)).shifted(2 * r + 1)
+        series_term = math.prod([catalan] * f, start=series_one).shifted(rec.size)
+        series_direct = math.prod([catalan] * (r + 2), start=series_one).shifted(2 * r + 1)
         ok = ok and f == r + 2 and series_term == series_direct
-        af_term = AlgebraicFunction.from_poly((0,) * rec.size + (1,)) * catalan_af**f
-        af_direct = AlgebraicFunction.from_poly((0,) * (2 * r + 1) + (1,)) * catalan_af ** (r + 2)
+        af_term = AlgebraicFunction.from_poly((0,) * rec.size + (1,)) * math.prod(
+            [catalan_af] * f, start=af_one)
+        af_direct = AlgebraicFunction.from_poly((0,) * (2 * r + 1) + (1,)) * math.prod(
+            [catalan_af] * (r + 2), start=af_one)
         ok = ok and af_term == af_direct
     for r in range(7):
         ok = ok and af_to_series(solver.occurrence_closed_form(r), ORDER) == solver.occurrence_series(r)

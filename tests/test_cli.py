@@ -601,9 +601,10 @@ def test_warm_solves_import_only_the_solver_path(capsys, tmp_path):
 
 
 def test_check_invariants_does_not_load_multiprocessing():
-    # the command reads the oracle's sweep guard but never sweeps
+    # a sweep this small runs in one process, and the command has its own
+    # sweep guard, so it loads neither the pool nor the oracle
     probe = subprocess.run(
-        [sys.executable, "-c", LOADED_PROBE, "multiprocessing,occ132.invariants",
+        [sys.executable, "-c", LOADED_PROBE, "multiprocessing,occ132.oracle,occ132.invariants",
          "check-invariants", "--max-n", "3"],
         capture_output=True, text=True, env=cli_env(), timeout=60)
     assert probe.returncode == 0, probe.stderr
@@ -709,8 +710,8 @@ def test_check_invariants_refuses_beyond_sweep_guard(capsys, monkeypatch):
         raise AssertionError("a sweep started")
 
     monkeypatch.setattr(invariants, "iter_kernel_permutations", no_sweep)
-    monkeypatch.setattr(invariants, "structure_sweep", no_sweep)
-    code, out, err = run(capsys, "check-invariants", "--max-n", str(SWEEP_GUARD + 2))
+    monkeypatch.setattr(invariants, "run_jobs", no_sweep)
+    code, out, err = run(capsys, "check-invariants", "--max-n", str(invariants.SWEEP_GUARD + 2))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "sweep guard" in err
 

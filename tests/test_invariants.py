@@ -58,7 +58,7 @@ def _incomparable_cells(mp):
         raise CellOrderError(f"planted: cells of {values} incomparable")
 
     mp.setattr(occ132.kernel, "_ordered_cells", planted)
-    occ132.kernel._shape_cells.cache_clear()  # else cached orders skip the plant
+    occ132.kernel._CELL_CACHE.clear()  # else cached orders skip the plant
 
 
 def _swap_first_two(assemble):
@@ -128,6 +128,17 @@ def test_filled_cell_cache_still_rejects_non_kernel_shapes():
                 assemble(rho, ())
             with pytest.raises(ValueError, match="not a kernel"):
                 decompose(rho, forged)
+
+
+@pytest.mark.parametrize("max_n", [-3, 0, occ132.invariants.SWEEP_GUARD + 1])
+def test_size_bound_out_of_range_is_refused_before_any_work(monkeypatch, max_n):
+    # a sweep over no size would pass every check vacuously
+    def no_sweep(*args):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(occ132.invariants, "iter_kernel_permutations", no_sweep)
+    with pytest.raises(ValueError, match="max_n"):
+        structure_sweep(max_n)
 
 
 def test_every_check_has_a_plant():
