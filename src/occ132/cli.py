@@ -44,8 +44,9 @@ the pool's start; the three sweeps hand their jobs to one runner,
 budget 6 on, the oracle sweep from ``verify --max-n 10`` on, or
 ``--max-n 9`` with an ``--occ`` of at least 5
 (``oracle.POOL_FROM_BUDGET``), and the structure sweep from
-``check-invariants --max-n 7`` on; every smaller sweep runs in one
-process at any thread count.  The search's workers return finished
+``check-invariants --max-n 8`` on (``invariants.POOL_FROM_MAX_N``);
+every smaller sweep runs in one process at any thread count and does
+not even import the pool's module.  The search's workers return finished
 catalog rows, so a cold build leaves the parent only sorting, checking
 and writing them.
 

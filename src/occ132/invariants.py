@@ -87,6 +87,14 @@ from .shapes import iter_kernel_permutations
 # The largest size bound structure_sweep accepts (S_10 has 3.6 M permutations).
 SWEEP_GUARD = 10
 
+# With threads > 1, a sweep runs in a worker pool from this size bound on.
+# At max_n = 7 a pool of two moved the wall time of check-invariants by -21,
+# +40 and -35 ms (from 0.238, 0.259 and 0.318 s in one process) for 38 to
+# 73 ms more CPU time, its import included; at 8 it saved 0.49 and 0.99 s
+# of 1.64 and 2.45 s (medians of 10-20 alternating fresh runs in each of
+# three sets; shared 2-vCPU Xeon hosts, Python 3.11.7).
+POOL_FROM_MAX_N = 8
+
 # Each check of structure_sweep in report order, with what its size bound N
 # ranges over; None for the two checks made once per kernel permutation.
 STRUCTURE_CHECKS = {
@@ -120,7 +128,8 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
       permutations, and D has n! pairs of each assembled size n.
 
     The permutations are swept as jobs of (n, first entry); with
-    threads > 1 and max_n >= 7 the jobs run in a worker pool.  Raises
+    threads > 1 and max_n >= POOL_FROM_MAX_N (8) the jobs run in a worker
+    pool, and every smaller sweep runs in this process.  Raises
     ValueError before any work when max_n is not in 1..SWEEP_GUARD.
     """
     if not 1 <= max_n <= SWEEP_GUARD:
@@ -149,11 +158,8 @@ def structure_sweep(max_n: int, threads: int = 1) -> dict[str, list[str]]:
             domain_sizes[s + e] += kernels_alike * count
     # (n, first) in lexicographic order, the order of the permutations
     jobs = [(n, first) for n in range(1, max_n + 1) for first in range(1, n + 1)]
-    # Below n = 7 one process is faster than two: check-invariants took 0.111 against
-    # 0.137 s at max_n = 6 (medians of 12 runs), but 0.238 against 0.217 s at 7 (20
-    # alternating runs; 2-vCPU Xeon, Python 3.11.7).  The pool costs CPU time: 0.290
-    # against 0.238 s at 7.  Largest n first, so the longest jobs start first.
-    parts = run_jobs(_sweep_class, jobs[::-1], threads if max_n >= 7 else 1, (cell_count, max_n))
+    # Largest n first, so the longest jobs start first.
+    parts = run_jobs(_sweep_class, jobs[::-1], threads if max_n >= POOL_FROM_MAX_N else 1, (cell_count, max_n))
     for part in reversed(parts):
         for name, message in part:
             violations[name].append(message)

@@ -65,8 +65,9 @@ subtrees too, so a budgeted sweep spot-checks each visited permutation
 at the index an unbudgeted one would.  A skipped subtree that holds one
 or more stride indices has the permutation at its first such index
 recounted with the quadratic ``count_132_values``, which shares nothing
-with the walk's D vector, and :class:`OracleError` is raised
-unless it exceeds the budget: the skip is checked, not trusted.
+with the walk's D vector and stops as soon as its running total exceeds
+the budget, and :class:`OracleError` is raised unless it does: the skip
+is checked, not trusted.
 
 Sweeps are partitioned by the leading entry, which makes them trivially
 data-parallel; partial tallies merge by addition, so results do not
@@ -128,8 +129,8 @@ def _spot_check(values: tuple[int, ...], occ: int, lis: int) -> None:
 
 def _check_skipped(values: tuple[int, ...], budget: int) -> None:
     """Recount one permutation of a skipped subtree with the quadratic
-    count; it must have more occurrences than the budget."""
-    counted = count_132_values(values)
+    count, which stops once it exceeds the budget: it must."""
+    counted = count_132_values(values, limit=budget)
     if counted <= budget:
         raise OracleError(
             f"sweep skipped {values}, which has {counted} occurrences, within the budget {budget}")

@@ -16,7 +16,6 @@ and as comma-separated integers for larger sizes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 
@@ -28,9 +27,9 @@ class Occurrence(NamedTuple):
     k: int
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n} in one-line notation.
+    """A permutation of {1..n} in one-line notation, immutable and
+    compared and hashed by its values.
 
     >>> Permutation((1, 3, 2))(2)
     3
@@ -38,15 +37,32 @@ class Permutation:
     0
     """
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        n = len(values)
         seen = [False] * (n + 1)
-        for v in self.values:
+        for v in values:
             if type(v) is not int or not 1 <= v <= n or seen[v]:
-                raise ValueError(f"not a permutation of 1..{n}: {self.values!r}")
+                raise ValueError(f"not a permutation of 1..{n}: {values!r}")
             seen[v] = True
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Permutation is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.values == other.values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"Permutation(values={self.values!r})"
+
+    def __reduce__(self):
+        return Permutation, (self.values,)
 
     @property
     def n(self) -> int:
@@ -99,15 +115,22 @@ def occurrences_132(pi: Permutation) -> list[Occurrence]:
     return out
 
 
-def count_132_values(values: Sequence[int]) -> int:
-    """Number of occurrences of 132 in a rearrangement of 1..n.
+def count_132_values(values: Sequence[int], limit: int | None = None) -> int:
+    """Number of occurrences of 132 in a rearrangement of 1..n; with
+    `limit`, some number above `limit` as soon as the running total
+    exceeds it, so the count is exact whenever it is at most `limit`.
 
     Quadratic method: scanning j from the left, ``cnt_less[v]`` holds the
     number of entries before j that are smaller than v, so each pair
     j < k with values[k] < values[j] contributes cnt_less[values[k]]
     choices for the opening entry.
+
+    >>> count_132_values((1, 4, 2, 5, 3)), count_132_values((1, 4, 2, 5, 3), limit=1)
+    (4, 2)
     """
     n = len(values)
+    if limit is None:
+        limit = n * n * n  # above C(n, 3), which no count reaches
     total = 0
     cnt_less = [0] * (n + 2)
     for j in range(n):
@@ -116,6 +139,8 @@ def count_132_values(values: Sequence[int]) -> int:
             vk = values[k]
             if vk < vj:
                 total += cnt_less[vk]
+        if total > limit:
+            break
         for v in range(vj + 1, n + 2):
             cnt_less[v] += 1
     return total

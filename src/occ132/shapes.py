@@ -349,23 +349,27 @@ def _dfs(max_size: int, max_occ: int, roots: list[_State]) -> list:
     return [(pat, cnt, *_cells_and_runs(pat)) for pat, cnt in _walk(max_size, max_occ, roots)]
 
 
-def _frontier(depth: int, max_occ: int) -> list[_State]:
-    """All surviving states at `depth`."""
+def _frontier(depth: int, max_occ: int) -> tuple[list, list[_State]]:
+    """The catalog rows (see :func:`_dfs`) of the connected patterns of
+    size < depth, and all surviving states at `depth`, level by level."""
+    rows = []
     level = [_root_state()]
-    for _ in range(1, depth):
+    for size in range(1, depth):
+        # bounded at the level's own size, a job lists its connected patterns only
+        rows.extend(_dfs(size, max_occ, level))
         level = [child for state in level for child in _children(state, max_occ, False)]
-    return level
+    return rows, level
 
 
 def _search(max_size: int, max_occ: int, threads: int = 1) -> list:
     """The catalog rows (see :func:`_dfs`) of every kernel pattern of
-    size <= max_size with at most max_occ occurrences: the rows above the
-    split depth, then one job per slice of its states, each building the
+    size <= max_size with at most max_occ occurrences: the rows the
+    frontier passed on its way to the split depth (or to max_size, if
+    smaller), then one job per slice of its states, each building the
     rows of the patterns it finds."""
     from .jobs import run_jobs
 
-    found = _dfs(min(max_size, _SPLIT_DEPTH - 1), max_occ, [_root_state()])
-    frontier = _frontier(_SPLIT_DEPTH, max_occ)
+    found, frontier = _frontier(min(max_size, _SPLIT_DEPTH), max_occ)
     step = min(4 * max(threads, 1), len(frontier))
     jobs = [(max_size, max_occ, frontier[i::step]) for i in range(step)]
     # Up to size 11 (budget 5) one process is faster than a pool: 54 against

@@ -132,20 +132,22 @@ def serial_pool(monkeypatch):
 
 @pytest.fixture
 def every_sweep_pooled(monkeypatch):
-    """The oracle's pool rule set to pool every sweep of threads > 1, and
-    multiprocessing.Pool wrapped to record the process count of each pool
-    the job runner starts.  Returns the list of recorded counts."""
-    import multiprocessing
+    """The oracle's and the structure sweep's pool rules set to pool every
+    sweep of threads > 1, and multiprocessing's Pool wrapped to record the
+    process count of each pool started, in any start method's context.
+    Returns the list of recorded counts."""
+    import multiprocessing.pool
 
-    from occ132 import oracle
+    from occ132 import invariants, oracle
 
     monkeypatch.setattr(oracle, "POOL_FROM_BUDGET", dict.fromkeys(range(1, oracle.SWEEP_GUARD + 1), 0))
+    monkeypatch.setattr(invariants, "POOL_FROM_MAX_N", 1)
     sizes = []
-    real = multiprocessing.Pool
+    real = multiprocessing.pool.Pool.__init__
 
-    def recording(processes, *args, **kwargs):
+    def recording(self, processes=None, *args, **kwargs):
         sizes.append(processes)
-        return real(processes, *args, **kwargs)
+        real(self, processes, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", recording)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording)
     return sizes

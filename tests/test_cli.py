@@ -107,6 +107,7 @@ def test_verify_restricted_ok(capsys):
     assert "MISMATCH" not in out
 
 
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references"
 VERIFY_REFERENCES = {
     "verify2": ("verify", "--occ", "2", "--max-n", "9"),
     "verify1_k4": ("verify", "--occ", "1", "--max-n", "9", "--k", "4"),
@@ -118,8 +119,7 @@ VERIFY_REFERENCES = {
 def test_verify_matches_benchmark_reference(capsys, reference, threads):
     code, out, _ = run(capsys, *VERIFY_REFERENCES[reference], "--threads", threads)
     assert code == 0
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "references" / f"{reference}.out"
-    assert out.encode() == path.read_bytes()
+    assert out.encode() == (REFERENCES / f"{reference}.out").read_bytes()
 
 
 def test_verify_sweeps_every_n_in_one_pool(capsys, every_sweep_pooled):
@@ -190,13 +190,16 @@ def test_check_invariants_reports_a_failing_check(capsys, monkeypatch):
     assert [line[:4] for line in lines[:at] + lines[at + 11:]] == ["PASS"] * 8
 
 
-def test_check_invariants_matches_benchmark_reference(capsys):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "references" / "invariants7.out"
-    # the default thread count, one process, and a pool of two
+def test_check_invariants_matches_benchmark_reference(capsys, every_sweep_pooled):
+    path = REFERENCES / "invariants7.out"
+    # the default thread count, one process, and, with the pool rule lowered,
+    # a pool of two; the benchmark's --threads 2 runs in one process at --max-n 7
+    # (test_check_invariants_does_not_load_multiprocessing)
     for threads in ((), ("--threads", "1"), ("--threads", "2")):
         code, out, _ = run(capsys, "check-invariants", "--max-n", "7", *threads)
         assert code == 0, threads
         assert out.encode() == path.read_bytes(), threads
+    assert every_sweep_pooled[-1] == 2
 
 
 # the closed form of level 1 times a factor that breaks its integer split
@@ -583,32 +586,47 @@ def cli_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
+def probe_loaded(modules, *argv):
+    """The stdout of the CLI run on argv in a fresh process, and which of
+    `modules` it loaded."""
+    probe = subprocess.run([sys.executable, "-c", LOADED_PROBE, ",".join(modules), *argv],
+                           capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    return probe.stdout, json.loads(probe.stderr)
+
+
 def test_warm_solves_import_only_the_solver_path(capsys, tmp_path):
     catalog = tmp_path / "c3.jsonl"
     save_catalog(enumerate_kernel_shapes(3), catalog)
     assert fold_path(catalog).exists()
-    env = cli_env()
     for argv in WARM_SOLVES:
         code, cold, _ = run(capsys, *argv, "--threads", "1")
         assert code == 0
-        warm = subprocess.run(
-            [sys.executable, "-c", LOADED_PROBE, ",".join(OFF_THE_SOLVER_PATH), *argv,
-             "--threads", "2", "--catalog", str(catalog)],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert warm.returncode == 0, warm.stderr
-        assert warm.stdout == cold, argv
-        assert warm.stderr.splitlines() == ["[]"], argv
+        warm, loaded = probe_loaded(OFF_THE_SOLVER_PATH, *argv, "--threads", "2", "--catalog", str(catalog))
+        assert warm == cold, argv
+        assert loaded == [], argv
+
+
+# Modules a sweep that runs in one process never needs: the pool, and
+# dataclasses with what it pulls in.
+OFF_THE_SERIAL_SWEEPS = ("multiprocessing", "dataclasses", "inspect")
 
 
 def test_check_invariants_does_not_load_multiprocessing():
-    # a sweep this small runs in one process, and the command has its own
-    # sweep guard, so it loads neither the pool nor the oracle
-    probe = subprocess.run(
-        [sys.executable, "-c", LOADED_PROBE, "multiprocessing,occ132.oracle,occ132.invariants",
-         "check-invariants", "--max-n", "3"],
-        capture_output=True, text=True, env=cli_env(), timeout=60)
-    assert probe.returncode == 0, probe.stderr
-    assert probe.stderr.splitlines() == ['["occ132.invariants"]']
+    # the benchmark's sweep runs in one process at --threads 2, and the command
+    # has its own sweep guard, so it loads neither the pool nor the oracle
+    out, loaded = probe_loaded((*OFF_THE_SERIAL_SWEEPS, "occ132.oracle", "occ132.invariants"),
+                               "check-invariants", "--max-n", "7", "--threads", "2")
+    assert loaded == ["occ132.invariants"]
+    assert out == (REFERENCES / "invariants7.out").read_text()
+
+
+def test_verify_does_not_load_multiprocessing():
+    # the benchmark's budget-2 sweep of S_0..S_9 runs in one process at --threads 2
+    out, loaded = probe_loaded((*OFF_THE_SERIAL_SWEEPS, "occ132.oracle"),
+                               *VERIFY_REFERENCES["verify2"], "--threads", "2")
+    assert loaded == ["occ132.oracle"]
+    assert out == (REFERENCES / "verify2.out").read_text()
 
 
 def test_closed_stdout_is_not_reported_as_an_error():

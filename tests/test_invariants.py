@@ -155,17 +155,18 @@ def test_planted_defect_is_reported_by_its_check_only(monkeypatch, defect):
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the plant is a monkeypatch, which only forked workers inherit")
-def test_pooled_sweep_joins_violations_in_sweep_order(monkeypatch):
+def test_pooled_sweep_joins_violations_in_sweep_order(monkeypatch, every_sweep_pooled):
     # the plant fires in every job of n >= 2, so the order of the joined lists is checked;
     # it fires on each of the 5 913 permutations of size <= 7 but the 1 977 kernel
     # permutations, which the sweep does not assemble
     monkeypatch.setattr(occ132.invariants, "assemble", _swap_first_two(occ132.invariants.assemble))
     pooled = structure_sweep(7, threads=2)
+    assert every_sweep_pooled == [2]
     assert len(pooled["roundtrip decompose-assemble"]) == 5913 - 1977
     assert pooled == structure_sweep(7, threads=1)
 
 
-def test_pooled_sweep_reads_the_given_kernels(monkeypatch):
+def test_pooled_sweep_reads_the_given_kernels(monkeypatch, every_sweep_pooled):
     # without the kernels of size 5 the domain misses their pairs, so the
     # inverse check fires in jobs of every n >= 5.  Spawned workers import
     # the modules afresh and never see the planted search, so they report
@@ -177,3 +178,4 @@ def test_pooled_sweep_reads_the_given_kernels(monkeypatch):
     assert len(serial["assemble/decompose inverse"]) > 100
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
     assert structure_sweep(7, threads=2) == serial
+    assert every_sweep_pooled == [2]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations, permutations
 
 import pytest
@@ -48,6 +50,13 @@ class TestMakePermutation:
     def test_position_out_of_range(self):
         with pytest.raises(IndexError):
             Permutation((1, 2))(3)
+
+    def test_immutable_value_object(self):
+        p = Permutation((2, 1, 3))
+        with pytest.raises(AttributeError):
+            p.values = (1, 2, 3)
+        assert {p: 1}[Permutation((2, 1, 3))] == 1 and p != (2, 1, 3)
+        assert pickle.loads(pickle.dumps(p)) == copy.deepcopy(p) == p
 
 
 class TestOccurrences:
@@ -157,3 +166,14 @@ class TestSerialization:
 @given(st.permutations(list(range(1, 9))))
 def test_fast_counter_matches_cubic_listing(vals):
     assert count_132_values(tuple(vals)) == len(occurrences_132(Permutation(tuple(vals))))
+
+
+def test_count_with_a_limit_is_exact_up_to_the_limit():
+    # every permutation of S_0..S_7: the full count when it is at most the
+    # limit, else some number above the limit
+    for n in range(8):
+        for values in permutations(range(1, n + 1)):
+            full = count_132_values(values)
+            for limit in range(4):
+                counted = count_132_values(values, limit=limit)
+                assert counted == full if full <= limit else counted > limit, (values, limit)

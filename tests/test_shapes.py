@@ -99,7 +99,7 @@ class TestEnumerate:
     def test_pool_has_no_more_workers_than_jobs(self, serial_pool):
         # budget 4 at size 12 is the smallest search that takes the pool;
         # its depth-5 frontier is far smaller than 500
-        jobs = len(shapes._frontier(shapes._SPLIT_DEPTH, 4))
+        jobs = len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])
         found = shapes._search(12, 4, threads=500)
         assert serial_pool == [jobs] and jobs < 500
         assert sorted(found) == sorted(shapes._search(12, 4))
@@ -113,7 +113,7 @@ class TestEnumerate:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert serial_pool == [len(shapes._frontier(shapes._SPLIT_DEPTH, 4))]
+        assert serial_pool == [len(shapes._frontier(shapes._SPLIT_DEPTH, 4)[1])]
         assert sorted(found) == sorted(shapes._search(12, 4))
 
     @pytest.mark.parametrize("threads", [1, 2])
